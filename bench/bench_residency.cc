@@ -149,9 +149,9 @@ void BM_ResidencyColdScan(benchmark::State& state) {
     ActionContext ctx(aid);
     ctx.BindResidency(rm);
     for (RecoverableObject* obj : objects) {
-      Result<Value> v = ctx.ReadObject(obj);
+      Result<const Value*> v = ctx.ReadObject(obj);
       ARGUS_CHECK_MSG(v.ok(), v.status().message().c_str());
-      benchmark::DoNotOptimize(v.value());
+      benchmark::DoNotOptimize(*v.value());
     }
     ctx.AbortVolatile(guard.heap());
     ++scans;

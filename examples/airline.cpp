@@ -57,11 +57,11 @@ Guardian::ActionFate Book(SimWorld& world, int row, int seat, const std::string&
           if (!obj.ok()) {
             return obj.status();
           }
-          Result<Value> current = ctx.ReadObject(obj.value());
+          Result<const Value*> current = ctx.ReadObject(obj.value());
           if (!current.ok()) {
             return current.status();
           }
-          if (!current.value().as_record().at("passenger").is_nil()) {
+          if (!current.value()->as_record().at("passenger").is_nil()) {
             return Status::Unavailable("seat already taken");
           }
           Status w_s = ctx.UpdateObject(obj.value(), [&](Value& v) {

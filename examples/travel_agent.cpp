@@ -50,15 +50,16 @@ void SetUp(SimWorld& world) {
 
 // Tries to take one unit of capacity; fails if full.
 Status TakeCapacity(SubactionScope& sub, RecoverableObject* obj, const std::string& name) {
-  Result<Value> current = sub.ReadObject(obj);
+  Result<const Value*> current = sub.ReadObject(obj);
   if (!current.ok()) {
     return current.status();
   }
-  if (current.value().as_record().at("free").as_int() <= 0) {
+  const Value::Record& record = current.value()->as_record();
+  if (record.at("free").as_int() <= 0) {
     return Status::Unavailable("full");
   }
-  const char* roster =
-      current.value().as_record().contains("passengers") ? "passengers" : "guests";
+  // Decided before the write below, which ends the view.
+  const char* roster = record.contains("passengers") ? "passengers" : "guests";
   return sub.UpdateObject(obj, [&](Value& v) {
     Value& free = v.as_record()["free"];
     free = Value::Int(free.as_int() - 1);

@@ -16,7 +16,7 @@ void ActionContext::Touch(RecoverableObject* obj) {
   obj->MarkReferenced();
 }
 
-Result<Value> ActionContext::ReadObject(RecoverableObject* obj) {
+Result<const Value*> ActionContext::ReadObject(RecoverableObject* obj) {
   ARGUS_CHECK(obj != nullptr);
   Status fs = FaultIfEvicted(obj);
   if (!fs.ok()) {
@@ -27,7 +27,7 @@ Result<Value> ActionContext::ReadObject(RecoverableObject* obj) {
     return s;
   }
   Touch(obj);
-  return obj->current_version();
+  return &obj->current_version();
 }
 
 Status ActionContext::WriteObject(RecoverableObject* obj, Value v) {

@@ -22,8 +22,12 @@ class ActionContext {
 
   ActionId aid() const { return aid_; }
 
-  // Acquires a read lock and returns the version this action sees.
-  Result<Value> ReadObject(RecoverableObject* obj);
+  // Faults `obj` in if it was evicted, acquires a read lock and returns a
+  // view of the version this action sees (the tentative version if this
+  // action wrote it, else the base). Nothing is copied: the view is the
+  // object's own version, so it stays valid only until this action writes
+  // that object or completes. A caller that needs the value longer copies it.
+  Result<const Value*> ReadObject(RecoverableObject* obj);
 
   // Acquires the write lock and replaces the tentative version.
   Status WriteObject(RecoverableObject* obj, Value v);

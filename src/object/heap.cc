@@ -3,28 +3,45 @@
 namespace argus {
 
 VolatileHeap::VolatileHeap() {
-  auto root = std::make_unique<RecoverableObject>(ObjectKind::kAtomic, Uid::Root(),
-                                                  Value::OfRecord({}));
-  root_ = root.get();
-  objects_.emplace(Uid::Root(), std::move(root));
+  root_ = Adopt(std::make_unique<RecoverableObject>(ObjectKind::kAtomic, Uid::Root(),
+                                                    Value::OfRecord({})));
+}
+
+RecoverableObject* VolatileHeap::Adopt(std::unique_ptr<RecoverableObject> obj) {
+  RecoverableObject* ptr = obj.get();
+  objects_.emplace(ptr->uid(), std::move(obj));
+  ptr->dirty_list_ = &dirty_;
+  ptr->VersionChanged();
+  return ptr;
+}
+
+std::uint64_t VolatileHeap::SettleResidentBytes() {
+  std::size_t kept = 0;
+  for (RecoverableObject* obj : dirty_) {
+    resident_bytes_ -= obj->counted_bytes_;
+    obj->counted_bytes_ = obj->VersionBytes();
+    resident_bytes_ += obj->counted_bytes_;
+    if (obj->has_current() || (obj->is_mutex() && obj->seized())) {
+      dirty_[kept++] = obj;
+    } else {
+      obj->dirty_ = false;
+    }
+  }
+  dirty_.resize(kept);
+  return resident_bytes_;
 }
 
 RecoverableObject* VolatileHeap::CreateAtomic(ActionId creator, Value initial) {
-  Uid uid{next_uid_++};
-  auto obj = std::make_unique<RecoverableObject>(ObjectKind::kAtomic, uid, std::move(initial));
-  RecoverableObject* ptr = obj.get();
-  objects_.emplace(uid, std::move(obj));
+  RecoverableObject* ptr = Adopt(std::make_unique<RecoverableObject>(
+      ObjectKind::kAtomic, Uid{next_uid_++}, std::move(initial)));
   Status s = ptr->AcquireReadLock(creator);
   ARGUS_CHECK_MSG(s.ok(), "fresh object cannot be lock-conflicted");
   return ptr;
 }
 
 RecoverableObject* VolatileHeap::CreateMutex(Value initial) {
-  Uid uid{next_uid_++};
-  auto obj = std::make_unique<RecoverableObject>(ObjectKind::kMutex, uid, std::move(initial));
-  RecoverableObject* ptr = obj.get();
-  objects_.emplace(uid, std::move(obj));
-  return ptr;
+  return Adopt(std::make_unique<RecoverableObject>(ObjectKind::kMutex, Uid{next_uid_++},
+                                                   std::move(initial)));
 }
 
 RecoverableObject* VolatileHeap::Get(Uid uid) const {
@@ -39,8 +56,7 @@ RecoverableObject* VolatileHeap::InstallRecovered(Uid uid, ObjectKind kind) {
   ARGUS_CHECK_MSG(objects_.find(uid) == objects_.end(), "recovered uid already present");
   auto obj = std::make_unique<RecoverableObject>(kind, uid, Value::Nil());
   obj->set_base_restored(false);
-  RecoverableObject* ptr = obj.get();
-  objects_.emplace(uid, std::move(obj));
+  RecoverableObject* ptr = Adopt(std::move(obj));
   if (uid == Uid::Root()) {
     root_ = ptr;
   }

@@ -66,14 +66,28 @@ class VolatileHeap {
 
   std::size_t object_count() const { return objects_.size(); }
 
+  // Bytes of every version in memory (Value::ApproxBytes of each base that is
+  // not evicted, plus each tentative version), kept as a running total. An
+  // object joins a dirty list whenever one of its versions changes, and this
+  // recounts only the objects on it, so the cost follows what changed since
+  // the last call. An object with a tentative version or a seized mutex stays
+  // on the list: it can still be edited through the reference that
+  // MutableCurrent or MutableValue handed out.
+  std::uint64_t SettleResidentBytes();
+
   // Iteration support (tests, snapshot).
   auto begin() const { return objects_.begin(); }
   auto end() const { return objects_.end(); }
 
  private:
+  // Inserts a new object and puts it on the dirty list.
+  RecoverableObject* Adopt(std::unique_ptr<RecoverableObject> obj);
+
   std::unordered_map<Uid, std::unique_ptr<RecoverableObject>> objects_;
   RecoverableObject* root_ = nullptr;
   std::uint64_t next_uid_ = 1;  // 0 is the root
+  std::vector<RecoverableObject*> dirty_;
+  std::uint64_t resident_bytes_ = 0;  // as of the last settle
 };
 
 }  // namespace argus

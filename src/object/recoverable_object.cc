@@ -33,6 +33,7 @@ Status RecoverableObject::AcquireWriteLock(ActionId aid) {
   std::erase(read_lockers_, aid);
   write_locker_ = aid;
   current_ = base_;
+  VersionChanged();
   return Status::Ok();
 }
 
@@ -42,6 +43,7 @@ bool RecoverableObject::HoldsReadLock(ActionId aid) const {
 
 Value& RecoverableObject::MutableCurrent(ActionId aid) {
   ARGUS_CHECK_MSG(HoldsWriteLock(aid), "mutating without the write lock");
+  VersionChanged();
   return *current_;
 }
 
@@ -56,6 +58,7 @@ void RecoverableObject::CommitAction(ActionId aid) {
     // pending slot is Null and the stale base address is discarded with it.
     stable_address_ = pending_stable_address_;
     pending_stable_address_ = LogAddress::Null();
+    VersionChanged();
   }
   std::erase(read_lockers_, aid);
 }
@@ -65,6 +68,7 @@ void RecoverableObject::AbortAction(ActionId aid) {
     current_.reset();
     write_locker_.reset();
     pending_stable_address_ = LogAddress::Null();
+    VersionChanged();
   }
   std::erase(read_lockers_, aid);
 }
@@ -92,6 +96,7 @@ Value& RecoverableObject::MutableValue(ActionId aid) {
   // The in-place edit diverges from whatever frame was last logged; the
   // address becomes authoritative again when the writer logs the new value.
   stable_address_ = LogAddress::Null();
+  VersionChanged();
   return base_;
 }
 
@@ -104,6 +109,7 @@ void RecoverableObject::Evict(std::size_t approx_bytes, std::vector<Uid> refs) {
   evicted_ = true;
   evicted_bytes_ = approx_bytes;
   stub_refs_ = std::move(refs);
+  VersionChanged();
 }
 
 void RecoverableObject::Materialize(Value v) {
@@ -113,12 +119,34 @@ void RecoverableObject::Materialize(Value v) {
   evicted_bytes_ = 0;
   stub_refs_.clear();
   stub_refs_.shrink_to_fit();
+  VersionChanged();
+}
+
+void RecoverableObject::RestoreBase(Value v) {
+  base_ = std::move(v);
+  VersionChanged();
 }
 
 void RecoverableObject::RestoreCurrentWithLock(Value v, ActionId aid) {
   ARGUS_CHECK_MSG(is_atomic(), "current versions apply to atomic objects");
   current_ = std::move(v);
   write_locker_ = aid;
+  VersionChanged();
+}
+
+void RecoverableObject::VersionChanged() {
+  if (!dirty_ && dirty_list_ != nullptr) {
+    dirty_ = true;
+    dirty_list_->push_back(this);
+  }
+}
+
+std::size_t RecoverableObject::VersionBytes() const {
+  std::size_t bytes = evicted_ ? 0 : base_.ApproxBytes();
+  if (current_.has_value()) {
+    bytes += current_->ApproxBytes();
+  }
+  return bytes;
 }
 
 }  // namespace argus

@@ -81,7 +81,7 @@ class RecoverableObject {
   // ---- Recovery-time restoration (bypasses locking) ----
 
   // Sets the committed/base version (atomic) or the current version (mutex).
-  void RestoreBase(Value v) { base_ = std::move(v); }
+  void RestoreBase(Value v);
   // Sets a tentative version and grants `aid` the write lock (atomic only),
   // reproducing the pre-crash prepared-but-undecided situation.
   void RestoreCurrentWithLock(Value v, ActionId aid);
@@ -144,6 +144,15 @@ class RecoverableObject {
   }
 
  private:
+  friend class VolatileHeap;
+
+  // Resident-bytes accounting (VolatileHeap::SettleResidentBytes): every
+  // change to base_ or current_ puts the object on its heap's dirty list.
+  void VersionChanged();
+  // ApproxBytes of the versions in memory: the base unless evicted, plus the
+  // tentative version.
+  std::size_t VersionBytes() const;
+
   ObjectKind kind_;
   Uid uid_;
   Value base_;                   // atomic: committed version; mutex: the version
@@ -161,6 +170,11 @@ class RecoverableObject {
   std::uint32_t pin_count_ = 0;
   std::size_t evicted_bytes_ = 0;
   std::vector<Uid> stub_refs_;
+
+  // Resident-bytes accounting state, owned by the heap.
+  std::vector<RecoverableObject*>* dirty_list_ = nullptr;
+  std::size_t counted_bytes_ = 0;  // VersionBytes() when last settled
+  bool dirty_ = false;
 };
 
 }  // namespace argus

@@ -4,7 +4,7 @@
 
 namespace argus {
 
-void SubactionScope::CaptureUndo(RecoverableObject* obj) {
+void SubactionScope::CaptureUndo(RecoverableObject* obj, const Value& tentative) {
   for (const UndoRecord& record : undo_) {
     if (record.object == obj) {
       return;  // first write in this scope already captured the pre-state
@@ -12,7 +12,7 @@ void SubactionScope::CaptureUndo(RecoverableObject* obj) {
   }
   UndoRecord record;
   record.object = obj;
-  record.previous_tentative = obj->current_version();  // base if no tentative yet
+  record.previous_tentative = tentative;
   record.was_in_mos = parent_->InMos(obj->uid());
   undo_.push_back(std::move(record));
 }
@@ -20,20 +20,25 @@ void SubactionScope::CaptureUndo(RecoverableObject* obj) {
 Status SubactionScope::WriteObject(RecoverableObject* obj, Value v) {
   ARGUS_CHECK(open_);
   ARGUS_CHECK(obj != nullptr);
-  if (obj->is_atomic()) {
-    CaptureUndo(obj);
+  if (!obj->is_atomic()) {
+    return parent_->WriteObject(obj, std::move(v));
   }
-  return parent_->WriteObject(obj, std::move(v));
+  return UpdateObject(obj, [&](Value& current) { current = std::move(v); });
 }
 
 Status SubactionScope::UpdateObject(RecoverableObject* obj,
                                     const std::function<void(Value&)>& edit) {
   ARGUS_CHECK(open_);
   ARGUS_CHECK(obj != nullptr);
-  if (obj->is_atomic()) {
-    CaptureUndo(obj);
+  if (!obj->is_atomic()) {
+    return parent_->UpdateObject(obj, edit);
   }
-  return parent_->UpdateObject(obj, edit);
+  // The pre-state is captured inside the edit, so only once the parent has
+  // faulted the object in and taken the write lock.
+  return parent_->UpdateObject(obj, [&](Value& current) {
+    CaptureUndo(obj, current);
+    edit(current);
+  });
 }
 
 Status SubactionScope::MutateMutex(RecoverableObject* obj,

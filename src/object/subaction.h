@@ -56,7 +56,9 @@ class SubactionScope {
 
   // ---- The action operations, with undo capture ----
 
-  Result<Value> ReadObject(RecoverableObject* obj) { return parent_->ReadObject(obj); }
+  // A view with ActionContext::ReadObject's lifetime: valid until the family
+  // writes `obj` or the top action completes.
+  Result<const Value*> ReadObject(RecoverableObject* obj) { return parent_->ReadObject(obj); }
 
   Status WriteObject(RecoverableObject* obj, Value v);
   Status UpdateObject(RecoverableObject* obj, const std::function<void(Value&)>& edit);
@@ -83,7 +85,9 @@ class SubactionScope {
     bool was_in_mos;
   };
 
-  void CaptureUndo(RecoverableObject* obj);
+  // Records `tentative` (the version `obj` has before this scope's first
+  // write to it) for rollback.
+  void CaptureUndo(RecoverableObject* obj, const Value& tentative);
 
   ActionContext* parent_;
   VolatileHeap* heap_;

@@ -82,20 +82,10 @@ std::uint32_t ResidencyManager::ShardOfUid(Uid uid) const {
   return router_->ShardOf(uid);
 }
 
-std::uint64_t ResidencyManager::RecomputeResidentBytes() {
-  std::uint64_t total = 0;
-  for (const auto& [uid, obj] : *heap_) {
-    if (!obj->evicted()) {
-      total += obj->base_version().ApproxBytes();
-    }
-    if (obj->is_atomic() && obj->has_current()) {
-      total += obj->current_version().ApproxBytes();
-    }
-  }
-  resident_bytes_.store(total, std::memory_order_relaxed);
-  stats_.resident_bytes = total;
-  ResidencyObs::Get().resident_bytes->Set(static_cast<double>(total));
-  return total;
+void ResidencyManager::PublishResidentBytes(std::uint64_t resident) {
+  resident_bytes_.store(resident, std::memory_order_relaxed);
+  stats_.resident_bytes = resident;
+  ResidencyObs::Get().resident_bytes->Set(static_cast<double>(resident));
 }
 
 bool ResidencyManager::EvictionEligible(const RecoverableObject& obj,
@@ -126,7 +116,8 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
     return 0;
   }
   const ResidencyObs& o = ResidencyObs::Get();
-  std::uint64_t resident = RecomputeResidentBytes();
+  std::uint64_t resident = heap_->SettleResidentBytes();
+  PublishResidentBytes(resident);
   ++stats_.eviction_passes;
   o.eviction_passes->Increment();
   if (resident <= high_watermark_bytes()) {
@@ -139,32 +130,33 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
     durable_sizes.push_back(log->durable_size());
   }
 
-  // The ring is the uid-sorted object list, rebuilt per pass — creations and
-  // recoveries need no incremental upkeep, and the order is deterministic.
-  std::vector<Uid> ring;
-  ring.reserve(heap_->object_count());
-  for (const auto& [uid, obj] : *heap_) {
-    if (uid != Uid::Root()) {
-      ring.push_back(uid);
+  if (ring_.size() + 1 != heap_->object_count()) {  // +1: the root is not on the ring
+    ring_.clear();
+    ring_.reserve(heap_->object_count());
+    for (const auto& [uid, obj] : *heap_) {
+      if (uid != Uid::Root()) {
+        ring_.push_back(obj.get());
+      }
     }
+    std::ranges::sort(ring_, {}, &RecoverableObject::uid);
   }
-  std::sort(ring.begin(), ring.end());
-  if (ring.empty()) {
+  if (ring_.empty()) {
     return 0;
   }
 
   std::size_t pos =
-      static_cast<std::size_t>(std::lower_bound(ring.begin(), ring.end(), clock_hand_) -
-                               ring.begin()) %
-      ring.size();
+      static_cast<std::size_t>(std::ranges::lower_bound(ring_, clock_hand_, {},
+                                                        &RecoverableObject::uid) -
+                               ring_.begin()) %
+      ring_.size();
   const std::uint64_t target = low_watermark_bytes();
-  const std::size_t max_steps = ring.size() * 2;  // second chance: at most two laps
+  const std::size_t max_steps = ring_.size() * 2;  // second chance: at most two laps
   std::uint64_t evicted_count = 0;
 
   for (std::size_t step = 0; step < max_steps && resident > target; ++step) {
-    RecoverableObject* obj = heap_->Get(ring[pos]);
-    pos = (pos + 1) % ring.size();
-    if (obj == nullptr || obj->evicted()) {
+    RecoverableObject* obj = ring_[pos];
+    pos = (pos + 1) % ring_.size();
+    if (obj->evicted()) {
       continue;
     }
     if (!EvictionEligible(*obj, durable_sizes)) {
@@ -200,10 +192,8 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
     }
   }
 
-  clock_hand_ = ring[pos];
-  resident_bytes_.store(resident, std::memory_order_relaxed);
-  stats_.resident_bytes = resident;
-  o.resident_bytes->Set(static_cast<double>(resident));
+  clock_hand_ = ring_[pos]->uid();
+  PublishResidentBytes(resident);
   return evicted_count;
 }
 
@@ -267,9 +257,21 @@ Status ResidencyManager::FaultInBatch(std::span<RecoverableObject* const> object
   if (targets.empty()) {
     return Status::Ok();
   }
-  const ResidencyObs& o = ResidencyObs::Get();
   const auto start = std::chrono::steady_clock::now();
+  Status s = ReadAndMaterialize(targets);
+  // Also on failure: the objects materialized before it count.
+  PublishResidentBytes(heap_->SettleResidentBytes());
+  if (s.ok()) {
+    ResidencyObs::Get().fault_ns->Record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                             start)
+            .count()));
+  }
+  return s;
+}
 
+Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*>& targets) {
+  const ResidencyObs& o = ResidencyObs::Get();
   // Group addresses by owning shard; one ReadMany (one scatter submission on
   // a batched medium) rematerializes a shard's whole group.
   std::vector<std::vector<LogAddress>> shard_addresses(logs_.size());
@@ -315,21 +317,12 @@ Status ResidencyManager::FaultInBatch(std::span<RecoverableObject* const> object
       if (!resolved.ok()) {
         return resolved;
       }
-      const std::uint64_t bytes = v.ApproxBytes();
       evicted_index_[shard].erase(obj->stable_address().offset);
       obj->Materialize(std::move(v));
-      resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
       ++stats_.faults;
       o.faults->Increment();
     }
   }
-
-  stats_.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
-  o.resident_bytes->Set(static_cast<double>(stats_.resident_bytes));
-  o.fault_ns->Record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           start)
-          .count()));
   return Status::Ok();
 }
 
@@ -349,8 +342,13 @@ Status ResidencyManager::MaterializeAll() {
 void ResidencyManager::RebindLog(std::uint32_t shard, StableLog* log) {
   ARGUS_CHECK(shard < logs_.size() && log != nullptr);
   // The swap protocol materialized everything before retiring the old log,
-  // so no stub can still point into it.
-  ARGUS_CHECK_MSG(evicted_index_[shard].empty(), "rebinding a shard with live stubs");
+  // so no stub can still point into it. What is left in the index belongs to
+  // objects rematerialized behind the manager's back (LogWriter::EnsureResident).
+  for (const auto& [offset, uid] : evicted_index_[shard]) {
+    const RecoverableObject* obj = heap_->Get(uid);
+    ARGUS_CHECK_MSG(obj == nullptr || !obj->evicted(), "rebinding a shard with live stubs");
+  }
+  evicted_index_[shard].clear();
   logs_[shard] = log;
 }
 

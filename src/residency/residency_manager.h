@@ -24,7 +24,8 @@
 // ResidencyService's exclusive section, MaterializeAll from checkpoint
 // capture) runs under the same per-guardian exclusion the caller already
 // holds for heap access. resident_bytes() alone is safe to read concurrently
-// (it is an atomic; live dashboards poll it).
+// (it is an atomic; live dashboards poll it). It is the heap's count as of
+// the last pass or fault batch.
 
 #ifndef SRC_RESIDENCY_RESIDENCY_MANAGER_H_
 #define SRC_RESIDENCY_RESIDENCY_MANAGER_H_
@@ -87,10 +88,12 @@ class ResidencyManager : public ResidencyPager {
   Status FaultIn(RecoverableObject* object) override;
   Status FaultInBatch(std::span<RecoverableObject* const> objects) override;
 
-  // One clock pass: recomputes resident bytes from the heap, and if the high
-  // watermark is crossed, sweeps the uid-ordered ring demoting eligible
-  // objects (second chance: a set reference bit buys one more lap) until the
-  // low watermark or the per-pass cap. Returns the number of evictions.
+  // One clock pass: settles the heap's running count of resident bytes
+  // (recounting only objects whose versions changed since the last settle),
+  // and if the high watermark is crossed, sweeps the uid-ordered ring
+  // demoting eligible objects (second chance: a set reference bit buys one
+  // more lap) until the low watermark or the per-pass cap. Returns the number
+  // of evictions.
   std::uint64_t RunEvictionPass();
 
   // Rematerializes every evicted object (checkpoint capture and swap need the
@@ -120,9 +123,11 @@ class ResidencyManager : public ResidencyPager {
   std::uint32_t ShardOfUid(Uid uid) const;
   bool EvictionEligible(const RecoverableObject& obj,
                         const std::vector<std::uint64_t>& durable_sizes) const;
-  // Sums ApproxBytes over every resident version in the heap and refreshes
-  // the atomic + gauge.
-  std::uint64_t RecomputeResidentBytes();
+  // Stores `resident` in the atomic, the stats and the gauge.
+  void PublishResidentBytes(std::uint64_t resident);
+  // Reads the frames of `targets` (evicted objects) with one ReadMany per
+  // shard and materializes them; stops at the first failure.
+  Status ReadAndMaterialize(const std::vector<RecoverableObject*>& targets);
   // Best-effort ReadCache prefetch of up to prefetch_neighbors evicted stubs
   // on each side of the faulted batch's offset envelope on `shard`.
   void PrefetchNeighbors(std::uint32_t shard, std::uint64_t lo_offset,
@@ -133,8 +138,11 @@ class ResidencyManager : public ResidencyPager {
   const ShardRouter* router_;
   ResidencyConfig config_;
 
-  // Clock hand: the uid the next sweep resumes at (ring is the uid-sorted
-  // object list, rebuilt per pass so creations/deletions need no upkeep).
+  // The clock ring: every object but the root, in uid order. It is kept
+  // between passes and rebuilt only when the heap's object count changes;
+  // the heap never erases an object, so the pointers stay valid.
+  std::vector<RecoverableObject*> ring_;
+  // Clock hand: the uid the next sweep resumes at.
   Uid clock_hand_ = Uid::Root();
   // Per-shard offset → uid of currently-evicted stubs, for neighbor
   // prefetch. Entries whose object was rematerialized behind the manager's

@@ -70,11 +70,11 @@ Status Guardian::SetStableVariable(ActionId aid, const std::string& name,
 
 Result<RecoverableObject*> Guardian::GetStableVariable(ActionId aid, const std::string& name) {
   ActionContext& ctx = ContextFor(aid);
-  Result<Value> root = ctx.ReadObject(heap_->root());
+  Result<const Value*> root = ctx.ReadObject(heap_->root());
   if (!root.ok()) {
     return root.status();
   }
-  const Value::Record& record = root.value().as_record();
+  const Value::Record& record = root.value()->as_record();
   auto it = record.find(name);
   if (it == record.end() || !it->second.is_ref()) {
     return Status::NotFound("no stable variable " + name);

@@ -2,6 +2,9 @@
 // snapshot, including activity between the two stages, prepared-action
 // carry-over, mutex latest-version preservation, and recovery bounds.
 
+#include <cstdint>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_support.h"
@@ -9,16 +12,20 @@
 namespace argus {
 namespace {
 
+// gtest names each case by a byte dump of this struct, so it must have no
+// padding: indeterminate padding bytes made the names differ between runs.
 struct Method {
   HousekeepingMethod method;
+  std::uint32_t reserved = 0;
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<Method>);
 
 class HousekeepingTest : public testing::TestWithParam<Method> {};
 
 INSTANTIATE_TEST_SUITE_P(Both, HousekeepingTest,
-                         testing::Values(Method{HousekeepingMethod::kCompaction, "compaction"},
-                                         Method{HousekeepingMethod::kSnapshot, "snapshot"}),
+                         testing::Values(Method{HousekeepingMethod::kCompaction, 0, "compaction"},
+                                         Method{HousekeepingMethod::kSnapshot, 0, "snapshot"}),
                          [](const auto& info) { return info.param.name; });
 
 void Seed(StorageHarness& h) {

@@ -158,10 +158,42 @@ TEST(ActionContext, ReadDoesNotEnterMos) {
   writer.CommitVolatile(heap);
 
   ActionContext reader(Aid(2));
-  Result<Value> v = reader.ReadObject(a);
+  Result<const Value*> v = reader.ReadObject(a);
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), Value::Int(4));
+  EXPECT_EQ(v.value(), &a->base_version()) << "the view is the version itself, not a copy";
+  EXPECT_EQ(*v.value(), Value::Int(4));
   EXPECT_TRUE(reader.mos().empty());
+}
+
+TEST(ActionContext, ReadViewShowsOwnTentativeWrite) {
+  VolatileHeap heap;
+  ActionContext creator(Aid(1));
+  RecoverableObject* a = creator.CreateAtomic(heap, Value::Int(4));
+  creator.CommitVolatile(heap);
+
+  ActionContext ctx(Aid(2));
+  ASSERT_TRUE(ctx.WriteObject(a, Value::Int(5)).ok());
+  Result<const Value*> v = ctx.ReadObject(a);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value(), &a->current_version());
+  EXPECT_EQ(*v.value(), Value::Int(5));
+  EXPECT_EQ(a->base_version(), Value::Int(4));
+}
+
+TEST(ActionContext, ReadViewHoldsTheReadLock) {
+  VolatileHeap heap;
+  ActionContext creator(Aid(1));
+  RecoverableObject* a = creator.CreateAtomic(heap, Value::Int(4));
+  creator.CommitVolatile(heap);
+
+  ActionContext reader(Aid(2));
+  Result<const Value*> v = reader.ReadObject(a);
+  ASSERT_TRUE(v.ok());
+  ActionContext writer(Aid(3));
+  EXPECT_EQ(writer.WriteObject(a, Value::Int(9)).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(*v.value(), Value::Int(4));
+  reader.CommitVolatile(heap);
+  EXPECT_TRUE(writer.WriteObject(a, Value::Int(9)).ok());
 }
 
 TEST(ActionContext, CommitVolatileInstallsAndReleases) {

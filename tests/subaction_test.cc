@@ -209,10 +209,30 @@ TEST(Subaction, ReadsSeeEnclosingTentativeState) {
   ActionContext& ctx = f.h.ctx(top);
   ASSERT_TRUE(ctx.WriteObject(f.h.StableVar("a"), Value::Int(6)).ok());
   SubactionScope sub(&ctx, &f.h.heap());
-  Result<Value> v = sub.ReadObject(f.h.StableVar("a"));
+  Result<const Value*> v = sub.ReadObject(f.h.StableVar("a"));
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), Value::Int(6));
+  EXPECT_EQ(*v.value(), Value::Int(6));
   sub.Commit();
+}
+
+TEST(Subaction, ReadViewFollowsTheFamilysTentativeVersion) {
+  Fixture f;
+  ActionId top = Aid(1);
+  ActionContext& ctx = f.h.ctx(top);
+  RecoverableObject* a = f.h.StableVar("a");
+  SubactionScope sub(&ctx, &f.h.heap());
+  Result<const Value*> before = sub.ReadObject(a);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before.value(), &a->base_version());
+
+  // A write ends the earlier view; a fresh read shows the tentative version.
+  ASSERT_TRUE(sub.WriteObject(a, Value::Int(7)).ok());
+  Result<const Value*> after = sub.ReadObject(a);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), &a->current_version());
+  EXPECT_EQ(*after.value(), Value::Int(7));
+  sub.Abort();
+  EXPECT_EQ(*ctx.ReadObject(a).value(), Value::Int(0));
 }
 
 TEST(Subaction, CrashDiscardsEverythingUncommittedIncludingSubactions) {

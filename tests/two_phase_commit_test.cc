@@ -44,6 +44,38 @@ TEST(TwoPhase, SingleGuardianCommit) {
   EXPECT_EQ(ReadVar(world, GuardianId{0}, "x"), 5);
 }
 
+TEST(TwoPhase, StableVariableLookupReadsTheRootThroughTheActionsView) {
+  SimWorld world(Config(1));
+  SeedVar(world, GuardianId{0}, "x", 5);
+  Result<Guardian::ActionFate> fate =
+      world.RunTopAction(GuardianId{0}, [&](SimWorld& w, ActionId aid) -> Status {
+        return w.RunAt(aid, GuardianId{0}, [&](Guardian& g, ActionContext& ctx) -> Status {
+          RecoverableObject* y = ctx.CreateAtomic(g.heap(), Value::Int(6));
+          Status s = g.SetStableVariable(aid, "y", y);
+          if (!s.ok()) {
+            return s;
+          }
+          s = ctx.UpdateObject(g.heap().root(),
+                               [](Value& root) { root.as_record()["plain"] = Value::Int(3); });
+          if (!s.ok()) {
+            return s;
+          }
+          EXPECT_EQ(g.GetStableVariable(aid, "missing").status().code(), ErrorCode::kNotFound);
+          EXPECT_EQ(g.GetStableVariable(aid, "plain").status().code(), ErrorCode::kNotFound);
+          // The lookup sees this action's tentative root, not only the base.
+          Result<RecoverableObject*> found = g.GetStableVariable(aid, "y");
+          EXPECT_TRUE(found.ok() && found.value() == y);
+          found = g.GetStableVariable(aid, "x");
+          EXPECT_TRUE(found.ok() && found.value() == g.CommittedStableVariable("x"));
+          return Status::Ok();
+        });
+      });
+  ASSERT_TRUE(fate.ok());
+  EXPECT_EQ(fate.value(), Guardian::ActionFate::kCommitted);
+  EXPECT_EQ(ReadVar(world, GuardianId{0}, "y"), 6);
+  EXPECT_EQ(world.guardian(GuardianId{0}).CommittedStableVariable("plain"), nullptr);
+}
+
 TEST(TwoPhase, DistributedTransferCommits) {
   SimWorld world(Config(3));
   SeedVar(world, GuardianId{1}, "balance", 100);
@@ -182,7 +214,7 @@ TEST(TwoPhase, ReadOnlyActionCommitsVacuously) {
           if (!v.ok()) {
             return v.status();
           }
-          Result<Value> value = ctx.ReadObject(v.value());
+          Result<const Value*> value = ctx.ReadObject(v.value());
           return value.ok() ? Status::Ok() : value.status();
         });
       });
