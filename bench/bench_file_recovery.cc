@@ -3,14 +3,12 @@
 // Claim: once the log lives on a real filesystem, restart cost is dominated
 // by how the bytes are fetched, not how they are decoded. The per-page pread
 // baseline (cache off, one synchronous pread per frame probe) reproduces the
-// pre-batching stack; the cached variants layer the block cache's scatter
-// fills on top, in three gears — serial preads, coalesced preadv runs, and
-// io_uring submission (when the kernel allows it; the gear silently degrades
-// to preadv otherwise and the io_uring_active counter says which happened).
-// Each variant runs against a tmpfs file (/dev/shm — syscall cost isolated
-// from device cost) and a file in the working directory (whatever storage CI
-// gives us). The metrics snapshot carries stable.file.batch_ns, the
-// per-SubmitReads latency histogram.
+// pre-batching stack; the cached variant fills the block cache with
+// demand+readahead runs that the file medium coalesces into preadv calls.
+// Both run the same serial chain walk. Each variant runs against a tmpfs file
+// (/dev/shm — syscall cost isolated from device cost) and a file in the
+// working directory (whatever storage CI gives us). The metrics snapshot
+// carries stable.file.batch_ns, the per-SubmitReads latency histogram.
 //
 // The acceptance datapoint (ARGUS_BENCH_LARGE=1, >=10^6-entry log): batched
 // file-backed recovery must beat the per-page pread baseline by >=1.5x.
@@ -74,8 +72,7 @@ std::string HistoryFile(const std::string& dir, std::size_t history_len) {
     const std::vector<std::byte>& raw = SharedHistoryBytes(history_len);
     std::string path = dir + "/argus_e15_" + std::to_string(history_len) + ".log";
     std::remove(path.c_str());
-    Result<std::unique_ptr<FileStableMedium>> writer =
-        FileStableMedium::Open(path, FileStableMedium::BatchMode::kSerial);
+    Result<std::unique_ptr<FileStableMedium>> writer = FileStableMedium::Open(path);
     ARGUS_CHECK(writer.ok());
     ARGUS_CHECK(writer.value()->Append(std::span<const std::byte>(raw.data(), raw.size())).ok());
     it = files.emplace(key, std::move(path)).first;
@@ -83,46 +80,32 @@ std::string HistoryFile(const std::string& dir, std::size_t history_len) {
   return it->second;
 }
 
-struct FileVariant {
-  FileStableMedium::BatchMode mode;
-  bool cached;           // block cache + pipelined workers vs the bare baseline
-  bool batch_prefetch;   // ReadMany-driven scatter prefetch
-};
-
-void RunFileRestart(benchmark::State& state, const std::string& dir, const FileVariant& v) {
+void RunFileRestart(benchmark::State& state, const std::string& dir, bool cached) {
   std::size_t history_len = static_cast<std::size_t>(state.range(0));
   std::string path = HistoryFile(dir, history_len);
   if (path.empty()) {
     state.SkipWithError(("directory unavailable: " + dir).c_str());
     return;
   }
-  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path, v.mode);
+  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
   ARGUS_CHECK(medium.ok());
-  FileStableMedium* file = medium.value().get();
-  ReadCache::Config cache_config;
-  cache_config.batch_prefetch = v.batch_prefetch;
-  StableLog log(std::move(medium).value(), cache_config);
+  StableLog log(std::move(medium).value());
   ARGUS_CHECK(!log.empty());
-
-  HybridRecoveryOptions options;
-  options.workers = v.cached ? std::max<std::size_t>(options.workers, 2) : 0;
 
   obs::Counter* preads = obs::GetCounter("stable.file.preads");
   obs::Counter* preadv_calls = obs::GetCounter("stable.file.preadv_calls");
-  obs::Counter* uring_batches = obs::GetCounter("stable.file.uring_batches");
   obs::Counter* batched_blocks = obs::GetCounter("stable.file.batched_blocks");
   const std::uint64_t preads0 = preads->Value();
   const std::uint64_t preadv0 = preadv_calls->Value();
-  const std::uint64_t uring0 = uring_batches->Value();
   const std::uint64_t blocks0 = batched_blocks->Value();
 
   std::uint64_t entries = 0;
   for (auto _ : state) {
     // Cold restart each iteration: a fresh process has no cached blocks.
     log.read_cache().Clear();
-    log.read_cache().SetEnabled(v.cached);
+    log.read_cache().SetEnabled(cached);
     VolatileHeap heap;
-    Result<RecoveryResult> r = RecoverHybridLog(log, heap, options);
+    Result<RecoveryResult> r = RecoverHybridLog(log, heap);
     ARGUS_CHECK(r.ok());
     entries = r.value().entries_examined;
     benchmark::DoNotOptimize(r.value().ot.size());
@@ -135,41 +118,21 @@ void RunFileRestart(benchmark::State& state, const std::string& dir, const FileV
       benchmark::Counter(static_cast<double>(preads->Value() - preads0) / iters);
   state.counters["preadv_calls"] =
       benchmark::Counter(static_cast<double>(preadv_calls->Value() - preadv0) / iters);
-  state.counters["uring_batches"] =
-      benchmark::Counter(static_cast<double>(uring_batches->Value() - uring0) / iters);
   state.counters["batched_blocks"] =
       benchmark::Counter(static_cast<double>(batched_blocks->Value() - blocks0) / iters);
-  state.counters["io_uring_active"] = benchmark::Counter(file->io_uring_active() ? 1.0 : 0.0);
 }
-
-constexpr FileVariant kBaseline = {FileStableMedium::BatchMode::kSerial, false, false};
-constexpr FileVariant kCachedSerial = {FileStableMedium::BatchMode::kSerial, true, false};
-constexpr FileVariant kCachedPreadv = {FileStableMedium::BatchMode::kPreadv, true, true};
-constexpr FileVariant kCachedIoUring = {FileStableMedium::BatchMode::kAuto, true, true};
 
 void BM_FileRestartBaselinePread_Shm(benchmark::State& state) {
-  RunFileRestart(state, "/dev/shm", kBaseline);
-}
-void BM_FileRestartCachedSerial_Shm(benchmark::State& state) {
-  RunFileRestart(state, "/dev/shm", kCachedSerial);
+  RunFileRestart(state, "/dev/shm", /*cached=*/false);
 }
 void BM_FileRestartCachedPreadv_Shm(benchmark::State& state) {
-  RunFileRestart(state, "/dev/shm", kCachedPreadv);
-}
-void BM_FileRestartCachedIoUring_Shm(benchmark::State& state) {
-  RunFileRestart(state, "/dev/shm", kCachedIoUring);
+  RunFileRestart(state, "/dev/shm", /*cached=*/true);
 }
 void BM_FileRestartBaselinePread_Disk(benchmark::State& state) {
-  RunFileRestart(state, ".", kBaseline);
-}
-void BM_FileRestartCachedSerial_Disk(benchmark::State& state) {
-  RunFileRestart(state, ".", kCachedSerial);
+  RunFileRestart(state, ".", /*cached=*/false);
 }
 void BM_FileRestartCachedPreadv_Disk(benchmark::State& state) {
-  RunFileRestart(state, ".", kCachedPreadv);
-}
-void BM_FileRestartCachedIoUring_Disk(benchmark::State& state) {
-  RunFileRestart(state, ".", kCachedIoUring);
+  RunFileRestart(state, ".", /*cached=*/true);
 }
 
 // ~6 log entries per action (4 data + prepared + committed): the default arg
@@ -182,13 +145,9 @@ void FileRestartArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_FileRestartBaselinePread_Shm)->Apply(FileRestartArgs);
-BENCHMARK(BM_FileRestartCachedSerial_Shm)->Apply(FileRestartArgs);
 BENCHMARK(BM_FileRestartCachedPreadv_Shm)->Apply(FileRestartArgs);
-BENCHMARK(BM_FileRestartCachedIoUring_Shm)->Apply(FileRestartArgs);
 BENCHMARK(BM_FileRestartBaselinePread_Disk)->Apply(FileRestartArgs);
-BENCHMARK(BM_FileRestartCachedSerial_Disk)->Apply(FileRestartArgs);
 BENCHMARK(BM_FileRestartCachedPreadv_Disk)->Apply(FileRestartArgs);
-BENCHMARK(BM_FileRestartCachedIoUring_Disk)->Apply(FileRestartArgs);
 
 }  // namespace
 }  // namespace argus

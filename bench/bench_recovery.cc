@@ -1,5 +1,5 @@
-// Experiment E2 — recovery cost (§1.2.2, §4.1) — and E11 — pipelined hybrid
-// recovery with the read-optimized log layer.
+// Experiment E2 — recovery cost (§1.2.2, §4.1) — and E11 — the hybrid
+// restart with and without the block read cache.
 //
 // E2 claim: simple-log recovery "tends to be slow because the entire log must
 // be consulted"; hybrid recovery is faster (it walks only the outcome chain
@@ -7,15 +7,14 @@
 // fastest (read the map). We build a history of `history_len` committed
 // actions over a small live set and measure time plus entries examined.
 //
-// E11 claim: the hybrid restart itself is a streaming, prefetchable read
-// workload. The serial baseline reproduces the pre-E11 stack end to end:
-// workers=0, cache disabled (two medium reads per frame), and the byte-table
-// CRC that every page and frame check used before slicing. The pipelined
-// variant is the new stack: slice-by-8 CRC, block cache with chain-directed
-// read-ahead, and data-entry dereferences fanned out to a worker pool.
-// Measured on in-memory and duplexed media; the large history (~10^6 log
-// entries, ARGUS_BENCH_LARGE=1) is the ROADMAP north-star datapoint recorded
-// in BENCH_recovery.json.
+// E11 claim: the hybrid restart is a streaming read workload, so a block
+// cache with chain-directed read-ahead pays wherever medium reads cost
+// something. Both variants run the same serial chain walk with the same CRC
+// implementation; the only difference is the cache (off: two medium reads
+// per frame). Measured on in-memory and duplexed media; the large history
+// (~10^6 log entries, ARGUS_BENCH_LARGE=1) is recorded in BENCH_recovery.json.
+// Run each variant in its own process (--benchmark_filter): in one process
+// the large rows move with run order.
 
 #include <algorithm>
 #include <cstdlib>
@@ -25,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_support.h"
-#include "src/common/crc32.h"
 #include "src/recovery/recovery_algorithms.h"
 #include "src/shadow/shadow_store.h"
 #include "src/stable/duplexed_medium.h"
@@ -103,7 +101,7 @@ BENCHMARK(BM_SimpleLogRecovery)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark:
 BENCHMARK(BM_HybridLogRecovery)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShadowRecovery)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
-// ---- E11: serial vs pipelined hybrid restart ------------------------------
+// ---- E11: hybrid restart, cache off vs on --------------------------------
 
 RecoverySystemConfig HybridConfig(bool duplexed) {
   RecoverySystemConfig config;
@@ -117,8 +115,8 @@ RecoverySystemConfig HybridConfig(bool duplexed) {
 }
 
 // Histories are expensive to build (the large one is ~10^6 entries on
-// duplexed media) and the serial and pipelined variants must recover the
-// *same* log, so each (medium, history) log is built once and shared.
+// duplexed media) and both cache variants must recover the *same* log, so
+// each (medium, history) log is built once and shared.
 StableLog* SharedHybridLog(bool duplexed, std::size_t history_len) {
   static std::map<std::pair<bool, std::size_t>, std::unique_ptr<StableLog>> logs;
   auto key = std::make_pair(duplexed, history_len);
@@ -137,34 +135,22 @@ StableLog* SharedHybridLog(bool duplexed, std::size_t history_len) {
   return it->second.get();
 }
 
-void RunHybridVariant(benchmark::State& state, bool duplexed, bool pipelined) {
+void RunHybridVariant(benchmark::State& state, bool duplexed, bool cached) {
   StableLog* log = SharedHybridLog(duplexed, static_cast<std::size_t>(state.range(0)));
-  HybridRecoveryOptions options;
-  if (!pipelined) {
-    options.workers = 0;  // the pre-E11 serial algorithm
-  } else {
-    // Always exercise the pipelined driver, even where DefaultRecoveryWorkers
-    // would fall back to serial on a single-core host.
-    options.workers = std::max<std::size_t>(options.workers, 2);
-  }
-  // The serial baseline also pays the pre-E11 CRC on every page and frame
-  // check; CRC values are identical either way, only the speed differs.
-  SetCrc32Impl(pipelined ? Crc32Impl::kSliceBy8 : Crc32Impl::kByteTable);
   LogStats before = log->StatsSnapshot();
   std::uint64_t entries = 0;
   std::uint64_t data_reads = 0;
   for (auto _ : state) {
     // Cold restart each iteration: a fresh process has no cached blocks.
     log->read_cache().Clear();
-    log->read_cache().SetEnabled(pipelined);
+    log->read_cache().SetEnabled(cached);
     VolatileHeap heap;
-    Result<RecoveryResult> r = RecoverHybridLog(*log, heap, options);
+    Result<RecoveryResult> r = RecoverHybridLog(*log, heap);
     ARGUS_CHECK(r.ok());
     entries = r.value().entries_examined;
     data_reads = r.value().data_entries_read;
     benchmark::DoNotOptimize(r.value().ot.size());
   }
-  SetCrc32Impl(Crc32Impl::kSliceBy8);
   LogStats after = log->StatsSnapshot();
   double iters = static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   auto delta = [&](std::uint64_t LogStats::* field) {
@@ -180,27 +166,19 @@ void RunHybridVariant(benchmark::State& state, bool duplexed, bool pipelined) {
   state.counters["cache_hit_rate"] =
       benchmark::Counter(hits + misses == 0 ? 0.0 : hits / (hits + misses));
   state.counters["readahead_blocks"] = benchmark::Counter(delta(&LogStats::readahead_blocks));
-  state.counters["pipeline_prefetches"] =
-      benchmark::Counter(delta(&LogStats::pipeline_prefetches));
-  double prefetches = delta(&LogStats::pipeline_prefetches);
-  double prefetch_hits = delta(&LogStats::pipeline_prefetch_hits);
-  state.counters["prefetch_hit_rate"] =
-      benchmark::Counter(prefetches == 0 ? 0.0 : prefetch_hits / prefetches);
-  state.counters["pipeline_sync_reads"] =
-      benchmark::Counter(delta(&LogStats::pipeline_sync_reads));
 }
 
-void BM_HybridRestartSerial_Mem(benchmark::State& state) {
-  RunHybridVariant(state, /*duplexed=*/false, /*pipelined=*/false);
+void BM_HybridRestartUncached_Mem(benchmark::State& state) {
+  RunHybridVariant(state, /*duplexed=*/false, /*cached=*/false);
 }
-void BM_HybridRestartPipelined_Mem(benchmark::State& state) {
-  RunHybridVariant(state, /*duplexed=*/false, /*pipelined=*/true);
+void BM_HybridRestartCached_Mem(benchmark::State& state) {
+  RunHybridVariant(state, /*duplexed=*/false, /*cached=*/true);
 }
-void BM_HybridRestartSerial_Duplexed(benchmark::State& state) {
-  RunHybridVariant(state, /*duplexed=*/true, /*pipelined=*/false);
+void BM_HybridRestartUncached_Duplexed(benchmark::State& state) {
+  RunHybridVariant(state, /*duplexed=*/true, /*cached=*/false);
 }
-void BM_HybridRestartPipelined_Duplexed(benchmark::State& state) {
-  RunHybridVariant(state, /*duplexed=*/true, /*pipelined=*/true);
+void BM_HybridRestartCached_Duplexed(benchmark::State& state) {
+  RunHybridVariant(state, /*duplexed=*/true, /*cached=*/true);
 }
 
 // ~6 log entries per action (4 data + prepared + committed): the default arg
@@ -212,10 +190,10 @@ void HybridRestartArgs(benchmark::internal::Benchmark* b) {
   }
 }
 
-BENCHMARK(BM_HybridRestartSerial_Mem)->Apply(HybridRestartArgs);
-BENCHMARK(BM_HybridRestartPipelined_Mem)->Apply(HybridRestartArgs);
-BENCHMARK(BM_HybridRestartSerial_Duplexed)->Apply(HybridRestartArgs);
-BENCHMARK(BM_HybridRestartPipelined_Duplexed)->Apply(HybridRestartArgs);
+BENCHMARK(BM_HybridRestartUncached_Mem)->Apply(HybridRestartArgs);
+BENCHMARK(BM_HybridRestartCached_Mem)->Apply(HybridRestartArgs);
+BENCHMARK(BM_HybridRestartUncached_Duplexed)->Apply(HybridRestartArgs);
+BENCHMARK(BM_HybridRestartCached_Duplexed)->Apply(HybridRestartArgs);
 
 }  // namespace
 }  // namespace argus

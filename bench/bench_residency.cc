@@ -127,9 +127,8 @@ BENCHMARK(BM_ResidencyWorkload)
     ->Unit(benchmark::kMicrosecond);
 
 // Cold-scan fault storm: after the working set is fully demoted, touch every
-// object once in uid order. Chain-adjacent stubs make the prefetcher's
-// best-effort ReadMany ranges visible in reads_per_fault and
-// residency.prefetch_ranges.
+// object once in uid order; reads_per_fault shows one validated frame read
+// per rematerialized object.
 void BM_ResidencyColdScan(benchmark::State& state) {
   const std::uint64_t ratio = static_cast<std::uint64_t>(state.range(0));
   RecoverySystemConfig config = BenchConfig(LogMode::kHybrid);
@@ -163,8 +162,6 @@ void BM_ResidencyColdScan(benchmark::State& state) {
   state.counters["reads_per_fault"] = benchmark::Counter(
       rs.faults == 0 ? 0.0
                      : static_cast<double>(rs.fault_reads) / static_cast<double>(rs.faults));
-  state.counters["prefetch_ranges"] =
-      benchmark::Counter(static_cast<double>(rs.prefetch_ranges));
 }
 
 BENCHMARK(BM_ResidencyColdScan)->Arg(8)->Unit(benchmark::kMillisecond);

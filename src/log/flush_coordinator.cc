@@ -115,7 +115,10 @@ Status FlushCoordinator::ForceOffset(std::uint64_t offset, std::optional<std::ui
       }
       std::uint64_t batch = pending_requests_;
       obs::EmitBegin("log.force.batch", batch, offset);
-      l.unlock();  // stagers may proceed while the medium append runs
+      // Other requesters can enqueue while the medium append runs. Stagers
+      // and cache reads still wait: StableLog::Force holds the log mutex
+      // across the append, and ReadCache::AppendThrough the cache mutex.
+      l.unlock();
       Status s = log_->Force();
       l.lock();
       CoordinatorObs::Get().batch_requests->Record(batch);

@@ -238,25 +238,6 @@ Result<StableLog::FrameView> StableLog::ReadFrameViewAt(std::uint64_t offset,
 }
 
 std::vector<Result<LogEntry>> StableLog::ReadMany(std::span<const LogAddress> addresses) const {
-  if (!addresses.empty()) {
-    // Hand the whole batch's frame-probe ranges to the cache as one scatter
-    // prefetch (no-op unless Config::batch_prefetch). The recovery pipeline's
-    // worker pool calls ReadMany off the apply thread, so on a batched medium
-    // this is where decode/CRC work overlaps in-flight disk I/O.
-    std::uint64_t durable;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      durable = medium_->durable_size();
-    }
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-    ranges.reserve(addresses.size());
-    for (const LogAddress& address : addresses) {
-      ranges.emplace_back(address.offset, kFrameProbeLen);
-    }
-    cache_.Prefetch(std::span<const std::pair<std::uint64_t, std::uint64_t>>(ranges.data(),
-                                                                             ranges.size()),
-                    durable);
-  }
   std::vector<std::size_t> order(addresses.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
     order[i] = i;
@@ -322,17 +303,6 @@ LogStats StableLog::StatsSnapshot() const {
   out.cache_bytes_read = cs.bytes_from_medium;
   out.readahead_blocks = cs.readahead_blocks;
   return out;
-}
-
-void StableLog::RecordPipelineStats(std::uint64_t prefetches, std::uint64_t prefetch_hits,
-                                    std::uint64_t sync_reads) const {
-  std::lock_guard<std::mutex> l(mu_);
-  stats_.pipeline_prefetches += prefetches;
-  stats_.pipeline_prefetch_hits += prefetch_hits;
-  stats_.pipeline_sync_reads += sync_reads;
-  obs::GetCounter("recovery.pipeline.prefetches")->Add(prefetches);
-  obs::GetCounter("recovery.pipeline.prefetch_hits")->Add(prefetch_hits);
-  obs::GetCounter("recovery.pipeline.sync_reads")->Add(sync_reads);
 }
 
 void StableLog::RecordForceRequest(bool coalesced, std::uint64_t wait_ns) {

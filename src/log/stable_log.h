@@ -29,8 +29,9 @@
 //
 // Reads of durable bytes go through a block ReadCache (src/stable/read_cache)
 // whose mutex is the single funnel for all medium access; ReadFrameView /
-// ReadMany serve concurrent readers (the pipelined recovery's worker pool)
-// without holding the log mutex for the medium fetch, CRC check, or decode.
+// ReadMany serve concurrent readers (residency faults, the writer's mutex
+// dereferences) without holding the log mutex for the medium fetch, CRC
+// check, or decode.
 
 #ifndef SRC_LOG_STABLE_LOG_H_
 #define SRC_LOG_STABLE_LOG_H_
@@ -67,17 +68,13 @@ struct LogStats {
                                           // their entry to become durable
 
   // Read-side accounting. The cache counters are merged in by
-  // StatsSnapshot() from the ReadCache; the pipeline counters are fed by the
-  // pipelined hybrid recovery via RecordPipelineStats().
+  // StatsSnapshot() from the ReadCache.
   std::uint64_t cache_hits = 0;           // reads served from cached blocks
   std::uint64_t cache_misses = 0;         // reads that touched the medium
   std::uint64_t cache_bytes_read = 0;     // bytes fetched from the medium
   std::uint64_t readahead_blocks = 0;     // blocks fetched ahead of a scan
   std::uint64_t read_batches = 0;         // ReadMany calls
   std::uint64_t batched_reads = 0;        // entries fetched via ReadMany
-  std::uint64_t pipeline_prefetches = 0;  // data entries fetched speculatively
-  std::uint64_t pipeline_prefetch_hits = 0;  // speculative fetches consumed
-  std::uint64_t pipeline_sync_reads = 0;  // apply-phase synchronous fallbacks
 
   double entries_per_force() const {
     return forces == 0 ? 0.0
@@ -86,14 +83,6 @@ struct LogStats {
   double cache_hit_rate() const {
     std::uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
-  }
-  // Worker utilization: fraction of speculative fetches the chain walk
-  // actually consumed (1.0 = every prefetch did useful work).
-  double prefetch_hit_rate() const {
-    return pipeline_prefetches == 0
-               ? 0.0
-               : static_cast<double>(pipeline_prefetch_hits) /
-                     static_cast<double>(pipeline_prefetches);
   }
 };
 
@@ -135,9 +124,9 @@ class StableLog {
   };
 
   // Reads the frame at `address` as a pinned view. Safe to call from many
-  // threads concurrently (the recovery worker pool does): durable frames go
-  // through the read cache without holding the log mutex, frames touching
-  // the staged tail fall back to a locked stitched read.
+  // threads concurrently: durable frames go through the read cache without
+  // holding the log mutex, frames touching the staged tail fall back to a
+  // locked stitched read.
   Result<FrameView> ReadFrameView(LogAddress address) const;
 
   // As above, additionally reporting whether the frame was served from an
@@ -146,9 +135,9 @@ class StableLog {
   // cache-hit signal; staged-tail and pass-through reads report false.
   Result<FrameView> ReadFrameView(LogAddress address, bool* cache_validated) const;
 
-  // Batched form of Read for the recovery pipeline: fetches every address,
-  // processing them in ascending offset order for cache-fill locality, and
-  // returns results in input order.
+  // Batched form of Read (residency faults, the writer's mutex reads):
+  // fetches every address, processing them in ascending offset order for
+  // cache-fill locality, and returns results in input order.
   std::vector<Result<LogEntry>> ReadMany(std::span<const LogAddress> addresses) const;
 
   // Address of the last *forced* entry, or nullopt if the log is empty.
@@ -224,13 +213,6 @@ class StableLog {
   // request finished after `wait_ns`; `coalesced` when it was satisfied by a
   // flush some other thread led.
   void RecordForceRequest(bool coalesced, std::uint64_t wait_ns);
-
-  // Pipelined-recovery bookkeeping hook (see RecoverHybridLog): `prefetches`
-  // data entries were fetched speculatively by workers, `prefetch_hits` of
-  // them were consumed by the apply phase, `sync_reads` had to be read
-  // synchronously because no prefetch covered them.
-  void RecordPipelineStats(std::uint64_t prefetches, std::uint64_t prefetch_hits,
-                           std::uint64_t sync_reads) const;
 
   StableMedium& medium() { return *medium_; }
 

@@ -111,11 +111,7 @@ std::string DumpLogStats(const LogStats& stats) {
          " cache_bytes_read=" + std::to_string(stats.cache_bytes_read) +
          " readahead_blocks=" + std::to_string(stats.readahead_blocks) + "\n";
   out += "  read_batches=" + std::to_string(stats.read_batches) +
-         " batched_reads=" + std::to_string(stats.batched_reads) +
-         " pipeline_prefetches=" + std::to_string(stats.pipeline_prefetches) +
-         " pipeline_prefetch_hits=" + std::to_string(stats.pipeline_prefetch_hits) +
-         " pipeline_sync_reads=" + std::to_string(stats.pipeline_sync_reads) +
-         " prefetch_hit_rate=" + rate(stats.prefetch_hit_rate()) + "\n";
+         " batched_reads=" + std::to_string(stats.batched_reads) + "\n";
   return out;
 }
 
@@ -137,9 +133,6 @@ LogStats AggregateLogStats(const std::vector<LogStats>& per_shard) {
     total.readahead_blocks += s.readahead_blocks;
     total.read_batches += s.read_batches;
     total.batched_reads += s.batched_reads;
-    total.pipeline_prefetches += s.pipeline_prefetches;
-    total.pipeline_prefetch_hits += s.pipeline_prefetch_hits;
-    total.pipeline_sync_reads += s.pipeline_sync_reads;
   }
   return total;
 }

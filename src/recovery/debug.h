@@ -18,7 +18,7 @@ std::string DumpObjectTable(const ObjectTable& ot);
 std::string DumpRecoveryInfo(const RecoveryInfo& info);
 
 // The log's force-side and read-side counters (group commit, read cache,
-// recovery pipeline) in the same fixed layout the benches export via --json.
+// batched reads) in the same fixed layout the benches export via --json.
 std::string DumpLogStats(const LogStats& stats);
 
 // Sharded-guardian variant: one "shard N" row group per log, followed by a

@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -25,7 +20,7 @@ namespace {
 // Per-stage recovery telemetry. Wall-clock stage costs go to histograms (the
 // before/after ledger for the reserve heuristic and any future table tuning);
 // table sizes land in gauges at finalize. Trace events are emitted only from
-// the recovering thread — prefetch workers stay silent so seeded runs produce
+// the recovering thread — shard workers stay silent so seeded runs produce
 // identical event sequences regardless of worker count.
 struct RecObs {
   obs::Counter* runs;
@@ -410,22 +405,17 @@ Result<RecoveryResult> RecoverSimpleLog(const StableLog& log, VolatileHeap& heap
 
 namespace {
 
-// A dereferenced data entry handed to the apply stage. `view.value` aliases
-// either the pinned frame bytes (`pin`, zero-copy sync path) or the decoded
-// entry a prefetch worker produced (`owned`).
+// A dereferenced data entry handed to the apply stage: `view.value` aliases
+// the frame bytes `pin` keeps alive in the read cache.
 struct FetchedData {
   DataEntryView view;
   StableLog::FrameView pin;
-  std::optional<DataEntry> owned;
 };
 
-// Fetches the data entry a <uid, log-address> pair points at. Implementations
-// tick data_entries_read exactly when the serial algorithm would: after a
-// successful frame read, before the data-kind check.
-using DataFetcher = std::function<Result<FetchedData>(const UidAddress&)>;
-
-// Synchronous fetch through the log's pinned frame views: decodes straight
-// out of the cached block, no per-entry heap copy.
+// Fetches the data entry a <uid, log-address> pair points at through the
+// log's pinned frame views: decodes straight out of the cached block, no
+// per-entry heap copy. Ticks data_entries_read after a successful frame
+// read, before the data-kind check.
 Result<FetchedData> FetchViaView(const StableLog& log, RecoveryContext& ctx,
                                  const UidAddress& pair) {
   Result<StableLog::FrameView> frame = log.ReadFrameView(pair.address);
@@ -434,8 +424,8 @@ Result<FetchedData> FetchViaView(const StableLog& log, RecoveryContext& ctx,
   }
   ++ctx.result().data_entries_read;
   if (!IsDataEntryPayload(frame.value().payload())) {
-    // Preserve the serial error surface: a decode failure reports itself, a
-    // well-formed non-data entry reports the chain inconsistency.
+    // A decode failure reports itself; a well-formed non-data entry reports
+    // the chain inconsistency.
     Result<LogEntry> entry = DecodeEntry(frame.value().payload());
     if (!entry.ok()) {
       return entry.status();
@@ -452,26 +442,9 @@ Result<FetchedData> FetchViaView(const StableLog& log, RecoveryContext& ctx,
   return out;
 }
 
-// Wraps a fully decoded entry (from a prefetch worker) as FetchedData.
-Result<FetchedData> FetchFromEntry(RecoveryContext& ctx, Result<LogEntry> entry) {
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  ++ctx.result().data_entries_read;
-  auto* data = std::get_if<DataEntry>(&entry.value());
-  if (data == nullptr) {
-    return Status::Corruption("prepared pair points at a non-data entry");
-  }
-  FetchedData out;
-  out.owned = std::move(*data);
-  out.view = DataEntryView{out.owned->uid, out.owned->kind, out.owned->aid,
-                           AsSpan(out.owned->value)};
-  return out;
-}
-
 // Dereferences and applies one <uid, log address> pair of a hybrid prepared
 // (or committed_ss) entry, given the outcome of the covering action.
-Status HandleHybridPair(RecoveryContext& ctx, const DataFetcher& fetch, const UidAddress& pair,
+Status HandleHybridPair(RecoveryContext& ctx, const StableLog& log, const UidAddress& pair,
                         ParticipantState outcome, ActionId aid) {
   ObjectTable& ot = ctx.result().ot;
 
@@ -482,7 +455,7 @@ Status HandleHybridPair(RecoveryContext& ctx, const DataFetcher& fetch, const Ui
       // §4.4: with early prepare, chain order can disagree with write order;
       // only a data entry at a HIGHER address supersedes the installed one.
       if (!existing.mutex_address.is_null() && pair.address > existing.mutex_address) {
-        Result<FetchedData> data = fetch(pair);
+        Result<FetchedData> data = FetchViaView(log, ctx, pair);
         if (!data.ok()) {
           return data.status();
         }
@@ -498,7 +471,7 @@ Status HandleHybridPair(RecoveryContext& ctx, const DataFetcher& fetch, const Ui
     // Atomic, already present.
     if (existing.state == ObjectRecoveryState::kPrepared &&
         outcome == ParticipantState::kCommitted) {
-      Result<FetchedData> data = fetch(pair);
+      Result<FetchedData> data = FetchViaView(log, ctx, pair);
       if (!data.ok()) {
         return data.status();
       }
@@ -508,7 +481,7 @@ Status HandleHybridPair(RecoveryContext& ctx, const DataFetcher& fetch, const Ui
   }
 
   // Not yet in the OT.
-  Result<FetchedData> data = fetch(pair);
+  Result<FetchedData> data = FetchViaView(log, ctx, pair);
   if (!data.ok()) {
     return data.status();
   }
@@ -531,9 +504,9 @@ Status HandleHybridPair(RecoveryContext& ctx, const DataFetcher& fetch, const Ui
 }
 
 // Applies one chain entry to the recovery tables. This single dispatch is
-// shared by the serial and pipelined drivers, so the two cannot diverge
-// structurally — only the fetcher differs.
-Status ApplyChainEntry(RecoveryContext& ctx, const DataFetcher& fetch, const LogEntry& entry,
+// shared by the single-log and sharded drivers, so the two cannot diverge
+// structurally.
+Status ApplyChainEntry(RecoveryContext& ctx, const StableLog& log, const LogEntry& entry,
                        LogAddress address) {
   Status s = Status::Ok();
   if (const auto* prepared = std::get_if<PreparedEntry>(&entry)) {
@@ -543,7 +516,7 @@ Status ApplyChainEntry(RecoveryContext& ctx, const DataFetcher& fetch, const Log
       state = ParticipantState::kPrepared;
     }
     for (const UidAddress& pair : prepared->objects) {
-      s = HandleHybridPair(ctx, fetch, pair, *state, prepared->aid);
+      s = HandleHybridPair(ctx, log, pair, *state, prepared->aid);
       if (!s.ok()) {
         return s;
       }
@@ -564,7 +537,7 @@ Status ApplyChainEntry(RecoveryContext& ctx, const DataFetcher& fetch, const Log
   } else if (const auto* css = std::get_if<CommittedSsEntry>(&entry)) {
     // §5.1.2: a combined prepare-and-commit of an anonymous action.
     for (const UidAddress& pair : css->objects) {
-      s = HandleHybridPair(ctx, fetch, pair, ParticipantState::kCommitted, ActionId::Invalid());
+      s = HandleHybridPair(ctx, log, pair, ParticipantState::kCommitted, ActionId::Invalid());
       if (!s.ok()) {
         return s;
       }
@@ -592,81 +565,10 @@ Result<std::optional<LogAddress>> FindChainHead(const StableLog& log, RecoveryCo
   }
 }
 
-// A small pool of prefetch workers. Each task batches the data-entry
-// addresses of one chain entry through StableLog::ReadMany (ascending-offset
-// cache fills) and fulfills one promise per address. All log access from the
-// workers goes through the read cache's mutex, which is what makes the
-// thread-unsafe simulated media safe to share.
-class PrefetchPool {
- public:
-  PrefetchPool(const StableLog& log, std::size_t workers) : log_(log) {
-    threads_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-      threads_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
+}  // namespace
 
-  ~PrefetchPool() {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) {
-      t.join();
-    }
-  }
-
-  void Submit(std::vector<LogAddress> addresses,
-              std::vector<std::promise<Result<LogEntry>>> promises) {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      tasks_.push_back(Task{std::move(addresses), std::move(promises)});
-    }
-    cv_.notify_one();
-  }
-
- private:
-  struct Task {
-    std::vector<LogAddress> addresses;
-    std::vector<std::promise<Result<LogEntry>>> promises;
-  };
-
-  void WorkerLoop() {
-    while (true) {
-      Task task;
-      {
-        std::unique_lock<std::mutex> l(mu_);
-        cv_.wait(l, [this] { return stop_ || !tasks_.empty(); });
-        if (tasks_.empty()) {
-          return;  // stop requested and queue drained
-        }
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      }
-      std::vector<Result<LogEntry>> results =
-          log_.ReadMany(std::span<const LogAddress>(task.addresses));
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        task.promises[i].set_value(std::move(results[i]));
-      }
-    }
-  }
-
-  const StableLog& log_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Task> tasks_;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
-};
-
-// One chain entry the walk has read but the apply stage has not yet consumed.
-struct WalkedEntry {
-  LogEntry entry;
-  LogAddress address = LogAddress::Null();  // the frame the entry was read from
-};
-
-Result<RecoveryResult> RecoverHybridSerial(const StableLog& log, VolatileHeap& heap) {
+Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap) {
+  obs::TraceSpan span("recovery.run", log.durable_size());
   RecoveryContext ctx(heap);
   ctx.ReserveTables(EntryEstimateFromLogSize(log));
 
@@ -677,8 +579,6 @@ Result<RecoveryResult> RecoverHybridSerial(const StableLog& log, VolatileHeap& h
   }
   RecObs::Get().find_head_ns->Record(ElapsedNs(head_start));
   const auto walk_start = std::chrono::steady_clock::now();
-
-  DataFetcher fetch = [&](const UidAddress& pair) { return FetchViaView(log, ctx, pair); };
 
   LogAddress address = head.value().value_or(LogAddress::Null());
   ctx.result().last_outcome = address;
@@ -692,7 +592,7 @@ Result<RecoveryResult> RecoverHybridSerial(const StableLog& log, VolatileHeap& h
     if (!IsOutcomeEntry(entry)) {
       return Status::Corruption("outcome chain points at a data entry");
     }
-    Status s = ApplyChainEntry(ctx, fetch, entry, address);
+    Status s = ApplyChainEntry(ctx, log, entry, address);
     if (!s.ok()) {
       return s;
     }
@@ -704,160 +604,17 @@ Result<RecoveryResult> RecoverHybridSerial(const StableLog& log, VolatileHeap& h
   if (!s.ok()) {
     return s;
   }
+  obs::Emit("recovery.done", ctx.result().entries_examined, ctx.result().data_entries_read);
   return std::move(ctx.result());
-}
-
-Result<RecoveryResult> RecoverHybridPipelined(const StableLog& log, VolatileHeap& heap,
-                                              const HybridRecoveryOptions& options) {
-  RecoveryContext ctx(heap);
-  const std::size_t entry_estimate = EntryEstimateFromLogSize(log);
-  ctx.ReserveTables(entry_estimate);
-
-  const auto head_start = std::chrono::steady_clock::now();
-  Result<std::optional<LogAddress>> head = FindChainHead(log, ctx);
-  if (!head.ok()) {
-    return head.status();
-  }
-  RecObs::Get().find_head_ns->Record(ElapsedNs(head_start));
-  const auto walk_start = std::chrono::steady_clock::now();
-
-  PrefetchPool pool(log, options.workers);
-
-  // Speculative fetches keyed by log offset. The walk submits the FIRST
-  // occurrence of each uid (exactly the pairs the apply stage dereferences on
-  // well-formed logs); repeat dereferences — the §4.4 mutex supersede and the
-  // owed-base re-read — fall back to a synchronous cached read.
-  std::unordered_map<std::uint64_t, std::future<Result<LogEntry>>> inflight;
-  std::unordered_set<std::uint64_t> seen_uids;
-  // The walk's dedup set sees every uid the OT will hold; the in-flight map
-  // is bounded by the walk window. Same rehash-avoidance as the OT/PT.
-  seen_uids.reserve(entry_estimate / 2 + 16);
-  inflight.reserve(options.window * 2);
-  std::uint64_t prefetches = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t sync_reads = 0;
-
-  DataFetcher fetch = [&](const UidAddress& pair) -> Result<FetchedData> {
-    auto it = inflight.find(pair.address.offset);
-    if (it != inflight.end()) {
-      Result<LogEntry> entry = it->second.get();
-      inflight.erase(it);
-      ++prefetch_hits;
-      return FetchFromEntry(ctx, std::move(entry));
-    }
-    ++sync_reads;
-    return FetchViaView(log, ctx, pair);
-  };
-
-  // The walk runs ahead of the apply stage, bounded by options.window. A walk
-  // error is only surfaced after every earlier chain entry has been applied —
-  // exactly when the serial algorithm would have hit it.
-  std::deque<WalkedEntry> window;
-  LogAddress walk_address = head.value().value_or(LogAddress::Null());
-  ctx.result().last_outcome = walk_address;
-  Status walk_error = Status::Ok();
-
-  auto walk_one = [&]() {
-    const LogAddress self_address = walk_address;
-    Result<LogEntry> entry_or = log.Read(walk_address);
-    if (!entry_or.ok()) {
-      walk_error = entry_or.status();
-      walk_address = LogAddress::Null();
-      return;
-    }
-    ++ctx.result().entries_examined;
-    LogEntry entry = std::move(entry_or).value();
-    if (!IsOutcomeEntry(entry)) {
-      walk_error = Status::Corruption("outcome chain points at a data entry");
-      walk_address = LogAddress::Null();
-      return;
-    }
-
-    // Collect first-seen data dereferences for speculative fetch.
-    std::vector<LogAddress> addresses;
-    auto note_pairs = [&](const std::vector<UidAddress>& pairs) {
-      for (const UidAddress& pair : pairs) {
-        if (seen_uids.insert(pair.uid.value).second) {
-          addresses.push_back(pair.address);
-        }
-      }
-    };
-    if (const auto* prepared = std::get_if<PreparedEntry>(&entry)) {
-      note_pairs(prepared->objects);
-    } else if (const auto* css = std::get_if<CommittedSsEntry>(&entry)) {
-      note_pairs(css->objects);
-    } else if (const auto* bc = std::get_if<BaseCommittedEntry>(&entry)) {
-      seen_uids.insert(bc->uid.value);  // installs an OT entry at apply time
-    } else if (const auto* pd = std::get_if<PreparedDataEntry>(&entry)) {
-      seen_uids.insert(pd->uid.value);
-    }
-    if (!addresses.empty()) {
-      std::vector<std::promise<Result<LogEntry>>> promises(addresses.size());
-      for (std::size_t i = 0; i < addresses.size(); ++i) {
-        inflight.emplace(addresses[i].offset, promises[i].get_future());
-      }
-      prefetches += addresses.size();
-      pool.Submit(std::move(addresses), std::move(promises));
-    }
-
-    walk_address = PrevPointer(entry);
-    window.push_back(WalkedEntry{std::move(entry), self_address});
-  };
-
-  while (!walk_address.is_null() || !window.empty()) {
-    while (!walk_address.is_null() && window.size() < options.window) {
-      walk_one();
-    }
-    if (!window.empty()) {
-      Status s = ApplyChainEntry(ctx, fetch, window.front().entry, window.front().address);
-      if (!s.ok()) {
-        log.RecordPipelineStats(prefetches, prefetch_hits, sync_reads);
-        return s;
-      }
-      window.pop_front();
-    }
-  }
-  log.RecordPipelineStats(prefetches, prefetch_hits, sync_reads);
-  RecObs::Get().walk_apply_ns->Record(ElapsedNs(walk_start));
-  if (!walk_error.ok()) {
-    return walk_error;
-  }
-
-  Status s = FinalizeWithMetrics(ctx);
-  if (!s.ok()) {
-    return s;
-  }
-  return std::move(ctx.result());
-}
-
-}  // namespace
-
-std::size_t HybridRecoveryOptions::DefaultRecoveryWorkers() {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw <= 1) {
-    return 0;  // single core: speculation would just preempt the chain walk
-  }
-  return std::min<std::size_t>(3, hw - 1);
-}
-
-Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap) {
-  return RecoverHybridLog(log, heap, HybridRecoveryOptions{});
-}
-
-Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap,
-                                        const HybridRecoveryOptions& options) {
-  obs::TraceSpan span("recovery.run", log.durable_size());
-  Result<RecoveryResult> result = options.workers == 0
-                                      ? RecoverHybridSerial(log, heap)
-                                      : RecoverHybridPipelined(log, heap, options);
-  if (result.ok()) {
-    obs::Emit("recovery.done", result.value().entries_examined,
-              result.value().data_entries_read);
-  }
-  return result;
 }
 
 namespace {
+
+// One outcome entry a shard scan retained for the apply phase.
+struct WalkedEntry {
+  LogEntry entry;
+  LogAddress address = LogAddress::Null();  // the frame the entry was read from
+};
 
 // Phase A output for one shard: the retained chain plus this shard's view of
 // the participant/coordinator tables.
@@ -1058,10 +815,8 @@ Result<ShardedRecoveryResult> RecoverShardedHybridLog(std::span<StableLog* const
     }
     ctx.result().ot.reserve(EntryEstimateFromLogSize(*shards[i]) / 2 + 16);
     ctx.result().pt = merged_pt;
-    const StableLog& log = *shards[i];
-    DataFetcher fetch = [&](const UidAddress& pair) { return FetchViaView(log, ctx, pair); };
     for (const WalkedEntry& walked : scans[i].chain) {
-      Status s = ApplyChainEntry(ctx, fetch, walked.entry, walked.address);
+      Status s = ApplyChainEntry(ctx, *shards[i], walked.entry, walked.address);
       if (!s.ok()) {
         apply_statuses[i] = std::move(s);
         break;

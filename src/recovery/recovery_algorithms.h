@@ -30,32 +30,12 @@ struct RecoveryResult {
 // data and outcome entry.
 Result<RecoveryResult> RecoverSimpleLog(const StableLog& log, VolatileHeap& heap);
 
-// Tuning for the pipelined hybrid recovery.
-struct HybridRecoveryOptions {
-  // Data-entry prefetch workers. 0 runs the fully serial algorithm (no pool,
-  // no speculation); the default leaves one core for the chain walk.
-  std::size_t workers = DefaultRecoveryWorkers();
-  // How many outcome entries the chain walk may run ahead of the apply
-  // stage. Bounds the memory pinned by speculative fetches.
-  std::size_t window = 128;
-
-  static std::size_t DefaultRecoveryWorkers();
-};
-
 // Chapter 4: walks only the backward chain of outcome entries, dereferencing
-// <uid, log address> pairs just when a version must actually be copied.
-//
-// The chain walk itself is inherently sequential — each outcome entry holds
-// the `prev` pointer to the next (§4.3) — but the walk runs ahead of table
-// construction, handing each entry's <uid, log-address> dereferences to a
-// small worker pool that prefetches, CRC-checks, and decodes data entries
-// concurrently. The apply stage consumes entries strictly in chain order and
-// performs every OT/PT/CT/heap mutation itself, so the recovered state is
-// bit-identical to the serial algorithm's (the equivalence property test
-// pins this).
+// <uid, log address> pairs just when a version must actually be copied. The
+// walk is a pointer chase — each outcome entry holds the `prev` pointer to
+// the next (§4.3) — so it runs on the calling thread, one entry at a time,
+// through the log's block cache.
 Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap);
-Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap,
-                                        const HybridRecoveryOptions& options);
 
 // ---- Sharded recovery (N hybrid logs per guardian) ----
 

@@ -9,10 +9,6 @@
 namespace argus {
 namespace {
 
-// Frames are block-cached; a short range is enough to pull a neighbor stub's
-// leading blocks in with the demand batch.
-constexpr std::uint64_t kPrefetchSpan = 512;
-
 struct ResidencyObs {
   obs::Gauge* resident_bytes;
   obs::Counter* evictions;
@@ -21,7 +17,6 @@ struct ResidencyObs {
   obs::Counter* fault_reads;
   obs::Counter* pinned_skips;
   obs::Counter* eviction_passes;
-  obs::Counter* prefetch_ranges;
   obs::Histogram* fault_ns;
 
   static const ResidencyObs& Get() {
@@ -33,7 +28,6 @@ struct ResidencyObs {
         obs::GetCounter("residency.fault_reads"),
         obs::GetCounter("residency.pinned_skips"),
         obs::GetCounter("residency.eviction_passes"),
-        obs::GetCounter("residency.prefetch_ranges"),
         obs::GetHistogram("residency.fault_ns"),
     };
     return m;
@@ -72,7 +66,6 @@ ResidencyManager::ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> l
   for (StableLog* log : logs_) {
     ARGUS_CHECK(log != nullptr);
   }
-  evicted_index_.resize(logs_.size());
 }
 
 std::uint32_t ResidencyManager::ShardOfUid(Uid uid) const {
@@ -179,9 +172,7 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
     for (RecoverableObject* ref : refs) {
       ref_uids.push_back(ref->uid());
     }
-    const LogAddress addr = obj->stable_address();
     obj->Evict(bytes, std::move(ref_uids));
-    evicted_index_[ShardOfUid(obj->uid())][addr.offset] = obj->uid();
     resident -= std::min(resident, bytes);
     ++evicted_count;
     ++stats_.evictions;
@@ -195,50 +186,6 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
   clock_hand_ = ring_[pos]->uid();
   PublishResidentBytes(resident);
   return evicted_count;
-}
-
-void ResidencyManager::PrefetchNeighbors(std::uint32_t shard, std::uint64_t lo_offset,
-                                         std::uint64_t hi_offset, std::uint64_t durable_size) {
-  std::map<std::uint64_t, Uid>& index = evicted_index_[shard];
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  auto live_stub = [&](std::map<std::uint64_t, Uid>::iterator it) {
-    RecoverableObject* neighbor = heap_->Get(it->second);
-    return neighbor != nullptr && neighbor->evicted() &&
-           neighbor->stable_address().offset == it->first;
-  };
-  // Chain-adjacent stubs sit on both sides of the faulted frames: scan up to
-  // prefetch_neighbors in each direction from the batch envelope. Stale
-  // entries (rematerialized behind our back, e.g. LogWriter::EnsureResident)
-  // are dropped as they are met.
-  std::size_t taken = 0;
-  auto it = index.upper_bound(hi_offset);
-  while (it != index.end() && taken < config_.prefetch_neighbors) {
-    if (!live_stub(it)) {
-      it = index.erase(it);
-      continue;
-    }
-    ranges.emplace_back(it->first, kPrefetchSpan);
-    ++taken;
-    ++it;
-  }
-  taken = 0;
-  it = index.lower_bound(lo_offset);
-  while (it != index.begin() && taken < config_.prefetch_neighbors) {
-    --it;
-    if (!live_stub(it)) {
-      // erase returns the element after the erased one; the next --it steps
-      // onto the element below it, continuing the backward walk.
-      it = index.erase(it);
-      continue;
-    }
-    ranges.emplace_back(it->first, kPrefetchSpan);
-    ++taken;
-  }
-  if (!ranges.empty()) {
-    logs_[shard]->read_cache().Prefetch(ranges, durable_size);
-    stats_.prefetch_ranges += ranges.size();
-    ResidencyObs::Get().prefetch_ranges->Add(ranges.size());
-  }
 }
 
 Status ResidencyManager::FaultIn(RecoverableObject* object) {
@@ -289,15 +236,6 @@ Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*
     if (addrs.empty()) {
       continue;
     }
-    if (config_.prefetch_neighbors > 0) {
-      std::uint64_t lowest = addrs.front().offset;
-      std::uint64_t highest = addrs.front().offset;
-      for (LogAddress addr : addrs) {
-        lowest = std::min(lowest, addr.offset);
-        highest = std::max(highest, addr.offset);
-      }
-      PrefetchNeighbors(shard, lowest, highest, logs_[shard]->durable_size());
-    }
     std::vector<Result<LogEntry>> entries = logs_[shard]->ReadMany(addrs);
     ++stats_.fault_batches;
     o.fault_batches->Increment();
@@ -317,7 +255,6 @@ Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*
       if (!resolved.ok()) {
         return resolved;
       }
-      evicted_index_[shard].erase(obj->stable_address().offset);
       obj->Materialize(std::move(v));
       ++stats_.faults;
       o.faults->Increment();
@@ -342,13 +279,11 @@ Status ResidencyManager::MaterializeAll() {
 void ResidencyManager::RebindLog(std::uint32_t shard, StableLog* log) {
   ARGUS_CHECK(shard < logs_.size() && log != nullptr);
   // The swap protocol materialized everything before retiring the old log,
-  // so no stub can still point into it. What is left in the index belongs to
-  // objects rematerialized behind the manager's back (LogWriter::EnsureResident).
-  for (const auto& [offset, uid] : evicted_index_[shard]) {
-    const RecoverableObject* obj = heap_->Get(uid);
-    ARGUS_CHECK_MSG(obj == nullptr || !obj->evicted(), "rebinding a shard with live stubs");
+  // so no stub can still point into it.
+  for (const auto& [uid, obj] : *heap_) {
+    ARGUS_CHECK_MSG(!obj->evicted() || ShardOfUid(uid) != shard,
+                    "rebinding a shard with live stubs");
   }
-  evicted_index_[shard].clear();
   logs_[shard] = log;
 }
 

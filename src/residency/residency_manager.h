@@ -9,8 +9,7 @@
 // compact stub <uid, log-address, size> — the address the writer/recovery
 // already surfaced on the object (RecoverableObject::stable_address). A touch
 // of an evicted object faults it back through the batched validated read path
-// (StableLog::ReadMany into the ReadCache), with a best-effort Prefetch of
-// log-adjacent stubs.
+// (StableLog::ReadMany into the ReadCache).
 //
 // Eligibility. Only quiet durable state is ever demoted: the object must be
 // committed (no tentative version), unlocked/unseized, unpinned (no in-flight
@@ -32,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -54,9 +52,6 @@ struct ResidencyConfig {
   double low_watermark = 0.70;
   // Cap on demotions per pass; 0 = until the low watermark is reached.
   std::uint64_t max_evictions_per_pass = 0;
-  // On a fault, prefetch up to this many log-adjacent evicted stubs per
-  // shard into the ReadCache (best effort; 0 disables).
-  std::uint32_t prefetch_neighbors = 2;
 };
 
 struct ResidencyStats {
@@ -67,7 +62,6 @@ struct ResidencyStats {
   std::uint64_t fault_reads = 0;    // frames fetched by those submissions
   std::uint64_t pinned_skips = 0;   // clock visits refused by pin/lock state
   std::uint64_t eviction_passes = 0;
-  std::uint64_t prefetch_ranges = 0;
 };
 
 // Decodes the payload of a frame an evicted object's stub points at: the
@@ -128,10 +122,6 @@ class ResidencyManager : public ResidencyPager {
   // Reads the frames of `targets` (evicted objects) with one ReadMany per
   // shard and materializes them; stops at the first failure.
   Status ReadAndMaterialize(const std::vector<RecoverableObject*>& targets);
-  // Best-effort ReadCache prefetch of up to prefetch_neighbors evicted stubs
-  // on each side of the faulted batch's offset envelope on `shard`.
-  void PrefetchNeighbors(std::uint32_t shard, std::uint64_t lo_offset,
-                         std::uint64_t hi_offset, std::uint64_t durable_size);
 
   VolatileHeap* heap_;
   std::vector<StableLog*> logs_;
@@ -144,10 +134,6 @@ class ResidencyManager : public ResidencyPager {
   std::vector<RecoverableObject*> ring_;
   // Clock hand: the uid the next sweep resumes at.
   Uid clock_hand_ = Uid::Root();
-  // Per-shard offset → uid of currently-evicted stubs, for neighbor
-  // prefetch. Entries whose object was rematerialized behind the manager's
-  // back (LogWriter::EnsureResident) are dropped lazily on lookup.
-  std::vector<std::map<std::uint64_t, Uid>> evicted_index_;
 
   std::atomic<std::uint64_t> resident_bytes_{0};
   ResidencyStats stats_;

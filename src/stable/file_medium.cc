@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "src/obs/metrics.h"
-#include "src/stable/io_uring_engine.h"
 
 namespace argus {
 
@@ -25,7 +24,6 @@ namespace {
 struct FileObs {
   obs::Counter* preads;
   obs::Counter* preadv_calls;
-  obs::Counter* uring_batches;
   obs::Counter* batched_blocks;
   obs::Counter* fsyncs;
   obs::Histogram* batch_ns;
@@ -34,7 +32,6 @@ struct FileObs {
     static const FileObs m{
         obs::GetCounter("stable.file.preads"),
         obs::GetCounter("stable.file.preadv_calls"),
-        obs::GetCounter("stable.file.uring_batches"),
         obs::GetCounter("stable.file.batched_blocks"),
         obs::GetCounter("stable.file.fsyncs"),
         obs::GetHistogram("stable.file.batch_ns"),
@@ -64,8 +61,7 @@ Status PreadFully(int fd, std::uint64_t offset, std::span<std::byte> out) {
 
 }  // namespace
 
-Result<std::unique_ptr<FileStableMedium>> FileStableMedium::Open(const std::string& path,
-                                                                 BatchMode mode) {
+Result<std::unique_ptr<FileStableMedium>> FileStableMedium::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
@@ -76,19 +72,9 @@ Result<std::unique_ptr<FileStableMedium>> FileStableMedium::Open(const std::stri
     ::close(fd);
     return Status::IoError("fstat " + path + ": " + std::strerror(err));
   }
-  std::unique_ptr<FileStableMedium> medium(
+  return std::unique_ptr<FileStableMedium>(
       new FileStableMedium(fd, static_cast<std::uint64_t>(st.st_size)));
-  medium->mode_ = mode;
-  if (mode == BatchMode::kAuto || mode == BatchMode::kIoUring) {
-    // Runtime probe: sandboxes and old kernels refuse io_uring_setup, in
-    // which case SubmitReads silently takes the preadv path.
-    medium->uring_ = IoUringEngine::TryCreate();
-  }
-  return medium;
 }
-
-FileStableMedium::FileStableMedium(int fd, std::uint64_t size)
-    : fd_(fd), durable_size_(size) {}
 
 FileStableMedium::~FileStableMedium() {
   if (fd_ >= 0) {
@@ -163,25 +149,9 @@ Status FileStableMedium::SubmitReads(std::span<ReadRequest> requests) {
     return Status::Ok();
   }
 
-  // The uring SQ/CQ pointers and the mode/obs bookkeeping below are not safe
-  // for concurrent submitters; serialize whole batches (ReadInto stays
-  // lock-free — plain pread is reentrant).
   std::lock_guard<std::mutex> l(submit_mu_);
   const auto start = std::chrono::steady_clock::now();
-  if (mode_ == BatchMode::kSerial) {
-    for (ReadRequest& request : requests) {
-      request.status = ReadInto(request.offset, request.out);
-      if (!request.status.ok() && first.ok()) {
-        first = request.status;
-      }
-    }
-  } else if (uring_ != nullptr && mode_ != BatchMode::kPreadv) {
-    FileObs::Get().uring_batches->Increment();
-    FileObs::Get().batched_blocks->Add(requests.size());
-    first = uring_->SubmitAndWait(fd_, requests);
-  } else {
-    first = SubmitPreadv(requests);
-  }
+  first = SubmitPreadv(requests);
   FileObs::Get().batch_ns->Record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            start)

@@ -3,16 +3,12 @@
 // against a real filesystem; crash simulation in tests uses the in-memory and
 // duplexed media instead (a real file cannot be "un-written").
 //
-// Reads come in three gears, visible in the stable.file.* counters:
-//  - ReadInto: one pread per call (the per-page baseline).
-//  - SubmitReads with kPreadv: adjacent segments of a batch are coalesced
-//    into iovec runs, one preadv syscall per contiguous run.
-//  - SubmitReads with kIoUring (Linux, runtime-detected): the whole batch is
-//    submitted to an io_uring in one io_uring_enter and completions are
-//    polled, so the kernel overlaps the segment reads.
-// kAuto picks io_uring when the kernel/sandbox allows it, else preadv. The
-// ARGUS_IO_URING=OFF build compiles the engine down to a stub, so kAuto and
-// kIoUring degrade to preadv — the fallback path stays compiled and tested.
+// Reads take one of two paths, visible in the stable.file.* counters:
+//  - ReadInto: one pread per call (what the read cache issues when disabled).
+//  - SubmitReads: byte-adjacent segments of a batch are coalesced into iovec
+//    runs, one preadv syscall per contiguous run. The cache submits each
+//    demand+readahead fill as one ascending batch, so a fill is usually one
+//    preadv.
 
 #ifndef SRC_STABLE_FILE_MEDIUM_H_
 #define SRC_STABLE_FILE_MEDIUM_H_
@@ -25,21 +21,11 @@
 
 namespace argus {
 
-class IoUringEngine;
-
 class FileStableMedium final : public StableMedium {
  public:
-  enum class BatchMode {
-    kAuto,     // io_uring when available at runtime, else preadv
-    kPreadv,   // vectored synchronous batches
-    kIoUring,  // io_uring or bust (degrades to preadv when unavailable)
-    kSerial,   // one pread per segment — the unbatched baseline, for benches
-  };
-
   // Opens (creating if needed) the file at `path`. Existing contents become
   // the durable extent, so re-opening a log file resumes it.
-  static Result<std::unique_ptr<FileStableMedium>> Open(const std::string& path,
-                                                        BatchMode mode = BatchMode::kAuto);
+  static Result<std::unique_ptr<FileStableMedium>> Open(const std::string& path);
 
   ~FileStableMedium() override;
 
@@ -49,27 +35,25 @@ class FileStableMedium final : public StableMedium {
   Status Append(std::span<const std::byte> data) override;
   Result<std::vector<std::byte>> Read(std::uint64_t offset, std::uint64_t len) override;
   Status ReadInto(std::uint64_t offset, std::span<std::byte> out) override;
-  // Thread-safe: batches from concurrent callers are serialized on an internal
-  // mutex (the io_uring SQ/CQ is single-submitter). ReadInto stays lock-free.
+  // Thread-safe: batches from concurrent callers run one at a time on an
+  // internal mutex. ReadInto stays lock-free (pread is reentrant).
   Status SubmitReads(std::span<ReadRequest> requests) override;
   std::uint64_t durable_size() const override { return durable_size_; }
   std::uint64_t physical_bytes_written() const override { return physical_bytes_; }
 
-  // True when SubmitReads is actually driving an io_uring (kAuto/kIoUring and
-  // the runtime probe succeeded). Benches use this to label their matrix.
-  bool io_uring_active() const { return uring_ != nullptr; }
+  // Always false: reads never go through io_uring. perfbench's `restart`
+  // workload still calls this for its `io_uring` stamp field.
+  bool io_uring_active() const { return false; }
 
  private:
-  FileStableMedium(int fd, std::uint64_t size);  // out-of-line: uring_ needs the full type
+  FileStableMedium(int fd, std::uint64_t size) : fd_(fd), durable_size_(size) {}
 
   Status SubmitPreadv(std::span<ReadRequest> requests);
 
   int fd_;
-  std::mutex submit_mu_;  // serializes SubmitReads batches (uring is single-submitter)
+  std::mutex submit_mu_;  // serializes whole SubmitReads batches
   std::uint64_t durable_size_;
   std::uint64_t physical_bytes_ = 0;
-  BatchMode mode_ = BatchMode::kAuto;
-  std::unique_ptr<IoUringEngine> uring_;
 };
 
 }  // namespace argus

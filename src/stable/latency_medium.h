@@ -20,23 +20,10 @@ namespace argus {
 
 class LatencyStableMedium final : public StableMedium {
  public:
-  // How SubmitReads charges the modeled device cost. kPerRequest (default)
-  // sleeps once per segment — exactly what the equivalent ReadInto sequence
-  // paid before batching existed, so seeded benches (E14's latency-charged
-  // shard scaling) are bit-identical whether or not the cache batches its
-  // fills. kPerBatch sleeps once per SubmitReads call, modeling a device
-  // whose scatter submission costs one seek regardless of segment count —
-  // the simulated stand-in for the E15 io_uring/preadv amortization.
-  enum class BatchCharge { kPerRequest, kPerBatch };
-
   LatencyStableMedium(std::unique_ptr<StableMedium> inner,
                       std::chrono::nanoseconds read_latency,
-                      std::chrono::nanoseconds append_latency = std::chrono::nanoseconds{0},
-                      BatchCharge batch_charge = BatchCharge::kPerRequest)
-      : inner_(std::move(inner)),
-        read_latency_(read_latency),
-        append_latency_(append_latency),
-        batch_charge_(batch_charge) {}
+                      std::chrono::nanoseconds append_latency = std::chrono::nanoseconds{0})
+      : inner_(std::move(inner)), read_latency_(read_latency), append_latency_(append_latency) {}
 
   Status Append(std::span<const std::byte> data) override {
     if (append_latency_.count() > 0) {
@@ -59,13 +46,12 @@ class LatencyStableMedium final : public StableMedium {
     return inner_->ReadInto(offset, out);
   }
 
+  // Charges once per segment — what the equivalent ReadInto sequence pays —
+  // so seeded benches (E14's latency-charged shard scaling) are identical
+  // whether or not the cache batches its fills.
   Status SubmitReads(std::span<ReadRequest> requests) override {
     if (read_latency_.count() > 0 && !requests.empty()) {
-      if (batch_charge_ == BatchCharge::kPerBatch) {
-        std::this_thread::sleep_for(read_latency_);
-      } else {
-        std::this_thread::sleep_for(read_latency_ * static_cast<std::int64_t>(requests.size()));
-      }
+      std::this_thread::sleep_for(read_latency_ * static_cast<std::int64_t>(requests.size()));
     }
     return inner_->SubmitReads(requests);
   }
@@ -82,7 +68,6 @@ class LatencyStableMedium final : public StableMedium {
   std::unique_ptr<StableMedium> inner_;
   std::chrono::nanoseconds read_latency_;
   std::chrono::nanoseconds append_latency_;
-  BatchCharge batch_charge_;
 };
 
 }  // namespace argus

@@ -197,8 +197,8 @@ Status ReadCache::FillRangeLocked(std::uint64_t first_block, std::uint64_t last_
   last_block = (end - 1) / bs;
 
   // One scatter submission for the whole run. Each block's bytes land
-  // directly in its cache buffer — no staging copy — and a batched medium
-  // (preadv/io_uring) services the run in one or a few syscalls. The default
+  // directly in its cache buffer — no staging copy — and the file medium
+  // coalesces the run into one or a few preadv calls. The default
   // SubmitReads executes segments sequentially in submission order, so
   // simulated media see the exact read sequence the old per-block loop
   // issued.
@@ -253,78 +253,6 @@ Status ReadCache::FillRangeLocked(std::uint64_t first_block, std::uint64_t last_
     EvictLocked();
   }
   return Status::Ok();
-}
-
-void ReadCache::Prefetch(std::span<const std::pair<std::uint64_t, std::uint64_t>> ranges,
-                         std::uint64_t durable_limit) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (!config_.enabled || !config_.batch_prefetch || ranges.empty()) {
-    return;
-  }
-  const std::uint64_t bs = config_.block_size;
-
-  // Covering blocks of all ranges, deduplicated and ascending so a batched
-  // medium sees one monotone scatter (adjacent blocks coalesce into runs).
-  std::vector<std::uint64_t> wanted;
-  for (const auto& [offset, len] : ranges) {
-    if (len == 0 || offset >= durable_limit) {
-      continue;
-    }
-    std::uint64_t end = std::min(offset + len, durable_limit);
-    for (std::uint64_t b = offset / bs; b <= (end - 1) / bs; ++b) {
-      wanted.push_back(b);
-    }
-  }
-  std::sort(wanted.begin(), wanted.end());
-  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
-
-  std::vector<std::uint64_t> missing;
-  for (std::uint64_t b : wanted) {
-    std::uint64_t size = std::min((b + 1) * bs, durable_limit) - b * bs;
-    auto it = blocks_.find(b);
-    if (it == blocks_.end() || it->second.data->size() < size) {
-      missing.push_back(b);
-    }
-  }
-  if (missing.empty()) {
-    return;
-  }
-
-  std::vector<std::shared_ptr<std::vector<std::byte>>> buffers(missing.size());
-  std::vector<ReadRequest> requests(missing.size());
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    std::uint64_t b = missing[i];
-    std::uint64_t size = std::min((b + 1) * bs, durable_limit) - b * bs;
-    buffers[i] = std::make_shared<std::vector<std::byte>>(size);
-    requests[i].offset = b * bs;
-    requests[i].out = std::span<std::byte>(buffers[i]->data(), size);
-  }
-  Status batch = medium_->SubmitReads(std::span<ReadRequest>(requests.data(), requests.size()));
-  if (!batch.ok() && std::all_of(requests.begin(), requests.end(),
-                                 [](const ReadRequest& r) { return r.status.ok(); })) {
-    return;  // contract-violating medium: don't cache buffers it never filled
-  }
-
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    if (!requests[i].status.ok()) {
-      continue;  // demand read re-surfaces this at the serial-equivalent point
-    }
-    std::uint64_t b = missing[i];
-    stats_.bytes_from_medium += requests[i].out.size();
-    CacheObs::Get().bytes_from_medium->Add(requests[i].out.size());
-    auto [it, inserted] = blocks_.try_emplace(b);
-    if (inserted) {
-      lru_.push_front(b);
-      it->second.lru_it = lru_.begin();
-    } else {
-      TouchLocked(it->second, b);
-    }
-    it->second.data = std::move(buffers[i]);
-    it->second.validated_frames.clear();
-  }
-  while (blocks_.size() > config_.max_blocks) {
-    EvictLocked();
-  }
 }
 
 Status ReadCache::AppendThrough(std::span<const std::byte> data) {

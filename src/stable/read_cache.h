@@ -11,7 +11,7 @@
 // its fault rng and mutates pages on decay-reads; DuplexedStableMedium tracks
 // durable_length_). The cache's mutex is therefore the single funnel for ALL
 // medium access — fills, and appends via AppendThrough — which is what makes
-// the pipelined recovery workers safe. Returned views hold shared_ptr pins
+// concurrent readers of one log safe. Returned views hold shared_ptr pins
 // and stay valid after eviction, refill, Clear, or cache destruction.
 //
 // Caching never weakens fault detection: a block fill is a plain medium read,
@@ -53,13 +53,6 @@ class ReadCache {
     std::uint64_t block_size = 4096;
     std::size_t max_blocks = 4096;      // 16 MiB of cache at the default block size
     std::size_t readahead_blocks = 8;   // extra blocks fetched ahead of a moving scan
-    // Allows Prefetch() to issue scatter fills (StableLog::ReadMany drives it
-    // for the recovery pipeline's speculative fetches). Off by default: wide
-    // prefetch changes the cache's hit/miss/bytes counter stream, and the
-    // simulated-media benches (E11/E14) are pinned to the serial-equivalent
-    // stream. File-backed setups (E15) turn it on to hand preadv/io_uring
-    // multi-block scatters.
-    bool batch_prefetch = false;
   };
 
   struct Stats {
@@ -115,17 +108,6 @@ class ReadCache {
   // disabled the probe degrades to a pass-through read of min_len bytes.
   Result<View> ReadProbe(std::uint64_t offset, std::uint64_t min_len, std::uint64_t max_len,
                          std::uint64_t durable_limit, bool* validated);
-
-  // Best-effort scatter prefetch: fills, in one SubmitReads batch, every
-  // missing block covering the given [offset, offset+len) ranges (clamped to
-  // `durable_limit`). Blocks whose segment succeeded are installed even when
-  // another segment failed; failures themselves are swallowed — the demand
-  // read that follows re-surfaces them at exactly the point the serial path
-  // would have. No-op when the cache is disabled. Counts installed bytes in
-  // bytes_from_medium but neither hits nor misses: the demand reads that
-  // motivated the prefetch do their own accounting.
-  void Prefetch(std::span<const std::pair<std::uint64_t, std::uint64_t>> ranges,
-                std::uint64_t durable_limit);
 
   // Appends through to the medium. Serialized on the cache mutex so appends
   // and fills never race on a thread-unsafe medium. Cached blocks stay valid:

@@ -72,9 +72,9 @@ class StableMedium {
   // The default executes requests synchronously in submission order, so
   // deterministic media (simulated disks roll a fault rng once per read)
   // behave bit-identically to the equivalent ReadInto sequence. Overrides may
-  // reorder or parallelize the physical I/O (preadv coalescing, io_uring
-  // submission + completion polling) but must keep the per-request completion
-  // contract so callers can fall back segment by segment, not per batch.
+  // reorder or coalesce the physical I/O (the file medium's preadv runs) but
+  // must keep the per-request completion contract so callers can fall back
+  // segment by segment, not per batch.
   virtual Status SubmitReads(std::span<ReadRequest> requests) {
     Status first = Status::Ok();
     for (ReadRequest& request : requests) {

@@ -1,24 +1,29 @@
 // Scatter-read equivalence suite for the batched StableMedium interface.
 //
 // Property: the recovered tables are a function of the log's bytes, never of
-// the I/O strategy that fetched them. One seeded history, dumped to a real
-// file, must recover bit-identically through every read gear — the simulated
-// in-memory medium, file-backed serial preads, file-backed preadv scatter
-// batches, and (when the kernel allows it) file-backed io_uring — with the
-// batch prefetch path on or off. Also pins the SubmitReads contract itself:
-// authoritative per-request completion statuses (Ok only over a fully read
-// buffer, skipped/abandoned segments stamped non-Ok), and per-segment (not
-// per-batch) careful-read fallback on a decayed duplexed replica.
+// the I/O that fetched them. One seeded history, dumped to a real file, must
+// recover bit-identically through every read gear — the simulated in-memory
+// medium, file-backed preads with the cache off, and file-backed preadv
+// scatter batches filling the cache. Also pins the SubmitReads contract
+// itself: authoritative per-request completion statuses (Ok only over a fully
+// read buffer, skipped/abandoned segments stamped non-Ok), and per-segment
+// (not per-batch) careful-read fallback on a decayed duplexed replica. And it
+// runs the lock-free frame-read path from several threads while the log
+// forces.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/log/flush_coordinator.h"
 #include "src/object/flatten.h"
 #include "src/recovery/recovery_algorithms.h"
 #include "src/stable/duplexed_medium.h"
@@ -39,7 +44,7 @@ struct HistoryConfig {
 
 // Deterministic random workload over a guardian stack; identical configs
 // build bit-identical logs. A compact sibling of the builder in
-// recovery_pipeline_equivalence_test.cc, exercising the same entry mix:
+// recovery_cache_equivalence_test.cc, exercising the same entry mix:
 // commits, mutex mutations, undecided prepares, aborts, coordinator records,
 // and early-prepared trailing data.
 class HistoryBuilder {
@@ -226,13 +231,12 @@ struct RecoveryRun {
   Result<RecoveryResult> result = Status::Unavailable("recovery not run");
 };
 
-RecoveryRun RunRecovery(const StableLog& log, const std::string& label, bool cache_enabled,
-                        const HybridRecoveryOptions& options) {
+RecoveryRun RunRecovery(const StableLog& log, const std::string& label, bool cache_enabled) {
   RecoveryRun run;
   run.label = label;
   run.heap = std::make_unique<VolatileHeap>();
   log.read_cache().SetEnabled(cache_enabled);
-  run.result = RecoverHybridLog(log, *run.heap, options);
+  run.result = RecoverHybridLog(log, *run.heap);
   return run;
 }
 
@@ -306,22 +310,18 @@ std::vector<std::byte> DumpDurableBytes(StableLog& log) {
   return raw;
 }
 
-// Writes `raw` to a fresh file and opens a StableLog over it in the given
-// batch mode (the log constructor derives the durable top from the bytes).
-std::unique_ptr<StableLog> MakeFileLog(const std::vector<std::byte>& raw, const std::string& path,
-                                       FileStableMedium::BatchMode mode, bool batch_prefetch) {
+// Writes `raw` to a fresh file and opens a StableLog over it (the log
+// constructor derives the durable top from the bytes).
+std::unique_ptr<StableLog> MakeFileLog(const std::vector<std::byte>& raw, const std::string& path) {
   std::remove(path.c_str());
   {
-    Result<std::unique_ptr<FileStableMedium>> writer =
-        FileStableMedium::Open(path, FileStableMedium::BatchMode::kSerial);
+    Result<std::unique_ptr<FileStableMedium>> writer = FileStableMedium::Open(path);
     EXPECT_TRUE(writer.ok());
     EXPECT_TRUE(writer.value()->Append(std::span<const std::byte>(raw.data(), raw.size())).ok());
   }
-  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path, mode);
+  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
   EXPECT_TRUE(medium.ok());
-  ReadCache::Config cache_config;
-  cache_config.batch_prefetch = batch_prefetch;
-  return std::make_unique<StableLog>(std::move(medium).value(), cache_config);
+  return std::make_unique<StableLog>(std::move(medium).value());
 }
 
 // ---- The equivalence sweep ----------------------------------------------
@@ -336,8 +336,7 @@ TEST_P(ScatterReadEquivalenceTest, AllReadGearsRecoverIdentically) {
   Result<std::uint64_t> recovered = mem_log->RecoverAfterCrash();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
 
-  RecoveryRun reference =
-      RunRecovery(*mem_log, "mem-serial-uncached", false, HybridRecoveryOptions{.workers = 0});
+  RecoveryRun reference = RunRecovery(*mem_log, "mem-uncached", false);
   ASSERT_TRUE(reference.result.ok()) << reference.result.status().ToString();
 
   std::vector<std::byte> raw = DumpDurableBytes(*mem_log);
@@ -347,23 +346,15 @@ TEST_P(ScatterReadEquivalenceTest, AllReadGearsRecoverIdentically) {
 
   struct Gear {
     std::string name;
-    FileStableMedium::BatchMode mode;
-    bool batch_prefetch;
-    std::size_t workers;
+    bool cached;  // off: one pread per frame probe; on: preadv cache fills
   };
-  const std::vector<Gear> gears = {
-      {"file-serial", FileStableMedium::BatchMode::kSerial, false, 0},
-      {"file-preadv", FileStableMedium::BatchMode::kPreadv, false, 0},
-      {"file-preadv-prefetch", FileStableMedium::BatchMode::kPreadv, true, 3},
-      {"file-auto-prefetch", FileStableMedium::BatchMode::kAuto, true, 3},
-  };
+  const std::vector<Gear> gears = {{"file-pread", false}, {"file-preadv", true}};
   for (const Gear& gear : gears) {
     std::string path = base + gear.name + ".log";
-    std::unique_ptr<StableLog> file_log = MakeFileLog(raw, path, gear.mode, gear.batch_prefetch);
+    std::unique_ptr<StableLog> file_log = MakeFileLog(raw, path);
     ASSERT_NE(file_log, nullptr);
     ASSERT_FALSE(file_log->empty()) << gear.name;
-    RecoveryRun run = RunRecovery(*file_log, gear.name, true,
-                                  HybridRecoveryOptions{.workers = gear.workers});
+    RecoveryRun run = RunRecovery(*file_log, gear.name, gear.cached);
     ExpectEquivalent(reference, run);
     std::remove(path.c_str());
   }
@@ -411,12 +402,10 @@ TEST(ScatterReadFault, MidBatchCarefulReadFallsBackPerSegment) {
   // fetch the decayed range from the medium again.
   cached_log->read_cache().Clear();
 
-  RecoveryRun reference =
-      RunRecovery(*uncached_log, "uncached-decayed", false, HybridRecoveryOptions{.workers = 0});
+  RecoveryRun reference = RunRecovery(*uncached_log, "uncached-decayed", false);
   ASSERT_TRUE(reference.result.ok()) << reference.result.status().ToString();
-  RecoveryRun pipelined =
-      RunRecovery(*cached_log, "cached-decayed", true, HybridRecoveryOptions{.workers = 3});
-  ExpectEquivalent(reference, pipelined);
+  RecoveryRun cached = RunRecovery(*cached_log, "cached-decayed", true);
+  ExpectEquivalent(reference, cached);
 
   // The fallback was exercised per segment, not masked by repair: disk A
   // still holds the bad pages (CarefulRead heals reads, not media).
@@ -467,54 +456,45 @@ TEST(SubmitReadsContract, FileMediumBatchesMatchSerialReads) {
     payload[i] = static_cast<std::byte>(rng.NextU64() & 0xff);
   }
 
-  const std::vector<FileStableMedium::BatchMode> modes = {
-      FileStableMedium::BatchMode::kSerial,
-      FileStableMedium::BatchMode::kPreadv,
-      FileStableMedium::BatchMode::kAuto,
+  Result<std::unique_ptr<FileStableMedium>> opened = FileStableMedium::Open(path);
+  ASSERT_TRUE(opened.ok());
+  FileStableMedium& medium = *opened.value();
+  ASSERT_TRUE(medium.Append(std::span<const std::byte>(payload.data(), payload.size())).ok());
+
+  // A scatter with adjacent runs (coalesced into one preadv), gaps, and
+  // out-of-order-looking strides. Every segment must equal the source.
+  const std::vector<std::pair<std::uint64_t, std::size_t>> segments = {
+      {0, 4096},     {4096, 4096},  {8192, 512},  // one adjacent run
+      {20000, 100},                               // gap
+      {32768, 4096}, {36864, 4096},               // second run
+      {65000, 536},                               // tail
   };
-  for (FileStableMedium::BatchMode mode : modes) {
-    std::remove(path.c_str());
-    Result<std::unique_ptr<FileStableMedium>> opened = FileStableMedium::Open(path, mode);
-    ASSERT_TRUE(opened.ok());
-    FileStableMedium& medium = *opened.value();
-    ASSERT_TRUE(medium.Append(std::span<const std::byte>(payload.data(), payload.size())).ok());
-
-    // A scatter with adjacent runs (coalesced into one preadv), gaps, and
-    // out-of-order-looking strides. Every segment must equal the source.
-    const std::vector<std::pair<std::uint64_t, std::size_t>> segments = {
-        {0, 4096},     {4096, 4096},  {8192, 512},  // one adjacent run
-        {20000, 100},                               // gap
-        {32768, 4096}, {36864, 4096},               // second run
-        {65000, 536},                               // tail
-    };
-    std::vector<std::vector<std::byte>> buffers;
-    std::vector<ReadRequest> requests;
-    for (const auto& [offset, len] : segments) {
-      buffers.emplace_back(len);
-      requests.push_back(
-          {.offset = offset, .out = std::span<std::byte>(buffers.back().data(), len)});
-    }
-    Status s = medium.SubmitReads(std::span<ReadRequest>(requests.data(), requests.size()));
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-      ASSERT_TRUE(requests[i].status.ok()) << "segment " << i;
-      EXPECT_TRUE(std::equal(buffers[i].begin(), buffers[i].end(),
-                             payload.begin() + static_cast<std::ptrdiff_t>(segments[i].first)))
-          << "segment " << i << " bytes diverged in mode " << static_cast<int>(mode);
-    }
-
-    // Mixed batch with an out-of-extent segment: fail fast, nothing partial.
-    // The in-bounds sibling was never attempted, so it must not keep Ok over
-    // an unfilled buffer — the cache would install it as a valid block.
-    std::vector<std::byte> bad(16);
-    std::vector<ReadRequest> mixed(2);
-    mixed[0] = {.offset = 0, .out = std::span<std::byte>(bad.data(), bad.size())};
-    mixed[1] = {.offset = payload.size() - 8, .out = std::span<std::byte>(bad.data(), bad.size())};
-    EXPECT_EQ(medium.SubmitReads(std::span<ReadRequest>(mixed.data(), mixed.size())).code(),
-              ErrorCode::kNotFound);
-    EXPECT_EQ(mixed[0].status.code(), ErrorCode::kUnavailable);
-    EXPECT_EQ(mixed[1].status.code(), ErrorCode::kNotFound);
+  std::vector<std::vector<std::byte>> buffers;
+  std::vector<ReadRequest> requests;
+  for (const auto& [offset, len] : segments) {
+    buffers.emplace_back(len);
+    requests.push_back({.offset = offset, .out = std::span<std::byte>(buffers.back().data(), len)});
   }
+  Status s = medium.SubmitReads(std::span<ReadRequest>(requests.data(), requests.size()));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    ASSERT_TRUE(requests[i].status.ok()) << "segment " << i;
+    EXPECT_TRUE(std::equal(buffers[i].begin(), buffers[i].end(),
+                           payload.begin() + static_cast<std::ptrdiff_t>(segments[i].first)))
+        << "segment " << i << " bytes diverged";
+  }
+
+  // Mixed batch with an out-of-extent segment: fail fast, nothing partial.
+  // The in-bounds sibling was never attempted, so it must not keep Ok over
+  // an unfilled buffer — the cache would install it as a valid block.
+  std::vector<std::byte> bad(16);
+  std::vector<ReadRequest> mixed(2);
+  mixed[0] = {.offset = 0, .out = std::span<std::byte>(bad.data(), bad.size())};
+  mixed[1] = {.offset = payload.size() - 8, .out = std::span<std::byte>(bad.data(), bad.size())};
+  EXPECT_EQ(medium.SubmitReads(std::span<ReadRequest>(mixed.data(), mixed.size())).code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(mixed[0].status.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(mixed[1].status.code(), ErrorCode::kNotFound);
   std::remove(path.c_str());
 }
 
@@ -525,46 +505,35 @@ TEST(SubmitReadsContract, FileMediumBatchesMatchSerialReads) {
 // over an unfilled buffer.
 TEST(SubmitReadsContract, MidRunFailureKeepsFullyReadPrefixOk) {
   std::string path = testing::TempDir() + "/argus_submit_reads_midrun.log";
-  const std::vector<FileStableMedium::BatchMode> modes = {
-      FileStableMedium::BatchMode::kSerial,
-      FileStableMedium::BatchMode::kPreadv,
-      FileStableMedium::BatchMode::kAuto,
-  };
-  for (FileStableMedium::BatchMode mode : modes) {
-    std::remove(path.c_str());
-    Result<std::unique_ptr<FileStableMedium>> opened = FileStableMedium::Open(path, mode);
-    ASSERT_TRUE(opened.ok());
-    FileStableMedium& medium = *opened.value();
-    std::vector<std::byte> payload(32 * 1024);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] = static_cast<std::byte>(i & 0xff);
-    }
-    ASSERT_TRUE(medium.Append(std::span<const std::byte>(payload.data(), payload.size())).ok());
-    ASSERT_EQ(::truncate(path.c_str(), 12 * 1024), 0);
+  std::remove(path.c_str());
+  Result<std::unique_ptr<FileStableMedium>> opened = FileStableMedium::Open(path);
+  ASSERT_TRUE(opened.ok());
+  FileStableMedium& medium = *opened.value();
+  std::vector<std::byte> payload(32 * 1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::byte>(i & 0xff);
+  }
+  ASSERT_TRUE(medium.Append(std::span<const std::byte>(payload.data(), payload.size())).ok());
+  ASSERT_EQ(::truncate(path.c_str(), 12 * 1024), 0);
 
-    // One adjacent run of 4KiB segments spanning the truncation point.
-    std::vector<std::vector<std::byte>> buffers;
-    std::vector<ReadRequest> requests;
-    for (std::uint64_t offset = 0; offset < 24 * 1024; offset += 4096) {
-      buffers.emplace_back(4096);
-      requests.push_back(
-          {.offset = offset, .out = std::span<std::byte>(buffers.back().data(), 4096)});
-    }
-    Status s = medium.SubmitReads(std::span<ReadRequest>(requests.data(), requests.size()));
-    EXPECT_FALSE(s.ok()) << "mode " << static_cast<int>(mode);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      std::uint64_t seg_end = (i + 1) * 4096;
-      if (seg_end <= 12 * 1024) {
-        ASSERT_TRUE(requests[i].status.ok())
-            << "fully-read segment " << i << " in mode " << static_cast<int>(mode);
-        EXPECT_TRUE(std::equal(buffers[i].begin(), buffers[i].end(),
-                               payload.begin() + static_cast<std::ptrdiff_t>(i * 4096)))
-            << "segment " << i << " bytes diverged in mode " << static_cast<int>(mode);
-      } else {
-        EXPECT_FALSE(requests[i].status.ok())
-            << "segment " << i << " past the truncation kept Ok in mode "
-            << static_cast<int>(mode);
-      }
+  // One adjacent run of 4KiB segments spanning the truncation point.
+  std::vector<std::vector<std::byte>> buffers;
+  std::vector<ReadRequest> requests;
+  for (std::uint64_t offset = 0; offset < 24 * 1024; offset += 4096) {
+    buffers.emplace_back(4096);
+    requests.push_back({.offset = offset, .out = std::span<std::byte>(buffers.back().data(), 4096)});
+  }
+  Status s = medium.SubmitReads(std::span<ReadRequest>(requests.data(), requests.size()));
+  EXPECT_FALSE(s.ok());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    std::uint64_t seg_end = (i + 1) * 4096;
+    if (seg_end <= 12 * 1024) {
+      ASSERT_TRUE(requests[i].status.ok()) << "fully-read segment " << i;
+      EXPECT_TRUE(std::equal(buffers[i].begin(), buffers[i].end(),
+                             payload.begin() + static_cast<std::ptrdiff_t>(i * 4096)))
+          << "segment " << i << " bytes diverged";
+    } else {
+      EXPECT_FALSE(requests[i].status.ok()) << "segment " << i << " past the truncation kept Ok";
     }
   }
   std::remove(path.c_str());
@@ -577,8 +546,7 @@ TEST(SubmitReadsContract, ReadManyMatchesIndividualReadsOnFileMedium) {
   std::vector<std::byte> raw = DumpDurableBytes(*mem_log);
 
   std::string path = testing::TempDir() + "/argus_readmany_eq.log";
-  std::unique_ptr<StableLog> file_log =
-      MakeFileLog(raw, path, FileStableMedium::BatchMode::kAuto, /*batch_prefetch=*/true);
+  std::unique_ptr<StableLog> file_log = MakeFileLog(raw, path);
   ASSERT_NE(file_log, nullptr);
 
   // Collect every entry address by walking backward, then compare the batch
@@ -606,6 +574,115 @@ TEST(SubmitReadsContract, ReadManyMatchesIndividualReadsOnFileMedium) {
         << "entry " << i << " diverged";
   }
   std::remove(path.c_str());
+}
+
+// ---- Concurrent readers of one log ---------------------------------------
+
+// ReadFrameView, Read and ReadMany fetch, validate and decode durable frames
+// without holding the log mutex; only the cache mutex serializes the medium.
+// Three readers run them on forced frames of one duplexed log while a writer
+// keeps staging and forcing through a FlushCoordinator, so cache fills race
+// appends. Every read must return exactly the bytes that were forced.
+TEST(ConcurrentReads, DurableFramesReadBackWhileTheLogForces) {
+  StableLog log(std::make_unique<DuplexedStableMedium>(/*seed=*/31));
+  FlushCoordinator coordinator(&log);
+  constexpr std::size_t kBatches = 150;
+  constexpr std::size_t kEntriesPerBatch = 3;
+
+  auto entry_for = [](std::size_t i) {
+    DataEntry d;
+    d.kind = ObjectKind::kAtomic;
+    d.value = std::vector<std::byte>(16 + (i * 37) % 400, static_cast<std::byte>(i));
+    return LogEntry(d);
+  };
+
+  struct Forced {
+    LogAddress address;
+    std::vector<std::byte> payload;
+  };
+  std::mutex forced_mu;
+  std::vector<Forced> forced;  // grows only after a force returns Ok
+  std::atomic<bool> writer_done{false};
+  std::atomic<std::size_t> failures{0};
+
+  std::thread writer([&] {
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      std::vector<Forced> batch;
+      for (std::size_t e = 0; e < kEntriesPerBatch; ++e) {
+        LogEntry entry = entry_for(b * kEntriesPerBatch + e);
+        batch.push_back({log.Write(entry), EncodeEntry(entry)});
+      }
+      if (!coordinator.ForceUpTo(batch.back().address).ok()) {
+        failures.fetch_add(1);
+        break;
+      }
+      std::lock_guard<std::mutex> l(forced_mu);
+      forced.insert(forced.end(), batch.begin(), batch.end());
+    }
+    writer_done.store(true);
+  });
+
+  // Picks up to `n` forced frames at random (empty until the first force).
+  auto pick = [&](Rng& rng, std::size_t n) {
+    std::lock_guard<std::mutex> l(forced_mu);
+    std::vector<Forced> out;
+    for (std::size_t i = 0; i < n && !forced.empty(); ++i) {
+      out.push_back(forced[rng.NextBelow(forced.size())]);
+    }
+    return out;
+  };
+  // A failed read or a byte mismatch counts as a failure.
+  auto check = [&](const Forced& f, bool ok, std::span<const std::byte> got) {
+    if (!ok || !std::equal(got.begin(), got.end(), f.payload.begin(), f.payload.end())) {
+      failures.fetch_add(1);
+    }
+  };
+  auto check_entry = [&](const Forced& f, const Result<LogEntry>& entry) {
+    std::vector<std::byte> encoded;
+    if (entry.ok()) {
+      encoded = EncodeEntry(entry.value());
+    }
+    check(f, entry.ok(), std::span<const std::byte>(encoded.data(), encoded.size()));
+  };
+
+  std::vector<std::thread> readers;
+  for (int kind = 0; kind < 3; ++kind) {
+    readers.emplace_back([&, kind] {
+      Rng rng(100 + static_cast<std::uint64_t>(kind));
+      std::size_t reads = 0;
+      while (!writer_done.load() || (reads < 200 && failures.load() == 0)) {
+        std::vector<Forced> targets = pick(rng, kind == 2 ? 5 : 1);
+        reads += targets.size();
+        if (kind == 0) {
+          for (const Forced& f : targets) {
+            Result<StableLog::FrameView> view = log.ReadFrameView(f.address);
+            check(f, view.ok(),
+                  view.ok() ? view.value().payload() : std::span<const std::byte>());
+          }
+        } else if (kind == 1) {
+          for (const Forced& f : targets) {
+            check_entry(f, log.Read(f.address));
+          }
+        } else if (!targets.empty()) {
+          std::vector<LogAddress> addresses;
+          for (const Forced& f : targets) {
+            addresses.push_back(f.address);
+          }
+          std::vector<Result<LogEntry>> entries = log.ReadMany(addresses);
+          for (std::size_t i = 0; i < entries.size(); ++i) {
+            check_entry(targets[i], entries[i]);
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(forced.size(), kBatches * kEntriesPerBatch);
+  EXPECT_EQ(log.durable_size(), log.end_offset());
 }
 
 }  // namespace

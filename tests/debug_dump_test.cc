@@ -56,7 +56,7 @@ TEST(DebugDump, FullRecoveryInfoAfterScenario) {
 }
 
 TEST(DebugDump, LogStatsShowsReadSideCounters) {
-  // Drive the real read path so the cache/pipeline counters are live.
+  // Drive the real read path so the cache counters are live.
   StorageHarness h(LogMode::kHybrid);
   ActionId t1 = Aid(1);
   RecoverableObject* v = h.ctx(t1).CreateAtomic(h.heap(), Value::Int(10));
@@ -74,7 +74,6 @@ TEST(DebugDump, LogStatsShowsReadSideCounters) {
   EXPECT_NE(out.find("cache_hits="), std::string::npos) << out;
   EXPECT_NE(out.find("cache_hit_rate="), std::string::npos) << out;
   EXPECT_NE(out.find("readahead_blocks="), std::string::npos) << out;
-  EXPECT_NE(out.find("pipeline_prefetches="), std::string::npos) << out;
   // Recovery went through the cache, so the medium was actually consulted.
   EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
 }

@@ -1,15 +1,16 @@
-// Recovery-equivalence property test for the pipelined hybrid recovery
-// (label: concurrency, runs under the TSan CI job).
+// Recovery-equivalence property test for the hybrid restart's read pipeline.
+// In the case names, "pipelined" reads go through the block read cache (its
+// read-ahead, validated-frame memo and zero-copy frame views); "serial" reads
+// bypass it, two medium reads per frame.
 //
 // Property: for any seeded crash scenario — committed/aborted/undecided
 // actions, mutex objects, coordinator entries, early-prepared trailing data,
-// housekeeping reorganizations, and decayed duplexed pages — the pipelined
-// RecoverHybridLog must produce OT/PT/CT/MT/AS, last_outcome, and the
-// entries_examined / data_entries_read counters exactly equal to the serial
-// algorithm, with or without the block read cache. And the cache must never
-// mask a decayed page a cache-less CarefulRead path would have reported: a
-// fully uncached twin log over an identically decayed medium must see the
-// same recovery outcome.
+// housekeeping reorganizations, and decayed duplexed pages — RecoverHybridLog
+// must produce OT/PT/CT/MT/AS, last_outcome, and the entries_examined /
+// data_entries_read counters exactly equal with and without the cache, cold
+// or warm. And the cache must never mask a decayed page a cache-less
+// CarefulRead path would have reported: a fully uncached twin log over an
+// identically decayed medium must see the same recovery outcome.
 
 #include <gtest/gtest.h>
 
@@ -260,13 +261,12 @@ struct RecoveryRun {
   Result<RecoveryResult> result = Status::Unavailable("recovery not run");
 };
 
-RecoveryRun RunRecovery(const StableLog& log, const std::string& label, bool cache_enabled,
-                        const HybridRecoveryOptions& options) {
+RecoveryRun RunRecovery(const StableLog& log, const std::string& label, bool cache_enabled) {
   RecoveryRun run;
   run.label = label;
   run.heap = std::make_unique<VolatileHeap>();
   log.read_cache().SetEnabled(cache_enabled);
-  run.result = RecoverHybridLog(log, *run.heap, options);
+  run.result = RecoverHybridLog(log, *run.heap);
   return run;
 }
 
@@ -345,27 +345,15 @@ TEST_P(RecoveryPipelineEquivalenceTest, PipelinedEqualsSerial) {
   Result<std::uint64_t> recovered = log->RecoverAfterCrash();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
 
-  RecoveryRun reference =
-      RunRecovery(*log, "serial-uncached", false, HybridRecoveryOptions{.workers = 0});
+  RecoveryRun reference = RunRecovery(*log, "uncached", false);
   ASSERT_TRUE(reference.result.ok()) << reference.result.status().ToString();
 
-  RecoveryRun serial_cached =
-      RunRecovery(*log, "serial-cached", true, HybridRecoveryOptions{.workers = 0});
-  ExpectEquivalent(reference, serial_cached);
+  RecoveryRun cold = RunRecovery(*log, "cached-cold", true);
+  ExpectEquivalent(reference, cold);
 
-  RecoveryRun pipelined =
-      RunRecovery(*log, "pipelined", true, HybridRecoveryOptions{.workers = 3});
-  ExpectEquivalent(reference, pipelined);
-
-  // A tiny window forces the walk and the apply stage to interleave tightly.
-  RecoveryRun tight = RunRecovery(*log, "pipelined-tight-window", true,
-                                  HybridRecoveryOptions{.workers = 2, .window = 2});
-  ExpectEquivalent(reference, tight);
-
-  // Re-running pipelined recovery against a now-warm cache must not change
-  // anything either.
-  RecoveryRun warm = RunRecovery(*log, "pipelined-warm-cache", true,
-                                 HybridRecoveryOptions{.workers = 3});
+  // Re-running recovery against the now-warm cache (memoized frames, no
+  // medium reads) must not change anything either.
+  RecoveryRun warm = RunRecovery(*log, "cached-warm", true);
   ExpectEquivalent(reference, warm);
 }
 
@@ -397,9 +385,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RecoveryPipelineEquivalenceTest,
 // ---- Decay profiles ------------------------------------------------------
 
 // Builds the same duplexed history twice (bit-identical media), corrupts the
-// same pages on both, and compares a fully UNCACHED serial recovery on twin 1
-// against a cached pipelined recovery on twin 2. Whatever CarefulRead
-// reports without a cache, the cached pipeline must report too.
+// same pages on both, and compares a fully UNCACHED recovery on twin 1
+// against a cached recovery on twin 2. Whatever CarefulRead reports without
+// a cache, the cached read path must report too.
 void RunDecayProfile(std::uint64_t seed, bool both_replicas, std::size_t pages_to_corrupt) {
   HistoryConfig config{.seed = seed, .duplexed = true,
                        .disk_seed = 4000 + static_cast<std::uint32_t>(seed)};
@@ -438,11 +426,9 @@ void RunDecayProfile(std::uint64_t seed, bool both_replicas, std::size_t pages_t
   }
   EXPECT_EQ(r1.value(), r2.value()) << "durable entry counts diverged after decay";
 
-  RecoveryRun reference =
-      RunRecovery(*uncached_log, "serial-uncached", false, HybridRecoveryOptions{.workers = 0});
-  RecoveryRun pipelined =
-      RunRecovery(*cached_log, "pipelined-cached", true, HybridRecoveryOptions{.workers = 3});
-  ExpectEquivalent(reference, pipelined);
+  RecoveryRun reference = RunRecovery(*uncached_log, "uncached", false);
+  RecoveryRun cached = RunRecovery(*cached_log, "cached", true);
+  ExpectEquivalent(reference, cached);
 }
 
 TEST(RecoveryPipelineDecay, SingleReplicaDecayIsHealedIdentically) {

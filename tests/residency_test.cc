@@ -338,36 +338,6 @@ TEST(Residency, CheckpointMaterializesStubsAndSurvivesTheSwap) {
   h.ctx(a3).AbortVolatile(h.heap());
 }
 
-TEST(Residency, PrefetchPullsLogNeighborsIntoTheCache) {
-  StorageHarness h(ResidencyConfigWith(1024));
-  ResidencyManager* rm = h.rs().residency();
-  ASSERT_NE(rm, nullptr);
-
-  // Commit several objects in one action: their frames are log-adjacent.
-  ActionId a1 = Aid(1);
-  std::vector<RecoverableObject*> objs;
-  for (int i = 0; i < 6; ++i) {
-    objs.push_back(
-        h.ctx(a1).CreateAtomic(h.heap(), BigPayload(static_cast<char>('a' + i), 1024)));
-    ASSERT_TRUE(h.BindStable(a1, "slot" + std::to_string(i), objs.back()).ok());
-  }
-  ASSERT_TRUE(h.PrepareAndCommit(a1).ok());
-  ASSERT_GT(rm->RunEvictionPass(), 0u);
-
-  // Fault the lowest-uid stub — its log neighbors are also evicted, so the
-  // manager should queue a best-effort prefetch of their frames.
-  ActionId a2 = Aid(2);
-  h.ctx(a2).BindResidency(rm);
-  std::size_t victim = 0;
-  while (victim < objs.size() && !objs[victim]->evicted()) {
-    ++victim;
-  }
-  ASSERT_LT(victim, objs.size()) << "expected at least one evicted slot";
-  ASSERT_TRUE(h.ctx(a2).ReadObject(objs[victim]).ok());
-  EXPECT_GE(rm->stats().prefetch_ranges, 1u);
-  h.ctx(a2).AbortVolatile(h.heap());
-}
-
 TEST(Residency, BackgroundServiceShedsPressure) {
   StorageHarness h(ResidencyConfigWith(2048));
   ResidencyManager* rm = h.rs().residency();
