@@ -6,9 +6,10 @@
 // a fixed device latency, so recovery is I/O-bound the way a disk-backed
 // restart is. The same seeded workload is committed at every N (the shard
 // map just spreads it), then the guardian crashes and the timed region runs
-// RecoverShardedHybridLog with N workers against cold caches. Per-shard scan
-// and apply timings land in the metrics registry
-// (recovery.shard.{scan,apply}_ns labeled by shard), force-batch stats come
+// RecoverHybridLog over the N shards with N workers against cold caches.
+// Per-shard scan (head find plus decision pass) and apply (walk) timings land
+// in the metrics registry (recovery.shard.{scan,apply}_ns labeled by shard),
+// force-batch stats come
 // from the per-shard LogStats, and both ship in BENCH_shard_scaling.metrics.json
 // when run with --json.
 //
@@ -61,7 +62,6 @@ RecoverySystemConfig ShardedConfig(std::uint32_t shards, const ShardBenchConfig&
   config.mode = LogMode::kHybrid;
   config.log_shards = shards;
   config.shard_salt = 0x5eedu;
-  config.shard_recovery_workers = shards;
   config.medium_factory = [latency = bench.read_latency] {
     return std::make_unique<LatencyStableMedium>(std::make_unique<DuplexedStableMedium>(),
                                                  latency);
@@ -94,8 +94,6 @@ void BM_ShardedRecovery(benchmark::State& state) {
     raw.push_back(log.get());
   }
 
-  ShardedRecoveryOptions options;
-  options.workers = shards;
   std::uint64_t recovered_objects = 0;
   for (auto _ : state) {
     // Cold-cache recovery each iteration: every block fill goes back to the
@@ -104,10 +102,9 @@ void BM_ShardedRecovery(benchmark::State& state) {
       log->read_cache().Clear();
     }
     VolatileHeap heap;
-    Result<ShardedRecoveryResult> result = RecoverShardedHybridLog(
-        std::span<StableLog* const>(raw.data(), raw.size()), heap, options);
+    Result<RecoveryResult> result = RecoverHybridLog(raw, heap, shards);
     ARGUS_CHECK(result.ok());
-    recovered_objects = result.value().merged.ot.size();
+    recovered_objects = result.value().ot.size();
   }
 
   // Force-batch stats from the build phase, rolled up across shards.

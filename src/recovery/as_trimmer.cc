@@ -41,15 +41,7 @@ bool IncrementalAsTrimmer::Step(std::size_t budget) {
     return false;  // more to do; caller may interleave normal writing
   }
   // Traversal complete: AS := traversed ∩ old AS (§3.3.3.2).
-  AccessibilitySet intersected;
-  const AccessibilitySet& old_as = writer_->accessibility_set();
-  for (Uid uid : traversed_) {
-    if (old_as.find(uid) != old_as.end()) {
-      intersected.insert(uid);
-    }
-  }
-  writer_->RestoreState(std::move(intersected), writer_->prepared_actions(),
-                        writer_->mutex_table(), writer_->last_outcome_address());
+  writer_->IntersectAccessibilitySet(traversed_);
   running_ = false;
   return true;
 }

@@ -46,54 +46,29 @@ void SetPrev(LogEntry& entry, LogAddress prev) {
 
 }  // namespace
 
-LogWriter::LogWriter(LogMode mode, StableLog* log, VolatileHeap* heap)
-    : mode_(mode), heap_(heap) {
-  ARGUS_CHECK(log != nullptr && heap != nullptr);
-  shards_.push_back(ShardBinding{log, nullptr, LogAddress::Null()});
-  // The stable-variables root is accessible by definition.
-  as_.insert(Uid::Root());
-}
-
 LogWriter::LogWriter(LogMode mode, std::vector<StableLog*> logs, VolatileHeap* heap,
-                     const ShardRouter* router)
-    : mode_(mode), heap_(heap), router_(router) {
-  ARGUS_CHECK(heap != nullptr && !logs.empty());
-  if (logs.size() > 1) {
-    ARGUS_CHECK_MSG(mode == LogMode::kHybrid, "sharded logs require the hybrid mode");
-    ARGUS_CHECK(router != nullptr && router->num_shards() == logs.size());
-  }
+                     ShardRouter router)
+    : mode_(mode), heap_(heap), router_(std::move(router)) {
+  ARGUS_CHECK(heap != nullptr && router_.num_shards() == logs.size());
+  ARGUS_CHECK_MSG(mode == LogMode::kHybrid || logs.size() == 1,
+                  "sharded logs require the hybrid mode");
   shards_.reserve(logs.size());
   for (StableLog* log : logs) {
     ARGUS_CHECK(log != nullptr);
     shards_.push_back(ShardBinding{log, nullptr, LogAddress::Null()});
   }
+  // The stable-variables root is accessible by definition.
   as_.insert(Uid::Root());
 }
 
-void LogWriter::AttachCoordinator(FlushCoordinator* coordinator) {
-  ARGUS_CHECK(shards_.size() == 1);
-  shards_[0].coordinator = coordinator;
-}
+LogWriter::LogWriter(LogMode mode, StableLog* log, VolatileHeap* heap)
+    : LogWriter(mode, std::vector<StableLog*>{log}, heap, ShardRouter(ShardMapRecord{})) {}
 
 void LogWriter::AttachCoordinators(std::vector<FlushCoordinator*> coordinators) {
   ARGUS_CHECK(coordinators.size() == shards_.size());
   for (std::size_t i = 0; i < coordinators.size(); ++i) {
     shards_[i].coordinator = coordinators[i];
   }
-}
-
-std::uint32_t LogWriter::ShardOfUid(Uid uid) const {
-  if (router_ == nullptr || shards_.size() == 1) {
-    return 0;
-  }
-  return router_->ShardOf(uid);
-}
-
-std::uint32_t LogWriter::HomeShardOf(ActionId aid) const {
-  if (router_ == nullptr || shards_.size() == 1) {
-    return 0;
-  }
-  return router_->HomeShardOf(aid);
 }
 
 std::uint64_t LogWriter::EpochOf(std::uint32_t shard) const {
@@ -122,7 +97,7 @@ LogAddress LogWriter::WriteDataEntryFor(ActionId aid, RecoverableObject* obj,
     entry.uid = obj->uid();
     entry.aid = aid;
   }
-  LogAddress addr = shards_[ShardOfUid(obj->uid())].log->Write(LogEntry(std::move(entry)));
+  LogAddress addr = shards_[router_.ShardOf(obj->uid())].log->Write(LogEntry(std::move(entry)));
   ++stats_.data_entries;
   PendingAction& pending = pending_[aid];
   pending.pairs[obj->uid()] = addr;
@@ -145,7 +120,7 @@ Status LogWriter::EnsureResident(RecoverableObject* obj) {
   }
   const LogAddress addr = obj->stable_address();
   ARGUS_CHECK_MSG(!addr.is_null(), "evicted object lost its stable address");
-  Result<LogEntry> entry = shards_[ShardOfUid(obj->uid())].log->Read(addr);
+  Result<LogEntry> entry = shards_[router_.ShardOf(obj->uid())].log->Read(addr);
   if (!entry.ok()) {
     return entry.status();
   }
@@ -190,7 +165,7 @@ Status LogWriter::WriteNewlyAccessibleObject(ActionId aid, RecoverableObject* ob
   }
   // Base/prepared-data entries for an object live on that object's shard, so
   // every shard chain stays self-contained for its uid subset.
-  const std::uint32_t shard = ShardOfUid(obj->uid());
+  const std::uint32_t shard = router_.ShardOf(obj->uid());
   auto queue_refs = [&](const std::vector<RecoverableObject*>& refs) {
     for (RecoverableObject* ref : refs) {
       if (as_.find(ref->uid()) == as_.end()) {
@@ -343,7 +318,7 @@ Result<StagedOutcome> LogWriter::StagePrepareSharded(ActionId aid, const Modifie
   auto it = pending_.find(aid);
   if (mode_ == LogMode::kHybrid && it != pending_.end()) {
     for (const auto& [uid, addr] : it->second.pairs) {
-      PreparedEntry& entry = per_shard[ShardOfUid(uid)];
+      PreparedEntry& entry = per_shard[router_.ShardOf(uid)];
       entry.aid = aid;
       entry.objects.push_back(UidAddress{uid, addr});
     }
@@ -397,15 +372,6 @@ Result<StagedOutcome> LogWriter::StagePrepareSharded(ActionId aid, const Modifie
   return out;
 }
 
-Result<LogAddress> LogWriter::StagePrepare(ActionId aid, const ModifiedObjectsSet& mos) {
-  ARGUS_CHECK(shards_.size() == 1);
-  Result<StagedOutcome> staged = StagePrepareSharded(aid, mos);
-  if (!staged.ok()) {
-    return staged.status();
-  }
-  return staged.value().marks.front().address;
-}
-
 Status LogWriter::Prepare(ActionId aid, const ModifiedObjectsSet& mos) {
   Result<StagedOutcome> staged = StagePrepareSharded(aid, mos);
   if (!staged.ok()) {
@@ -433,15 +399,6 @@ Result<StagedOutcome> LogWriter::StageCommitSharded(ActionId aid) {
   StagedOutcome out;
   out.marks.push_back(StagedMark{home, staged, EpochOf(home)});
   return out;
-}
-
-Result<LogAddress> LogWriter::StageCommit(ActionId aid) {
-  ARGUS_CHECK(shards_.size() == 1);
-  Result<StagedOutcome> staged = StageCommitSharded(aid);
-  if (!staged.ok()) {
-    return staged.status();
-  }
-  return staged.value().marks.front().address;
 }
 
 Status LogWriter::Commit(ActionId aid) {
@@ -472,18 +429,6 @@ Result<StagedOutcome> LogWriter::StageAbortSharded(ActionId aid) {
   }
   pending_.erase(aid);
   return out;
-}
-
-Result<std::optional<LogAddress>> LogWriter::StageAbort(ActionId aid) {
-  ARGUS_CHECK(shards_.size() == 1);
-  Result<StagedOutcome> staged = StageAbortSharded(aid);
-  if (!staged.ok()) {
-    return staged.status();
-  }
-  if (staged.value().empty()) {
-    return std::optional<LogAddress>(std::nullopt);
-  }
-  return std::optional<LogAddress>(staged.value().marks.front().address);
 }
 
 Status LogWriter::Abort(ActionId aid) {
@@ -535,28 +480,11 @@ Status LogWriter::WaitDurable(const StagedOutcome& staged) {
   return Status::Ok();
 }
 
-Status LogWriter::WaitDurable(LogAddress address) {
-  const ShardBinding& b = shards_[0];
-  if (b.coordinator != nullptr) {
-    return b.coordinator->ForceUpTo(address);
-  }
-  return b.log->Force();
-}
-
-Status LogWriter::WaitDurable(LogAddress address, std::uint64_t epoch) {
-  const ShardBinding& b = shards_[0];
-  if (b.coordinator != nullptr) {
-    return b.coordinator->ForceUpTo(address, epoch);
-  }
-  return b.log->Force();
-}
-
-std::uint64_t LogWriter::durability_epoch() const {
-  return shards_[0].coordinator != nullptr ? shards_[0].coordinator->log_epoch() : 0;
-}
-
 void LogWriter::TrimAccessibilitySet() {
-  std::unordered_set<Uid> reachable = heap_->ComputeAccessibleUids();
+  IntersectAccessibilitySet(heap_->ComputeAccessibleUids());
+}
+
+void LogWriter::IntersectAccessibilitySet(const AccessibilitySet& reachable) {
   std::lock_guard<std::mutex> l(mu_);
   AccessibilitySet trimmed;
   for (Uid uid : reachable) {
@@ -569,26 +497,15 @@ void LogWriter::TrimAccessibilitySet() {
 }
 
 void LogWriter::RestoreState(AccessibilitySet as, PreparedActionsTable pat, MutexTable mt,
-                             LogAddress last_outcome) {
-  ARGUS_CHECK(shards_.size() == 1);
-  std::lock_guard<std::mutex> l(mu_);
-  as_ = std::move(as);
-  as_.insert(Uid::Root());
-  pat_ = std::move(pat);
-  mt_ = std::move(mt);
-  shards_[0].last_outcome = last_outcome;
-}
-
-void LogWriter::RestoreStateSharded(AccessibilitySet as, PreparedActionsTable pat, MutexTable mt,
-                                    std::vector<LogAddress> last_outcomes) {
-  ARGUS_CHECK(last_outcomes.size() == shards_.size());
+                             std::vector<LogAddress> chain_heads) {
+  ARGUS_CHECK(chain_heads.size() == shards_.size());
   std::lock_guard<std::mutex> l(mu_);
   as_ = std::move(as);
   as_.insert(Uid::Root());
   pat_ = std::move(pat);
   mt_ = std::move(mt);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].last_outcome = last_outcomes[i];
+    shards_[i].last_outcome = chain_heads[i];
   }
 }
 
@@ -597,11 +514,10 @@ void LogWriter::RestoreOpenCoordinators(std::map<ActionId, std::vector<GuardianI
   open_coordinators_ = std::move(open);
 }
 
-void LogWriter::RebindLog(StableLog* log) {
-  ARGUS_CHECK(log != nullptr);
-  ARGUS_CHECK(shards_.size() == 1);
+void LogWriter::RebindLog(std::uint32_t shard, StableLog* log) {
+  ARGUS_CHECK(shard < shards_.size() && log != nullptr);
   std::lock_guard<std::mutex> l(mu_);
-  shards_[0].log = log;
+  shards_[shard].log = log;
 }
 
 Status LogWriter::RewritePendingAfterLogSwap() {
@@ -653,16 +569,6 @@ LogAddress LogWriter::last_outcome_address() const {
   return shards_[0].last_outcome;
 }
 
-std::vector<LogAddress> LogWriter::last_outcome_addresses() const {
-  std::lock_guard<std::mutex> l(mu_);
-  std::vector<LogAddress> out;
-  out.reserve(shards_.size());
-  for (const ShardBinding& b : shards_) {
-    out.push_back(b.last_outcome);
-  }
-  return out;
-}
-
 Result<LogEntry> LogWriter::ReadMutexVersion(Uid uid) const {
   const StableLog* log = nullptr;
   LogAddress addr = LogAddress::Null();
@@ -673,7 +579,7 @@ Result<LogEntry> LogWriter::ReadMutexVersion(Uid uid) const {
       return Status::NotFound("no prepared mutex version for " + to_string(uid));
     }
     addr = it->second;
-    log = shards_[ShardOfUid(uid)].log;
+    log = shards_[router_.ShardOf(uid)].log;
   }
   // The frame read runs outside mu_ so concurrent stagers keep going; the
   // cache's own mutex serializes the fetch. `validated` is the hit signal:
@@ -713,7 +619,7 @@ std::vector<Result<LogEntry>> LogWriter::ReadMutexVersions(std::span<const Uid> 
         results[i] = Status::NotFound("no prepared mutex version for " + to_string(uids[i]));
         continue;
       }
-      std::uint32_t shard = ShardOfUid(uids[i]);
+      std::uint32_t shard = router_.ShardOf(uids[i]);
       shard_addresses[shard].push_back(it->second);
       shard_slots[shard].push_back(i);
     }

@@ -1,30 +1,32 @@
 // The writing algorithms of §3.3 (simple log), §4.2 (hybrid log), and §4.4
 // (early prepare).
 //
-// One LogWriter serves one guardian's log — or, in sharded mode, the
-// guardian's N log shards. It owns the writer-side volatile state: the
-// accessibility set (AS), the prepared actions table (PAT), the mutex table
-// (MT, §5.2), the backward outcome chain head (one per shard), and — for
-// actions between early prepare and prepare — the accumulated
-// <uid, log address> pairs destined for the prepared entry.
+// One LogWriter serves one guardian's N log shards (N = 1 for the classic
+// one-log guardian, and always for the simple log). It owns the writer-side
+// volatile state: the accessibility set (AS), the prepared actions table
+// (PAT), the mutex table (MT, §5.2), the backward outcome chain head (one per
+// shard), and — for actions between early prepare and prepare — the
+// accumulated <uid, log address> pairs destined for the prepared entry.
 //
 // In simple mode, data entries carry uid/aid and outcome entries are not
 // chained; in hybrid mode, data entries are anonymous, prepared entries carry
 // the map fragment, and every outcome entry links to the previous one.
 //
-// Sharded mode (hybrid only): a ShardRouter partitions uids across N logs.
-// Every entry for an object — data, base_committed, prepared_data, and its
-// pair inside a prepared entry — lands on that object's shard, so each
-// shard's backward chain is self-contained for its uid subset. An action that
-// touched k shards stages k prepared entries (one shard-local pair fragment
-// each); its *decision* records (committed/aborted, and the coordinator's
-// committing/done) go only to the action's home shard. Cross-shard commit
-// atomicity is a protocol obligation on the caller: all prepare marks must be
-// durable on their shards BEFORE StageCommitSharded is called, so a durable
-// commit record implies every shard's prepare fragment is durable too (the
-// blocking Prepare/Commit pair satisfies this by construction; group-commit
-// callers must force the prepare marks in between). A commit record lost in a
-// crash aborts the action by presumed abort, exactly as with one log.
+// A ShardRouter partitions uids across the shards. Every entry for an object
+// — data, base_committed, prepared_data, and its pair inside a prepared entry
+// — lands on that object's shard, so each shard's backward chain is
+// self-contained for its uid subset. An action that touched k shards stages k
+// prepared entries (one shard-local pair fragment each); its *decision*
+// records (committed/aborted, and the coordinator's committing/done) go only
+// to the action's home shard. Cross-shard commit atomicity is a protocol
+// obligation on the caller: every prepare mark OFF the home shard must be
+// durable BEFORE StageCommitSharded is called, so a durable commit record
+// implies every shard's prepare fragment is durable too. Marks on the home
+// shard need no wait: they precede the commit record in that log, so forcing
+// the commit forces them (§3.1). With one shard every mark is on the home
+// shard. The blocking Prepare/Commit pair satisfies the protocol by
+// construction. A commit record lost in a crash aborts the action by presumed
+// abort, exactly as with one log.
 //
 // Concurrency: multiple actions may run Prepare/Commit/Abort in parallel on
 // one guardian. Every operation splits into a *stage* step — serialized under
@@ -86,24 +88,20 @@ struct StagedOutcome {
 
 class LogWriter {
  public:
+  // One log per shard, in `router` order. Requires hybrid mode for more than
+  // one shard.
+  LogWriter(LogMode mode, std::vector<StableLog*> logs, VolatileHeap* heap, ShardRouter router);
+  // A one-log writer with the default routing.
   LogWriter(LogMode mode, StableLog* log, VolatileHeap* heap);
-
-  // Sharded writer: one log per shard, routed by `router` (which must outlive
-  // this writer). Requires hybrid mode when logs.size() > 1.
-  LogWriter(LogMode mode, std::vector<StableLog*> logs, VolatileHeap* heap,
-            const ShardRouter* router);
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
   LogMode mode() const { return mode_; }
-  std::uint32_t shard_count() const { return static_cast<std::uint32_t>(shards_.size()); }
 
-  // Routes force waits through `coordinator` (group commit) instead of
-  // forcing the log directly. The coordinator must outlive this writer or be
-  // detached (nullptr) first. Single-shard form; the vector form attaches one
-  // coordinator per shard.
-  void AttachCoordinator(FlushCoordinator* coordinator);
+  // Routes force waits through one coordinator per shard (group commit)
+  // instead of forcing the logs directly. The coordinators must outlive this
+  // writer.
   void AttachCoordinators(std::vector<FlushCoordinator*> coordinators);
 
   // Writes the initial base version of the stable-variables root object.
@@ -131,54 +129,42 @@ class LogWriter {
   Status Abort(ActionId aid);
 
   // committing(aid, gids)/done(aid): force the coordinator outcome entries
-  // (home shard in sharded mode).
+  // on the action's home shard.
   Status Committing(ActionId aid, std::vector<GuardianId> participants);
   Status Done(ActionId aid);
 
   // ---- Stage/force split (group commit) ----
   //
-  // The Stage* variants do everything except wait for durability: they write
+  // The Stage* calls do everything except wait for durability: they write
   // the entries, update the PAT/MT, and return the staged outcome marks. The
   // action is durable only after WaitDurable(staged) returns Ok.
   // Prepare()/Commit()/Abort() above are Stage* + WaitDurable.
   //
-  // Sharded callers MUST interleave the force: WaitDurable on the prepare
-  // marks before calling StageCommitSharded (see the class comment). The
-  // single-address variants below are the historical single-shard API and
-  // assert shard_count() == 1.
+  // Callers MUST wait for the prepare marks off the action's home shard
+  // before calling StageCommitSharded (see the class comment).
 
   Result<StagedOutcome> StagePrepareSharded(ActionId aid, const ModifiedObjectsSet& mos);
   Result<StagedOutcome> StageCommitSharded(ActionId aid);
   // Empty marks when nothing was staged (the action never prepared, §2.2.3).
   Result<StagedOutcome> StageAbortSharded(ActionId aid);
+
+  // Blocks until every mark is durable — via its shard coordinator's
+  // coalesced flush when one is attached, else a direct log force. Each mark
+  // carries its coordinator's log generation from stage time: if an online
+  // checkpoint swapped the log in between, the entry was staged on the
+  // retired log — the swap barrier forced that log before retiring it, so the
+  // wait returns Ok immediately.
   Status WaitDurable(const StagedOutcome& staged);
 
-  Result<LogAddress> StagePrepare(ActionId aid, const ModifiedObjectsSet& mos);
-  Result<LogAddress> StageCommit(ActionId aid);
-  // nullopt when nothing was staged (the action never prepared, §2.2.3).
-  Result<std::optional<LogAddress>> StageAbort(ActionId aid);
-
-  // Blocks until the entry at `address` (shard 0) is durable — via the
-  // coordinator's coalesced flush when one is attached, else a direct log
-  // force. Single-shard API.
-  Status WaitDurable(LogAddress address);
-
-  // Epoch-checked variant for callers racing an online checkpoint: read
-  // durability_epoch() in the same critical section as the Stage* call, then
-  // wait outside it. If a log swap happened in between, the entry was staged
-  // on the retired log — the swap barrier forced that log before retiring it,
-  // so the wait returns Ok immediately. Requires an attached coordinator when
-  // swaps can be concurrent (the barrier's drain relies on it).
-  Status WaitDurable(LogAddress address, std::uint64_t epoch);
-
-  // The attached shard-0 coordinator's log generation (0 when none). Read
-  // under the same external exclusion as staging — see WaitDurable above.
-  // Sharded stage calls capture per-shard epochs in their marks instead.
-  std::uint64_t durability_epoch() const;
+  // The home shard of `aid`: where its decision records go.
+  std::uint32_t HomeShardOf(ActionId aid) const { return router_.HomeShardOf(aid); }
 
   // §3.3.3.2: trims the AS back to the objects genuinely reachable from the
   // stable variables (intersection semantics).
   void TrimAccessibilitySet();
+  // AS := AS ∩ reachable (plus the root), under the writer mutex, so stagers
+  // may keep running: the incremental trimmer's finishing step.
+  void IntersectAccessibilitySet(const AccessibilitySet& reachable);
 
   const AccessibilitySet& accessibility_set() const { return as_; }
   const PreparedActionsTable& prepared_actions() const { return pat_; }
@@ -206,17 +192,12 @@ class LogWriter {
   }
   void RestoreOpenCoordinators(std::map<ActionId, std::vector<GuardianId>> open);
   const WriterStats& stats() const { return stats_; }
-  StableLog& log() { return *shards_[0].log; }
-  StableLog& shard_log(std::uint32_t shard) { return *shards_[shard].log; }
 
   // Re-binding after recovery or housekeeping: install externally
-  // reconstructed state. The single-address RestoreState is the single-shard
-  // form; the sharded form re-primes every shard's chain head.
+  // reconstructed state, with one chain head per shard.
   void RestoreState(AccessibilitySet as, PreparedActionsTable pat, MutexTable mt,
-                    LogAddress last_outcome);
-  void RestoreStateSharded(AccessibilitySet as, PreparedActionsTable pat, MutexTable mt,
-                           std::vector<LogAddress> last_outcomes);
-  void RebindLog(StableLog* log);
+                    std::vector<LogAddress> chain_heads);
+  void RebindLog(std::uint32_t shard, StableLog* log);
 
   // Early-prepared-but-unprepared actions (pairs not yet covered by a
   // prepared entry). Housekeeping uses this to rewrite their data entries
@@ -230,8 +211,8 @@ class LogWriter {
   // for those actions to the new log when compaction is over."
   Status RewritePendingAfterLogSwap();
 
+  // Shard 0's chain head.
   LogAddress last_outcome_address() const;
-  std::vector<LogAddress> last_outcome_addresses() const;
 
  private:
   struct ShardBinding {
@@ -255,8 +236,6 @@ class LogWriter {
     std::map<std::uint32_t, LogAddress> chained_marks;
   };
 
-  std::uint32_t ShardOfUid(Uid uid) const;
-  std::uint32_t HomeShardOf(ActionId aid) const;
   std::uint64_t EpochOf(std::uint32_t shard) const;
 
   // Writes data entries (and bc/pd entries for newly accessible objects) for
@@ -286,8 +265,7 @@ class LogWriter {
 
   LogMode mode_;
   VolatileHeap* heap_;
-  // Null in single-shard mode (everything routes to shard 0).
-  const ShardRouter* router_ = nullptr;
+  ShardRouter router_;
   // Guards every member below plus the staging order of log writes across
   // all shards.
   mutable std::mutex mu_;

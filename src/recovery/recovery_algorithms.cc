@@ -78,6 +78,7 @@ class RecoveryContext {
   explicit RecoveryContext(VolatileHeap& heap) : heap_(heap) {}
 
   RecoveryResult& result() { return result_; }
+  const RecoveryResult& result() const { return result_; }
 
   // Sizes the OT/PT hash tables up front from the log-size entry estimate —
   // at 10^6 entries the incremental rehashes were ~25% of the cached walk
@@ -88,7 +89,6 @@ class RecoveryContext {
   void ReserveTables(std::size_t entry_estimate) {
     result_.ot.reserve(entry_estimate / 2 + 16);
     result_.pt.reserve(entry_estimate / 4 + 16);
-    RecObs::Get().table_reserve->Set(static_cast<double>(entry_estimate));
   }
 
   // ---- Table updates (first-seen wins: the scan runs newest-to-oldest) ----
@@ -109,9 +109,9 @@ class RecoveryContext {
     return it->second;
   }
 
-  // Parallel shard recovery: workers restore disjoint uid sets into one
+  // Shard workers on their own threads restore disjoint uid sets into one
   // shared heap, so only the heap's object-map accesses need serializing.
-  // Null (the default, serial paths) means no locking at all.
+  // Null (the default, inline recovery) means no locking at all.
   void SetHeapMutex(std::mutex* mu) { heap_mu_ = mu; }
 
   // ---- Version restoration ----
@@ -327,10 +327,10 @@ Status HandleSimpleDataEntry(RecoveryContext& ctx, const DataEntry& entry, LogAd
   return Status::Ok();
 }
 
-// Times Finalize and publishes the post-recovery table sizes and counter
-// mirrors. Shared by every recovery driver.
-Status FinalizeWithMetrics(RecoveryContext& ctx) {
-  const auto start = std::chrono::steady_clock::now();
+// Runs Finalize, records the finalize stage as begun at `start`, and
+// publishes the post-recovery table sizes and counter mirrors. Shared by
+// every recovery driver.
+Status FinalizeWithMetrics(RecoveryContext& ctx, std::chrono::steady_clock::time_point start) {
   Status s = ctx.Finalize();
   const RecObs& m = RecObs::Get();
   m.finalize_ns->Record(ElapsedNs(start));
@@ -349,7 +349,10 @@ Status FinalizeWithMetrics(RecoveryContext& ctx) {
 Result<RecoveryResult> RecoverSimpleLog(const StableLog& log, VolatileHeap& heap) {
   obs::TraceSpan span("recovery.run", log.durable_size());
   RecoveryContext ctx(heap);
-  ctx.ReserveTables(EntryEstimateFromLogSize(log));
+  const std::size_t entry_estimate = EntryEstimateFromLogSize(log);
+  ctx.ReserveTables(entry_estimate);
+  RecObs::Get().table_reserve->Set(static_cast<double>(entry_estimate));
+  ctx.result().last_outcome.push_back(LogAddress::Null());  // the simple log has no chain
   const auto walk_start = std::chrono::steady_clock::now();
 
   StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
@@ -395,7 +398,7 @@ Result<RecoveryResult> RecoverSimpleLog(const StableLog& log, VolatileHeap& heap
   }
   RecObs::Get().walk_apply_ns->Record(ElapsedNs(walk_start));
 
-  Status s = FinalizeWithMetrics(ctx);
+  Status s = FinalizeWithMetrics(ctx, std::chrono::steady_clock::now());
   if (!s.ok()) {
     return s;
   }
@@ -503,9 +506,7 @@ Status HandleHybridPair(RecoveryContext& ctx, const StableLog& log, const UidAdd
   return Status::Ok();
 }
 
-// Applies one chain entry to the recovery tables. This single dispatch is
-// shared by the single-log and sharded drivers, so the two cannot diverge
-// structurally.
+// Applies one chain entry to the recovery tables.
 Status ApplyChainEntry(RecoveryContext& ctx, const StableLog& log, const LogEntry& entry,
                        LogAddress address) {
   Status s = Status::Ok();
@@ -565,173 +566,75 @@ Result<std::optional<LogAddress>> FindChainHead(const StableLog& log, RecoveryCo
   }
 }
 
-}  // namespace
-
-Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap) {
-  obs::TraceSpan span("recovery.run", log.durable_size());
-  RecoveryContext ctx(heap);
-  ctx.ReserveTables(EntryEstimateFromLogSize(log));
-
-  const auto head_start = std::chrono::steady_clock::now();
-  Result<std::optional<LogAddress>> head = FindChainHead(log, ctx);
-  if (!head.ok()) {
-    return head.status();
-  }
-  RecObs::Get().find_head_ns->Record(ElapsedNs(head_start));
-  const auto walk_start = std::chrono::steady_clock::now();
-
-  LogAddress address = head.value().value_or(LogAddress::Null());
-  ctx.result().last_outcome = address;
-  while (!address.is_null()) {
-    Result<LogEntry> entry_or = log.Read(address);
-    if (!entry_or.ok()) {
-      return entry_or.status();
+// Walks `log`'s backward outcome chain from `head` to its oldest entry,
+// handing each decoded entry and its address to `visit`. Ticks
+// entries_examined once per entry read.
+template <typename Visit>
+Status WalkChain(const StableLog& log, LogAddress head, RecoveryContext& ctx, Visit visit) {
+  for (LogAddress address = head; !address.is_null();) {
+    Result<LogEntry> entry = log.Read(address);
+    if (!entry.ok()) {
+      return entry.status();
     }
     ++ctx.result().entries_examined;
-    const LogEntry& entry = entry_or.value();
-    if (!IsOutcomeEntry(entry)) {
+    if (!IsOutcomeEntry(entry.value())) {
       return Status::Corruption("outcome chain points at a data entry");
     }
-    Status s = ApplyChainEntry(ctx, log, entry, address);
-    if (!s.ok()) {
+    if (Status s = visit(entry.value(), address); !s.ok()) {
       return s;
     }
-    address = PrevPointer(entry);
+    address = PrevPointer(entry.value());
   }
-  RecObs::Get().walk_apply_ns->Record(ElapsedNs(walk_start));
-
-  Status s = FinalizeWithMetrics(ctx);
-  if (!s.ok()) {
-    return s;
-  }
-  obs::Emit("recovery.done", ctx.result().entries_examined, ctx.result().data_entries_read);
-  return std::move(ctx.result());
+  return Status::Ok();
 }
 
-namespace {
+// The participant-table half of ApplyChainEntry, with the same first-seen
+// discipline: a decision record always appears after (and is therefore walked
+// before) the prepare record it decides.
+void NoteDecision(RecoveryContext& ctx, const LogEntry& entry) {
+  if (const auto* prepared = std::get_if<PreparedEntry>(&entry)) {
+    ctx.NoteParticipant(prepared->aid, ParticipantState::kPrepared);
+  } else if (const auto* committed = std::get_if<CommittedEntry>(&entry)) {
+    ctx.NoteParticipant(committed->aid, ParticipantState::kCommitted);
+  } else if (const auto* aborted = std::get_if<AbortedEntry>(&entry)) {
+    ctx.NoteParticipant(aborted->aid, ParticipantState::kAborted);
+  } else if (const auto* pd = std::get_if<PreparedDataEntry>(&entry)) {
+    ctx.NoteParticipant(pd->aid, ParticipantState::kPrepared);
+  }
+}
 
-// One outcome entry a shard scan retained for the apply phase.
-struct WalkedEntry {
-  LogEntry entry;
-  LogAddress address = LogAddress::Null();  // the frame the entry was read from
-};
+// One shard's share of a hybrid restart.
+struct ShardRecovery {
+  explicit ShardRecovery(VolatileHeap& heap) : ctx(heap) {}
 
-// Phase A output for one shard: the retained chain plus this shard's view of
-// the participant/coordinator tables.
-struct ShardScan {
-  Status status = Status::Ok();
+  RecoveryContext ctx;
   LogAddress head = LogAddress::Null();
-  std::vector<WalkedEntry> chain;  // newest -> oldest, outcome entries only
-  ParticipantTable pt;          // first-seen fragment (decided entries win)
-  CoordinatorTable ct;
-  std::uint64_t entries_examined = 0;
-  std::uint64_t scan_ns = 0;
+  std::uint64_t scan_ns = 0;  // head find plus decision pass
+  std::uint64_t walk_ns = 0;
 };
 
-// Phase A: walk one shard's backward chain, retaining decoded entries and the
-// PT/CT fragment. Touches the log only — never the heap.
-ShardScan ScanShardChain(const StableLog& log, std::size_t entry_estimate) {
-  const auto start = std::chrono::steady_clock::now();
-  ShardScan scan;
-  scan.pt.reserve(entry_estimate / 4 + 16);
-
-  // Find the chain head (newest outcome entry past any unforced data tail).
-  LogAddress address = LogAddress::Null();
-  {
-    StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
-    while (true) {
-      Result<std::optional<std::pair<LogAddress, LogEntry>>> next = cursor.Next();
-      if (!next.ok()) {
-        scan.status = next.status();
-        scan.scan_ns = ElapsedNs(start);
-        return scan;
-      }
-      if (!next.value().has_value()) {
-        break;
-      }
-      ++scan.entries_examined;
-      if (IsOutcomeEntry(next.value()->second)) {
-        address = next.value()->first;
-        break;
-      }
-    }
-  }
-  scan.head = address;
-
-  while (!address.is_null()) {
-    const LogAddress self_address = address;
-    Result<LogEntry> entry_or = log.Read(address);
-    if (!entry_or.ok()) {
-      scan.status = entry_or.status();
-      break;
-    }
-    ++scan.entries_examined;
-    LogEntry entry = std::move(entry_or).value();
-    if (!IsOutcomeEntry(entry)) {
-      scan.status = Status::Corruption("outcome chain points at a data entry");
-      break;
-    }
-    // First-seen-wins PT fragment, identical emplace discipline to the serial
-    // walk: a decision record always appears after (and is therefore walked
-    // before) the prepare record it decides.
-    if (const auto* prepared = std::get_if<PreparedEntry>(&entry)) {
-      scan.pt.emplace(prepared->aid, ParticipantState::kPrepared);
-    } else if (const auto* committed = std::get_if<CommittedEntry>(&entry)) {
-      scan.pt.emplace(committed->aid, ParticipantState::kCommitted);
-    } else if (const auto* aborted = std::get_if<AbortedEntry>(&entry)) {
-      scan.pt.emplace(aborted->aid, ParticipantState::kAborted);
-    } else if (const auto* committing = std::get_if<CommittingEntry>(&entry)) {
-      scan.ct.emplace(committing->aid, CoordinatorTableEntry{CoordinatorPhase::kCommitting,
-                                                             committing->participants});
-    } else if (const auto* done = std::get_if<DoneEntry>(&entry)) {
-      scan.ct.emplace(done->aid, CoordinatorTableEntry{CoordinatorPhase::kDone, {}});
-    } else if (const auto* pd = std::get_if<PreparedDataEntry>(&entry)) {
-      scan.pt.emplace(pd->aid, ParticipantState::kPrepared);
-    }
-    address = PrevPointer(entry);
-    scan.chain.push_back(WalkedEntry{std::move(entry), self_address});
-  }
-  scan.scan_ns = ElapsedNs(start);
-  return scan;
-}
-
-// Runs `task(shard)` for every shard index. workers == 0 runs inline in
-// ascending order; otherwise min(workers, shards) threads pull indices from a
-// shared counter. Per-shard tasks are independent, so both schedules compute
-// the same per-shard outputs.
-void ForEachShard(std::size_t shard_count, std::size_t workers,
-                  const std::function<void(std::size_t)>& task) {
-  if (workers == 0 || shard_count <= 1) {
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      task(i);
-    }
-    return;
-  }
+// Runs `task(shard)` for every shard index and returns the lowest-index
+// shard's error, so every schedule surfaces the same failure. With fewer than
+// two workers the shards run inline in ascending order; otherwise
+// min(workers, shards) threads pull indices from a shared counter. Per-shard
+// tasks are independent, so every schedule computes the same outputs.
+Status RunPerShard(std::size_t shard_count, std::size_t workers,
+                   const std::function<Status(std::size_t)>& task) {
+  std::vector<Status> statuses(shard_count, Status::Ok());
   std::atomic<std::size_t> next{0};
   auto drain = [&] {
-    while (true) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= shard_count) {
-        return;
-      }
-      task(i);
+    for (std::size_t i = next.fetch_add(1); i < shard_count; i = next.fetch_add(1)) {
+      statuses[i] = task(i);
     }
   };
   std::vector<std::thread> threads;
-  std::size_t n = std::min(workers, shard_count);
-  threads.reserve(n - 1);
-  for (std::size_t t = 1; t < n; ++t) {
+  for (std::size_t t = 1; t < std::min(workers, shard_count); ++t) {
     threads.emplace_back(drain);
   }
   drain();
   for (std::thread& t : threads) {
     t.join();
   }
-}
-
-// The lowest-index shard error, so serial and parallel schedules surface the
-// same failure.
-Status FirstShardError(const std::vector<Status>& statuses) {
   for (const Status& s : statuses) {
     if (!s.ok()) {
       return s;
@@ -740,140 +643,168 @@ Status FirstShardError(const std::vector<Status>& statuses) {
   return Status::Ok();
 }
 
+// Merges the shards' participant fragments decided-wins and seeds every
+// shard's walk with the result. A prepare fragment on one shard is subsumed by
+// the decision record on the action's home shard; the two-phase commit force
+// protocol (LogWriter) makes that record durable only after every shard's
+// prepare fragment is, so two *conflicting* decisions are corruption.
+Status MergeDecisions(std::vector<ShardRecovery>& shards) {
+  ParticipantTable merged;
+  std::size_t estimate = 16;
+  for (const ShardRecovery& shard : shards) {
+    estimate += shard.ctx.result().pt.size();
+  }
+  merged.reserve(estimate);
+  for (const ShardRecovery& shard : shards) {
+    for (const auto& [aid, state] : shard.ctx.result().pt) {
+      auto [it, inserted] = merged.emplace(aid, state);
+      if (inserted || it->second == state) {
+        continue;
+      }
+      if (it->second == ParticipantState::kPrepared) {
+        it->second = state;
+      } else if (state != ParticipantState::kPrepared) {
+        return Status::Corruption("conflicting outcomes across shards for " + to_string(aid));
+      }
+    }
+  }
+  for (ShardRecovery& shard : shards) {
+    shard.ctx.result().pt = merged;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
-Result<ShardedRecoveryResult> RecoverShardedHybridLog(std::span<StableLog* const> shards,
-                                                      VolatileHeap& heap,
-                                                      const ShardedRecoveryOptions& options) {
-  ARGUS_CHECK(!shards.empty());
+Result<RecoveryResult> RecoverHybridLog(std::span<const StableLog* const> logs,
+                                        VolatileHeap& heap, std::size_t workers) {
+  ARGUS_CHECK(!logs.empty());
+  const std::size_t n = logs.size();
   std::uint64_t total_durable = 0;
-  for (StableLog* log : shards) {
+  std::size_t entry_estimate = 0;
+  for (const StableLog* log : logs) {
     ARGUS_CHECK(log != nullptr);
     total_durable += log->durable_size();
+    entry_estimate += EntryEstimateFromLogSize(*log);
   }
-  obs::TraceSpan span("recovery.sharded_run", total_durable);
-  const std::size_t n = shards.size();
+  obs::TraceSpan span("recovery.run", total_durable);
+  const RecObs& m = RecObs::Get();
+  m.table_reserve->Set(static_cast<double>(entry_estimate));
 
-  // ---- Phase A: per-shard chain scans ----
-  std::vector<ShardScan> scans(n);
-  ForEachShard(n, options.workers, [&](std::size_t i) {
-    scans[i] = ScanShardChain(*shards[i], EntryEstimateFromLogSize(*shards[i]));
-  });
-  {
-    std::vector<Status> statuses;
-    statuses.reserve(n);
-    for (const ShardScan& scan : scans) {
-      statuses.push_back(scan.status);
+  // Worker threads restore disjoint uid sets into the one heap, so only its
+  // object-map accesses need serializing.
+  std::mutex heap_mu;
+  std::vector<ShardRecovery> shards;
+  shards.reserve(n);
+  for (const StableLog* log : logs) {
+    shards.emplace_back(heap);
+    shards.back().ctx.ReserveTables(EntryEstimateFromLogSize(*log));
+    if (std::min(workers, n) > 1) {
+      shards.back().ctx.SetHeapMutex(&heap_mu);
     }
-    if (Status s = FirstShardError(statuses); !s.ok()) {
+  }
+
+  const auto head_start = std::chrono::steady_clock::now();
+  Status s = RunPerShard(n, workers, [&](std::size_t i) -> Status {
+    const auto start = std::chrono::steady_clock::now();
+    Result<std::optional<LogAddress>> head = FindChainHead(*logs[i], shards[i].ctx);
+    shards[i].scan_ns = ElapsedNs(start);
+    if (!head.ok()) {
+      return head.status();
+    }
+    shards[i].head = head.value().value_or(LogAddress::Null());
+    return Status::Ok();
+  });
+  if (!s.ok()) {
+    return s;
+  }
+  m.find_head_ns->Record(ElapsedNs(head_start));
+
+  const auto walk_start = std::chrono::steady_clock::now();
+  if (n > 1) {
+    // The decision pass: an action's prepare fragments and its decision
+    // record can sit on different shards, so every chain's PT fragment is
+    // collected and merged before any shard restores a version.
+    s = RunPerShard(n, workers, [&](std::size_t i) -> Status {
+      const auto start = std::chrono::steady_clock::now();
+      RecoveryContext& ctx = shards[i].ctx;
+      Status st = WalkChain(*logs[i], shards[i].head, ctx,
+                            [&ctx](const LogEntry& entry, LogAddress) {
+                              NoteDecision(ctx, entry);
+                              return Status::Ok();
+                            });
+      shards[i].scan_ns += ElapsedNs(start);
+      return st;
+    });
+    if (!s.ok()) {
+      return s;
+    }
+    if (s = MergeDecisions(shards); !s.ok()) {
       return s;
     }
   }
-
-  // ---- Merge the participant/coordinator fragments ----
-  ParticipantTable merged_pt;
-  CoordinatorTable merged_ct;
-  {
-    std::size_t pt_estimate = 16;
-    for (const ShardScan& scan : scans) {
-      pt_estimate += scan.pt.size();
-    }
-    merged_pt.reserve(pt_estimate);
-    for (const ShardScan& scan : scans) {
-      for (const auto& [aid, state] : scan.pt) {
-        auto [it, inserted] = merged_pt.emplace(aid, state);
-        if (inserted || it->second == state) {
-          continue;
-        }
-        // A prepare fragment on one shard is subsumed by the decision record
-        // on the action's home shard. Two different decisions cannot both be
-        // durable for one action.
-        if (it->second == ParticipantState::kPrepared) {
-          it->second = state;
-        } else if (state != ParticipantState::kPrepared) {
-          return Status::Corruption("conflicting outcomes across shards for " + to_string(aid));
-        }
-      }
-      for (const auto& [aid, entry] : scan.ct) {
-        merged_ct.emplace(aid, entry);
-      }
-    }
-  }
-
-  // ---- Phase B: per-shard version restoration against the merged PT ----
-  std::mutex heap_mu;
-  std::vector<std::unique_ptr<RecoveryContext>> contexts(n);
-  std::vector<Status> apply_statuses(n, Status::Ok());
-  std::vector<std::uint64_t> apply_ns(n, 0);
-  const bool parallel = options.workers > 0 && n > 1;
-  ForEachShard(n, options.workers, [&](std::size_t i) {
+  s = RunPerShard(n, workers, [&](std::size_t i) -> Status {
     const auto start = std::chrono::steady_clock::now();
-    contexts[i] = std::make_unique<RecoveryContext>(heap);
-    RecoveryContext& ctx = *contexts[i];
-    if (parallel) {
-      ctx.SetHeapMutex(&heap_mu);
-    }
-    ctx.result().ot.reserve(EntryEstimateFromLogSize(*shards[i]) / 2 + 16);
-    ctx.result().pt = merged_pt;
-    for (const WalkedEntry& walked : scans[i].chain) {
-      Status s = ApplyChainEntry(ctx, *shards[i], walked.entry, walked.address);
-      if (!s.ok()) {
-        apply_statuses[i] = std::move(s);
-        break;
-      }
-    }
-    apply_ns[i] = ElapsedNs(start);
+    RecoveryContext& ctx = shards[i].ctx;
+    const StableLog& log = *logs[i];
+    Status st = WalkChain(log, shards[i].head, ctx, [&](const LogEntry& entry, LogAddress address) {
+      return ApplyChainEntry(ctx, log, entry, address);
+    });
+    shards[i].walk_ns = ElapsedNs(start);
+    return st;
   });
-  if (Status s = FirstShardError(apply_statuses); !s.ok()) {
+  if (!s.ok()) {
     return s;
   }
+  m.walk_apply_ns->Record(ElapsedNs(walk_start));
 
-  // Per-shard timings and sizes, published from the driver thread only.
+  // Per-shard timings and sizes, published from the recovering thread only.
   for (std::size_t i = 0; i < n; ++i) {
     const std::string shard = std::to_string(i);
+    const RecoveryResult& r = shards[i].ctx.result();
     obs::GetHistogram(obs::Labeled("recovery.shard.scan_ns", {{"shard", shard}}))
-        ->Record(scans[i].scan_ns);
+        ->Record(shards[i].scan_ns);
     obs::GetHistogram(obs::Labeled("recovery.shard.apply_ns", {{"shard", shard}}))
-        ->Record(apply_ns[i]);
+        ->Record(shards[i].walk_ns);
     obs::GetCounter(obs::Labeled("recovery.shard.entries_examined", {{"shard", shard}}))
-        ->Add(scans[i].entries_examined);
+        ->Add(r.entries_examined);
     obs::GetCounter(obs::Labeled("recovery.shard.data_entries_read", {{"shard", shard}}))
-        ->Add(contexts[i]->result().data_entries_read);
+        ->Add(r.data_entries_read);
   }
 
-  // ---- Merge the shard tables and finalize globally ----
-  ShardedRecoveryResult out;
-  RecoveryContext final_ctx(heap);
-  RecoveryResult& merged = final_ctx.result();
-  {
-    std::size_t ot_estimate = 16;
-    for (const auto& ctx : contexts) {
-      ot_estimate += ctx->result().ot.size();
-    }
-    merged.ot.reserve(ot_estimate);
-  }
-  merged.pt = std::move(merged_pt);
-  merged.ct = std::move(merged_ct);
-  for (std::size_t i = 0; i < n; ++i) {
-    RecoveryResult& r = contexts[i]->result();
-    for (auto& [uid, entry] : r.ot) {
-      auto [it, inserted] = merged.ot.emplace(uid, entry);
-      if (!inserted) {
+  // Fold the other shards into shard 0's tables: the OT is a disjoint union
+  // (the shard map routes each uid to exactly one shard), the CT a union
+  // (outcome records live only on an action's home shard), and every PT
+  // already holds the merged decisions.
+  const auto finalize_start = std::chrono::steady_clock::now();
+  RecoveryContext& ctx = shards[0].ctx;
+  RecoveryResult& merged = ctx.result();
+  for (std::size_t i = 1; i < n; ++i) {
+    RecoveryResult& r = shards[i].ctx.result();
+    for (const auto& [uid, entry] : r.ot) {
+      if (!merged.ot.emplace(uid, entry).second) {
         return Status::Corruption("object " + to_string(uid) + " recovered on multiple shards");
       }
     }
-    merged.entries_examined += scans[i].entries_examined;
+    for (auto& [aid, entry] : r.ct) {
+      merged.ct.emplace(aid, std::move(entry));
+    }
+    merged.entries_examined += r.entries_examined;
     merged.data_entries_read += r.data_entries_read;
-    out.shard_last_outcomes.push_back(scans[i].head);
   }
-  merged.last_outcome = out.shard_last_outcomes[0];
-
-  if (Status s = FinalizeWithMetrics(final_ctx); !s.ok()) {
+  for (const ShardRecovery& shard : shards) {
+    merged.last_outcome.push_back(shard.head);
+  }
+  if (s = FinalizeWithMetrics(ctx, finalize_start); !s.ok()) {
     return s;
   }
-  obs::Emit("recovery.sharded_done", merged.entries_examined, merged.data_entries_read, n);
-  out.merged = std::move(merged);
-  return out;
+  obs::Emit("recovery.done", merged.entries_examined, merged.data_entries_read);
+  return std::move(merged);
+}
+
+Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap) {
+  const StableLog* const one = &log;
+  return RecoverHybridLog(std::span<const StableLog* const>(&one, 1), heap);
 }
 
 }  // namespace argus

@@ -5,9 +5,33 @@
 // Both algorithms reconstruct the guardian's stable state into a fresh heap
 // and return the OT/PT/CT tables that the Argus system uses to resume
 // participants and coordinators (§2.3 item 6).
+//
+// A hybrid guardian's stable state may be partitioned across N log shards
+// (src/stable/shard_map.h); the one-log guardian is the N = 1 case of the same
+// driver. Every entry for an object lives on that object's shard, so each
+// shard's chain restores a disjoint uid subset, but an action's decision
+// record lives only on its home shard while its prepare fragments sit on every
+// shard it touched. The driver therefore runs:
+//
+//  1. Head find: one backward scan per shard for its newest outcome entry.
+//  2. Decision pass (N > 1 only): walk every chain noting participant states
+//     and restoring nothing, then merge the fragments decided-wins — the
+//     two-phase commit force protocol (LogWriter) makes a decision record
+//     durable only after every prepare fragment it decides, so a decided state
+//     always dominates, and two conflicting decisions are corruption.
+//  3. Walk: the one chain walk that restores versions (ApplyChainEntry), per
+//     shard, seeded with the merged participant table when N > 1.
+//  4. Finalize: the disjoint union of the shards' tables, then one uid-ref
+//     resolution, AS traversal and MT rebuild.
+//
+// Each step runs per shard, inline or on worker threads; every schedule
+// produces bit-identical results (the shard equivalence test pins this).
 
 #ifndef SRC_RECOVERY_RECOVERY_ALGORITHMS_H_
 #define SRC_RECOVERY_RECOVERY_ALGORITHMS_H_
+
+#include <span>
+#include <vector>
 
 #include "src/log/stable_log.h"
 #include "src/object/heap.h"
@@ -21,7 +45,9 @@ struct RecoveryResult {
   CoordinatorTable ct;
   MutexTable mt;            // rebuilt per §5.2 (latest prepared mutex versions)
   AccessibilitySet as;      // rebuilt by traversal (§3.4.1 step 4)
-  LogAddress last_outcome = LogAddress::Null();  // chain head (hybrid)
+  // One chain head per log, in shard order, for re-priming the writer's
+  // chains; Null for an empty chain and for the simple log.
+  std::vector<LogAddress> last_outcome;
   std::uint64_t entries_examined = 0;   // log entries touched
   std::uint64_t data_entries_read = 0;  // data entries dereferenced (hybrid)
 };
@@ -30,56 +56,16 @@ struct RecoveryResult {
 // data and outcome entry.
 Result<RecoveryResult> RecoverSimpleLog(const StableLog& log, VolatileHeap& heap);
 
-// Chapter 4: walks only the backward chain of outcome entries, dereferencing
-// <uid, log address> pairs just when a version must actually be copied. The
-// walk is a pointer chase — each outcome entry holds the `prev` pointer to
-// the next (§4.3) — so it runs on the calling thread, one entry at a time,
-// through the log's block cache.
+// Chapter 4 over a guardian's hybrid log shards, in shard-map order: walks
+// only the backward chains of outcome entries, dereferencing
+// <uid, log address> pairs just when a version must actually be copied. Each
+// walk is a pointer chase through the log's block cache. `workers` >= 2 runs
+// the per-shard steps on min(workers, shards) threads; fewer run them inline.
+Result<RecoveryResult> RecoverHybridLog(std::span<const StableLog* const> logs,
+                                        VolatileHeap& heap, std::size_t workers = 0);
+
+// The one-log guardian: RecoverHybridLog over a single shard.
 Result<RecoveryResult> RecoverHybridLog(const StableLog& log, VolatileHeap& heap);
-
-// ---- Sharded recovery (N hybrid logs per guardian) ----
-
-struct ShardedRecoveryOptions {
-  // Concurrent shard workers. 0 recovers the shards one after another on the
-  // calling thread; W >= 1 runs min(W, shards) worker threads. Both schedules
-  // produce bit-identical results (the shard equivalence test pins this).
-  std::size_t workers = 0;
-};
-
-struct ShardedRecoveryResult {
-  // The merged tables: OT is the disjoint union over shards (the shard map
-  // routes each uid to exactly one shard), the PT is merged decided-wins, the
-  // CT is the union (outcome records live only on an action's home shard).
-  // `merged.last_outcome` is shard 0's chain head.
-  RecoveryResult merged;
-  // Each shard's chain head, for re-priming the writer's per-shard chains.
-  std::vector<LogAddress> shard_last_outcomes;
-};
-
-// Recovers a guardian whose stable state is partitioned across `shards` logs
-// (see src/stable/shard_map.h for the routing). Runs in two phases:
-//
-//  Phase A (per shard, parallelizable): walk the shard's backward outcome
-//  chain, retaining the decoded entries and collecting the shard's PT/CT
-//  fragment. No heap access.
-//
-//  Merge: combine the PT fragments decided-wins. A prepare fragment on shard
-//  s says only "aid prepared"; the commit/abort record lives on the action's
-//  home shard, and the two-phase commit force protocol (LogWriter) guarantees
-//  the decision record is durable only if every shard's prepare fragment is —
-//  so a decided state always dominates, and two *conflicting* decisions are
-//  corruption.
-//
-//  Phase B (per shard, parallelizable): apply the retained chain entries in
-//  chain order against a context seeded with the merged PT, restoring this
-//  shard's objects. Uids are disjoint across shards, so workers share the
-//  heap behind a narrow allocation mutex and never touch the same object.
-//
-// followed by a single global finalize (uid-ref resolution, AS traversal, MT
-// rebuild) over the merged tables.
-Result<ShardedRecoveryResult> RecoverShardedHybridLog(std::span<StableLog* const> shards,
-                                                      VolatileHeap& heap,
-                                                      const ShardedRecoveryOptions& options = {});
 
 }  // namespace argus
 

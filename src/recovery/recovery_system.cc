@@ -31,8 +31,7 @@ void RecoverySystem::InitWriterAndCoordinators() {
   for (const auto& log : logs_) {
     raw.push_back(log.get());
   }
-  writer_ = std::make_unique<LogWriter>(config_.mode, std::move(raw), heap_,
-                                        router_.get());
+  writer_ = std::make_unique<LogWriter>(config_.mode, std::move(raw), heap_, router_);
   if (config_.group_commit.has_value()) {
     std::vector<FlushCoordinator*> attached;
     attached.reserve(logs_.size());
@@ -55,11 +54,14 @@ void RecoverySystem::InitResidency() {
     raw.push_back(log.get());
   }
   residency_ =
-      std::make_unique<ResidencyManager>(heap_, std::move(raw), router_.get(), config_.residency);
+      std::make_unique<ResidencyManager>(heap_, std::move(raw), router_, config_.residency);
 }
 
 RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap)
-    : config_(std::move(config)), heap_(heap) {
+    : config_(std::move(config)),
+      heap_(heap),
+      router_(ShardMapRecord{
+          .num_shards = config_.log_shards, .salt = config_.shard_salt, .overrides = {}}) {
   ARGUS_CHECK(heap_ != nullptr);
   ARGUS_CHECK(config_.medium_factory != nullptr);
   ARGUS_CHECK(config_.log_shards >= 1);
@@ -69,13 +71,8 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap)
     // any shard log exists: recovery must be able to rebuild the routing
     // before it can find anything else.
     shard_map_ = std::make_unique<ShardMapStore>(config_.medium_factory());
-    ShardMapRecord record;
-    record.version = 0;
-    record.num_shards = config_.log_shards;
-    record.salt = config_.shard_salt;
-    Status s = shard_map_->Put(record);
+    Status s = shard_map_->Put(router_.record());
     ARGUS_CHECK_MSG(s.ok(), "shard map creation write failed");
-    router_ = std::make_unique<ShardRouter>(record);
   }
   for (std::uint32_t i = 0; i < config_.log_shards; ++i) {
     logs_.push_back(std::make_unique<StableLog>(config_.medium_factory()));
@@ -102,15 +99,15 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
     : config_(std::move(config)),
       heap_(heap),
       logs_(std::move(surviving.logs)),
-      shard_map_(std::move(surviving.shard_map)) {
+      shard_map_(std::move(surviving.shard_map)),
+      router_(ShardMapRecord{}) {
   ARGUS_CHECK(heap_ != nullptr);
   ARGUS_CHECK(config_.medium_factory != nullptr);
   ARGUS_CHECK(!logs_.empty());
   for (const auto& log : logs_) {
     ARGUS_CHECK(log != nullptr);
   }
-  if (logs_.size() > 1) {
-    ARGUS_CHECK(shard_map_ != nullptr);
+  if (shard_map_ != nullptr) {
     // The routing is durable state: recover it first. A failure here leaves
     // the writer unconstructed; Recover() reports the error and the caller
     // can reclaim the surviving state and retry (e.g. after healing faults).
@@ -126,7 +123,7 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
                                            " logs survived");
       return;
     }
-    router_ = std::make_unique<ShardRouter>(std::move(record).value());
+    router_ = ShardRouter(std::move(record).value());
   }
   InitWriterAndCoordinators();
   StartRepairServices();
@@ -137,58 +134,32 @@ Result<RecoveryInfo> RecoverySystem::Recover() {
   if (!deferred_error_.ok()) {
     return deferred_error_;
   }
+  std::vector<const StableLog*> shards;
+  shards.reserve(logs_.size());
   for (const auto& log : logs_) {
     Result<std::uint64_t> recovered = log->RecoverAfterCrash();
     if (!recovered.ok()) {
       return recovered.status();
     }
+    shards.push_back(log.get());
   }
 
-  RecoveryResult r;
-  if (logs_.size() > 1) {
-    ShardedRecoveryOptions options;
-    options.workers = config_.shard_recovery_workers == 0
-                          ? logs_.size()
-                          : std::min(config_.shard_recovery_workers, logs_.size());
-    std::vector<StableLog*> raw;
-    raw.reserve(logs_.size());
-    for (const auto& log : logs_) {
-      raw.push_back(log.get());
-    }
-    Result<ShardedRecoveryResult> sharded =
-        RecoverShardedHybridLog(std::span<StableLog* const>(raw.data(), raw.size()),
-                                *heap_, options);
-    if (!sharded.ok()) {
-      return sharded.status();
-    }
-    r = std::move(sharded.value().merged);
-
-    PreparedActionsTable pat;
-    for (const auto& [aid, state] : r.pt) {
-      if (state == ParticipantState::kPrepared) {
-        pat.insert(aid);
-      }
-    }
-    writer_->RestoreStateSharded(r.as, std::move(pat), r.mt,
-                                 std::move(sharded.value().shard_last_outcomes));
-  } else {
-    Result<RecoveryResult> result = config_.mode == LogMode::kSimple
-                                        ? RecoverSimpleLog(*logs_[0], *heap_)
-                                        : RecoverHybridLog(*logs_[0], *heap_);
-    if (!result.ok()) {
-      return result.status();
-    }
-    r = std::move(result).value();
-
-    // Prime the writer: the PAT is the prepared subset of the PT.
-    PreparedActionsTable pat;
-    for (const auto& [aid, state] : r.pt) {
-      if (state == ParticipantState::kPrepared) {
-        pat.insert(aid);
-      }
-    }
-    writer_->RestoreState(r.as, std::move(pat), r.mt, r.last_outcome);
+  Result<RecoveryResult> result = config_.mode == LogMode::kSimple
+                                      ? RecoverSimpleLog(*logs_[0], *heap_)
+                                      : RecoverHybridLog(shards, *heap_, shards.size());
+  if (!result.ok()) {
+    return result.status();
   }
+  RecoveryResult& r = result.value();
+
+  // Prime the writer: the PAT is the prepared subset of the PT.
+  PreparedActionsTable pat;
+  for (const auto& [aid, state] : r.pt) {
+    if (state == ParticipantState::kPrepared) {
+      pat.insert(aid);
+    }
+  }
+  writer_->RestoreState(r.as, std::move(pat), r.mt, std::move(r.last_outcome));
 
   std::map<ActionId, std::vector<GuardianId>> open;
   for (const auto& [aid, entry] : r.ct) {
@@ -224,6 +195,41 @@ Result<RecoveryInfo> RecoverySystem::Recover() {
   }
   obs::GetCounter("recovery.in_doubt_actions")->Add(info.in_doubt_actions);
   return info;
+}
+
+Result<LogAddress> RecoverySystem::StagePrepare(ActionId aid, const ModifiedObjectsSet& mos) {
+  ARGUS_CHECK(logs_.size() == 1);
+  Result<StagedOutcome> staged = writer_->StagePrepareSharded(aid, mos);
+  if (!staged.ok()) {
+    return staged.status();
+  }
+  return staged.value().marks.front().address;
+}
+
+Result<LogAddress> RecoverySystem::StageCommit(ActionId aid) {
+  ARGUS_CHECK(logs_.size() == 1);
+  Result<StagedOutcome> staged = writer_->StageCommitSharded(aid);
+  if (!staged.ok()) {
+    return staged.status();
+  }
+  return staged.value().marks.front().address;
+}
+
+Result<std::optional<LogAddress>> RecoverySystem::StageAbort(ActionId aid) {
+  ARGUS_CHECK(logs_.size() == 1);
+  Result<StagedOutcome> staged = writer_->StageAbortSharded(aid);
+  if (!staged.ok()) {
+    return staged.status();
+  }
+  if (staged.value().empty()) {
+    return std::optional<LogAddress>(std::nullopt);
+  }
+  return std::optional<LogAddress>(staged.value().marks.front().address);
+}
+
+Status RecoverySystem::WaitDurable(LogAddress address, std::uint64_t epoch) {
+  ARGUS_CHECK(logs_.size() == 1);
+  return writer_->WaitDurable(StagedOutcome{{StagedMark{0, address, epoch}}});
 }
 
 void RecoverySystem::CrashCoordinators() {
@@ -357,7 +363,7 @@ Status RecoverySystem::CompleteCheckpointSwap(std::unique_ptr<CheckpointBuilder>
   StopRepairServices();
   retired_log_ = std::move(logs_[0]);
   logs_[0] = std::move(hk.new_log);
-  writer_->RebindLog(logs_[0].get());
+  writer_->RebindLog(0, logs_[0].get());
   if (coordinator() != nullptr) {
     coordinator()->RebindLog(logs_[0].get());
   }
@@ -391,7 +397,7 @@ Status RecoverySystem::CompleteCheckpointSwap(std::unique_ptr<CheckpointBuilder>
   // capture were carried into the new log by stage 2. The MT is the
   // checkpoint's — stage 2 re-pointed post-capture mutex versions too.
   writer_->RestoreState(std::move(as), writer_->prepared_actions(), std::move(hk.new_mt),
-                        hk.new_last_outcome);
+                        {hk.new_last_outcome});
   if (swap_crash_hook_ && !swap_crash_hook_("swapped", 0)) {
     return Status::IoError("injected crash after swap");
   }

@@ -12,13 +12,16 @@
 // state (TakeSurvivingState() from the dead incarnation), builds a fresh
 // heap, constructs a new RecoverySystem around both, and calls Recover().
 //
-// Sharded mode (log_shards > 1, hybrid only): the guardian's stable state is
-// partitioned across N logs by a durable shard map (src/stable/shard_map.h),
-// recovered before any log is read. Each shard gets its own FlushCoordinator
-// force queue when group commit is configured, and recovery runs the
-// per-shard parallel algorithm (RecoverShardedHybridLog). Housekeeping /
-// checkpointing is not yet supported with shards (it returns InvalidArgument)
-// — the swap barrier would need to quiesce every shard epoch at once.
+// Shards: a hybrid guardian's stable state is partitioned across
+// config.log_shards logs by a ShardRouter; the classic one-log guardian is the
+// one-shard case of the same code. Each shard gets its own FlushCoordinator
+// force queue when group commit is configured, and Recover() recovers the
+// shards with one worker each (RecoverHybridLog). With more than one shard the
+// routing is durable state (a shard map, src/stable/shard_map.h) recovered
+// before any log is read; one shard needs no map, since every uid and action
+// routes to shard 0. Housekeeping / checkpointing is not yet supported with
+// more than one shard (it returns InvalidArgument) — the swap barrier would
+// need to quiesce every shard epoch at once.
 
 #ifndef SRC_RECOVERY_RECOVERY_SYSTEM_H_
 #define SRC_RECOVERY_RECOVERY_SYSTEM_H_
@@ -40,23 +43,21 @@ namespace argus {
 struct RecoverySystemConfig {
   LogMode mode = LogMode::kHybrid;
   // Creates the stable medium for a fresh log (initial creation and each
-  // housekeeping swap). In sharded mode it is called once per shard, plus
-  // once for the shard map's own medium.
+  // housekeeping swap): once per shard, plus once for the shard map's own
+  // medium when there is more than one shard.
   std::function<std::unique_ptr<StableMedium>()> medium_factory;
   // When set, a FlushCoordinator coalesces concurrent force requests into
   // shared physical flushes (group commit). Without it every Prepare/Commit/
-  // Abort forces the log directly, as before. Sharded mode creates one
-  // coordinator per shard — N independent force queues.
+  // Abort forces the log directly, as before. Each shard gets its own
+  // coordinator — N independent force queues.
   std::optional<FlushCoordinatorConfig> group_commit;
 
-  // ---- Sharding (hybrid only) ----
+  // ---- Sharding (more than one shard requires the hybrid log) ----
   // Number of log shards. 1 is the classic single-log guardian.
   std::uint32_t log_shards = 1;
   // Salt for the shard map's routing hash (fresh guardians only; restarts
   // recover the salt from the durable map).
   std::uint64_t shard_salt = 0;
-  // Concurrent shard recovery workers: 0 = one worker per shard.
-  std::size_t shard_recovery_workers = 0;
 
   // ---- Replicated stable storage ----
   // Replica count the medium factory is expected to build (N-way
@@ -95,19 +96,20 @@ struct RecoveryInfo {
 
 class RecoverySystem {
  public:
-  // The stable state that survives a crash: the log shards plus (sharded
-  // mode) the shard map store. For a single-shard guardian `shard_map` is
-  // null and `logs` has one element.
+  // The stable state that survives a crash: the log shards plus, with more
+  // than one shard, the shard map store. For a one-log guardian `shard_map`
+  // is null and `logs` has one element.
   struct SurvivingState {
     std::vector<std::unique_ptr<StableLog>> logs;
     std::unique_ptr<ShardMapStore> shard_map;
   };
 
-  // Fresh guardian: creates empty log(s) (and the shard map in sharded mode).
+  // Fresh guardian: creates empty log(s), and the shard map when there is more
+  // than one shard.
   RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap);
 
-  // Restart after a crash: adopts the surviving single log. Call Recover()
-  // next. Single-shard only.
+  // Restart after a crash: adopts the surviving log of a one-log guardian.
+  // Call Recover() next.
   RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
                  std::unique_ptr<StableLog> log);
 
@@ -133,24 +135,11 @@ class RecoverySystem {
   Status Done(ActionId aid) { return writer_->Done(aid); }
 
   // ---- Stage/force split (group commit, see LogWriter) ----
-
-  Result<LogAddress> StagePrepare(ActionId aid, const ModifiedObjectsSet& mos) {
-    return writer_->StagePrepare(aid, mos);
-  }
-  Result<LogAddress> StageCommit(ActionId aid) { return writer_->StageCommit(aid); }
-  Result<std::optional<LogAddress>> StageAbort(ActionId aid) { return writer_->StageAbort(aid); }
-  Status WaitDurable(LogAddress address) { return writer_->WaitDurable(address); }
-  // Epoch-checked variant for callers racing an online log swap (see
-  // LogWriter::WaitDurable). Read durability_epoch() in the same critical
-  // section as the Stage* call, wait outside it.
-  Status WaitDurable(LogAddress address, std::uint64_t epoch) {
-    return writer_->WaitDurable(address, epoch);
-  }
-  std::uint64_t durability_epoch() const { return writer_->durability_epoch(); }
-
-  // Sharded stage/force: a prepare stages marks on every touched shard; the
-  // caller must WaitDurable those marks BEFORE StageCommitSharded (the
-  // cross-shard commit atomicity protocol — see LogWriter).
+  //
+  // A prepare stages marks on every touched shard; the caller must
+  // WaitDurable the marks off the action's home shard BEFORE
+  // StageCommitSharded (the cross-shard commit atomicity protocol — see
+  // LogWriter).
   Result<StagedOutcome> StagePrepareSharded(ActionId aid, const ModifiedObjectsSet& mos) {
     return writer_->StagePrepareSharded(aid, mos);
   }
@@ -161,6 +150,21 @@ class RecoverySystem {
     return writer_->StageAbortSharded(aid);
   }
   Status WaitDurable(const StagedOutcome& staged) { return writer_->WaitDurable(staged); }
+
+  // One-log forms of the calls above: the address names a frame of the one
+  // log. WaitDurable(address, epoch) is for callers racing an online log
+  // swap: read durability_epoch() in the same critical section as the Stage*
+  // call, wait outside it (see LogWriter::WaitDurable).
+  Result<LogAddress> StagePrepare(ActionId aid, const ModifiedObjectsSet& mos);
+  Result<LogAddress> StageCommit(ActionId aid);
+  // nullopt when nothing was staged (the action never prepared, §2.2.3).
+  Result<std::optional<LogAddress>> StageAbort(ActionId aid);
+  Status WaitDurable(LogAddress address, std::uint64_t epoch);
+  Status WaitDurable(LogAddress address) { return WaitDurable(address, durability_epoch()); }
+  // Shard 0's coordinator log generation (0 without group commit).
+  std::uint64_t durability_epoch() const {
+    return coordinators_.empty() ? 0 : coordinators_[0]->log_epoch();
+  }
 
   // Restores the guardian's stable state from the log(s) into the heap and
   // primes the writer (AS, PAT, MT, chain heads) to continue.
@@ -225,9 +229,6 @@ class RecoverySystem {
   }
   // Coherent crash: fail every shard's force queue at once.
   void CrashCoordinators();
-  // Null for single-shard guardians.
-  ShardMapStore* shard_map() { return shard_map_.get(); }
-  const ShardRouter* shard_router() const { return router_.get(); }
   // The background repair service scrubbing shard `shard`'s medium; null when
   // config.repair is unset or that shard's medium is not replicated.
   ReplicaRepairService* repair_service(std::uint32_t shard = 0) {
@@ -236,8 +237,8 @@ class RecoverySystem {
   // Null unless config.residency.mem_budget_bytes > 0.
   ResidencyManager* residency() { return residency_.get(); }
 
-  // Crash support: extracts the (stable) log from this incarnation.
-  // Single-shard only; sharded guardians use TakeSurvivingState().
+  // Crash support: extracts the (stable) log of a one-log guardian from this
+  // incarnation; TakeSurvivingState() serves every shard count.
   std::unique_ptr<StableLog> TakeLog();
   SurvivingState TakeSurvivingState();
 
@@ -259,14 +260,15 @@ class RecoverySystem {
   // waiters that lose the race with a swap never dereference it, but holding
   // it makes a latent stale access a visible bug instead of a use-after-free.
   std::unique_ptr<StableLog> retired_log_;
+  // Null for a one-log guardian, whose router is the default routing.
   std::unique_ptr<ShardMapStore> shard_map_;
-  std::unique_ptr<ShardRouter> router_;
+  ShardRouter router_;
   std::vector<std::unique_ptr<FlushCoordinator>> coordinators_;
   std::unique_ptr<LogWriter> writer_;
   // Holds raw pointers into logs_; reset before the logs are surrendered.
   std::unique_ptr<ResidencyManager> residency_;
   SwapCrashHook swap_crash_hook_;
-  // Set when a sharded restart failed to recover the shard map: the writer is
+  // Set when a restart failed to recover the shard map: the writer is
   // left unconstructed and Recover() reports this instead. The surviving
   // state can still be reclaimed with TakeSurvivingState() for a retry.
   Status deferred_error_ = Status::Ok();

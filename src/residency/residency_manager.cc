@@ -60,19 +60,12 @@ Result<Value> DecodeStubPayload(const LogEntry& entry, Uid expected) {
 }
 
 ResidencyManager::ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> logs,
-                                   const ShardRouter* router, ResidencyConfig config)
-    : heap_(heap), logs_(std::move(logs)), router_(router), config_(config) {
-  ARGUS_CHECK(heap_ != nullptr && !logs_.empty());
+                                   ShardRouter router, ResidencyConfig config)
+    : heap_(heap), logs_(std::move(logs)), router_(std::move(router)), config_(config) {
+  ARGUS_CHECK(heap_ != nullptr && router_.num_shards() == logs_.size());
   for (StableLog* log : logs_) {
     ARGUS_CHECK(log != nullptr);
   }
-}
-
-std::uint32_t ResidencyManager::ShardOfUid(Uid uid) const {
-  if (router_ == nullptr || logs_.size() == 1) {
-    return 0;
-  }
-  return router_->ShardOf(uid);
 }
 
 void ResidencyManager::PublishResidentBytes(std::uint64_t resident) {
@@ -101,7 +94,7 @@ bool ResidencyManager::EvictionEligible(const RecoverableObject& obj,
   }
   // Forces land on frame boundaries, so an address below the durable size
   // names a wholly durable frame — readable through the cache after a crash.
-  return addr.offset < durable_sizes[ShardOfUid(obj.uid())];
+  return addr.offset < durable_sizes[router_.ShardOf(obj.uid())];
 }
 
 std::uint64_t ResidencyManager::RunEvictionPass() {
@@ -226,7 +219,7 @@ Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*
   for (RecoverableObject* obj : targets) {
     const LogAddress addr = obj->stable_address();
     ARGUS_CHECK_MSG(!addr.is_null(), "evicted object lost its stable address");
-    const std::uint32_t shard = ShardOfUid(obj->uid());
+    const std::uint32_t shard = router_.ShardOf(obj->uid());
     shard_addresses[shard].push_back(addr);
     shard_targets[shard].push_back(obj);
   }
@@ -281,7 +274,7 @@ void ResidencyManager::RebindLog(std::uint32_t shard, StableLog* log) {
   // The swap protocol materialized everything before retiring the old log,
   // so no stub can still point into it.
   for (const auto& [uid, obj] : *heap_) {
-    ARGUS_CHECK_MSG(!obj->evicted() || ShardOfUid(uid) != shard,
+    ARGUS_CHECK_MSG(!obj->evicted() || router_.ShardOf(uid) != shard,
                     "rebinding a shard with live stubs");
   }
   logs_[shard] = log;

@@ -72,11 +72,11 @@ Result<Value> DecodeStubPayload(const LogEntry& entry, Uid expected);
 
 class ResidencyManager : public ResidencyPager {
  public:
-  // `logs[shard]` must be the guardian's shard logs in router order; `router`
-  // may be null for single-shard guardians. Both must outlive the manager
-  // (RebindLog re-points a shard after a checkpoint swap).
-  ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> logs,
-                   const ShardRouter* router, ResidencyConfig config);
+  // `logs[shard]` must be the guardian's shard logs in `router` order; they
+  // must outlive the manager (RebindLog re-points a shard after a checkpoint
+  // swap).
+  ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> logs, ShardRouter router,
+                   ResidencyConfig config);
 
   // ---- ResidencyPager ----
   Status FaultIn(RecoverableObject* object) override;
@@ -114,7 +114,6 @@ class ResidencyManager : public ResidencyPager {
   const ResidencyStats& stats() const { return stats_; }
 
  private:
-  std::uint32_t ShardOfUid(Uid uid) const;
   bool EvictionEligible(const RecoverableObject& obj,
                         const std::vector<std::uint64_t>& durable_sizes) const;
   // Stores `resident` in the atomic, the stats and the gauge.
@@ -125,7 +124,7 @@ class ResidencyManager : public ResidencyPager {
 
   VolatileHeap* heap_;
   std::vector<StableLog*> logs_;
-  const ShardRouter* router_;
+  ShardRouter router_;
   ResidencyConfig config_;
 
   // The clock ring: every object but the root, in uid order. It is kept

@@ -39,8 +39,6 @@ struct SimWorldConfig {
   // routing salt is derived from the world seed so distinct worlds exercise
   // distinct uid→shard placements.
   std::uint32_t log_shards = 1;
-  // Concurrent shard recovery workers per guardian (0 = one per shard).
-  std::size_t shard_recovery_workers = 0;
   // Replica count for MediumKind::kReplicated (kDuplexed is pinned at 2).
   std::uint32_t replicas = 3;
   // When set, every guardian runs a ReplicaRepairService per replicated log

@@ -321,185 +321,117 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
   bool request_abort = rng.NextBool(config_.abort_probability);
   const auto action_start = std::chrono::steady_clock::now();
 
-  if (guard.recovery().shard_count() > 1) {
-    // Sharded flow: two critical sections. The prepare stages marks on every
-    // touched shard and MUST be durable before the commit record is staged on
-    // the home shard (the cross-shard atomicity protocol — see LogWriter), so
-    // the prepare force cannot be folded into the commit's wait.
-    StagedOutcome prepare_staged;
-    std::vector<std::pair<std::size_t, std::int64_t>> staged;
-    {
-      std::lock_guard<std::mutex> l(guardian_mutex);
-      for (std::size_t w = 0; w < config_.writes_per_participant; ++w) {
-        std::size_t slot = rng.NextBelow(config_.objects_per_guardian);
-        // Globally unique values: the relaxed oracle identifies surviving
-        // records by the value a recovered slot holds.
-        std::int64_t value = next_unique_value_.fetch_add(1, std::memory_order_relaxed);
-        RecoverableObject* obj = guard.CommittedStableVariable(SlotName(slot));
-        if (obj == nullptr) {
-          return Status::Corruption("guardian " + std::to_string(g) + " lost " + SlotName(slot));
-        }
-        Status s = ctx.WriteObject(obj, Value::Int(value));
-        if (!s.ok()) {
-          continue;  // self-conflict on a duplicate slot; skip
-        }
-        staged.emplace_back(slot, value);
-      }
-      if (request_abort || staged.empty()) {
-        ctx.AbortVolatile(guard.heap());
-        ++local.aborted;
-        WorkloadObs::Get().aborted->Increment();
-        return Status::Ok();
-      }
-      if (rng.NextBool(config_.early_prepare_probability)) {
-        Result<ModifiedObjectsSet> leftover = guard.recovery().WriteEntry(aid, ctx.TakeMos());
-        if (!leftover.ok()) {
-          return leftover.status();
-        }
-        ctx.AddToMos(leftover.value());
-      }
-      Result<StagedOutcome> prepared = guard.recovery().StagePrepareSharded(aid, ctx.TakeMos());
-      if (!prepared.ok()) {
-        return prepared.status();
-      }
-      prepare_staged = std::move(prepared.value());
+  // The per-guardian mutex serializes volatile state (heap versions, locks,
+  // model) and log STAGING; durability is awaited outside, so concurrent
+  // actions on one guardian coalesce their forces.
+  std::unique_lock<std::mutex> l(guardian_mutex);
+  RecoverySystem& rs = guard.recovery();
+  std::vector<std::pair<std::size_t, std::int64_t>> staged;
+  for (std::size_t w = 0; w < config_.writes_per_participant; ++w) {
+    std::size_t slot = rng.NextBelow(config_.objects_per_guardian);
+    // Unique values: the reconciler names the journal record that produced a
+    // recovered slot by the value the slot holds.
+    std::int64_t value = next_unique_value_.fetch_add(1, std::memory_order_relaxed);
+    RecoverableObject* obj = guard.CommittedStableVariable(SlotName(slot));
+    if (obj == nullptr) {
+      return Status::Corruption("guardian " + std::to_string(g) + " lost " + SlotName(slot));
     }
-    // Prepare-durability barrier, outside the mutex: concurrent actions on
-    // the same guardian coalesce their per-shard forces here. A kCrashed wake
-    // leaves the action prepared-but-undecided — presumed abort resolves it
-    // at recovery; nothing was journaled or volatile-committed.
-    Status prepare_durable = guard.recovery().WaitDurable(prepare_staged);
+    Status s = ctx.WriteObject(obj, Value::Int(value));
+    if (!s.ok()) {
+      continue;  // self-conflict on a duplicate slot; skip
+    }
+    staged.emplace_back(slot, value);
+  }
+  if (request_abort || staged.empty()) {
+    // Never prepared: no log writes, the volatile rollback is the abort.
+    ctx.AbortVolatile(guard.heap());
+    ++local.aborted;
+    WorkloadObs::Get().aborted->Increment();
+    return Status::Ok();
+  }
+  if (rng.NextBool(config_.early_prepare_probability)) {
+    Result<ModifiedObjectsSet> leftover = rs.WriteEntry(aid, ctx.TakeMos());
+    if (!leftover.ok()) {
+      return leftover.status();
+    }
+    ctx.AddToMos(leftover.value());
+  }
+  Result<StagedOutcome> prepared = rs.StagePrepareSharded(aid, ctx.TakeMos());
+  if (!prepared.ok()) {
+    return prepared.status();
+  }
+  // The cross-shard atomicity protocol (see LogWriter): prepare marks off the
+  // home shard must be durable before the commit record is staged. Marks on
+  // the home shard precede the commit record in its log, so forcing the
+  // commit forces them (§3.1) — a one-shard guardian never leaves the
+  // critical section here.
+  StagedOutcome off_home;
+  const std::uint32_t home = rs.writer().HomeShardOf(aid);
+  for (const StagedMark& mark : prepared.value().marks) {
+    if (mark.shard != home) {
+      off_home.marks.push_back(mark);
+    }
+  }
+  if (!off_home.empty()) {
+    // Outside the mutex, so concurrent actions coalesce their per-shard
+    // forces. A kCrashed wake leaves the action prepared-but-undecided —
+    // presumed abort resolves it at recovery; nothing was journaled or
+    // volatile-committed.
+    l.unlock();
+    Status prepare_durable = rs.WaitDurable(off_home);
     if (!prepare_durable.ok()) {
       return prepare_durable;
     }
-    StagedOutcome commit_staged;
-    CommittedRecord* record = nullptr;
-    {
-      std::lock_guard<std::mutex> l(guardian_mutex);
-      Result<StagedOutcome> committed = guard.recovery().StageCommitSharded(aid);
-      if (!committed.ok()) {
-        return committed.status();
-      }
-      commit_staged = std::move(committed.value());
-      obs::Emit("commit.stage", aid.sequence, commit_staged.marks.front().address.offset, g);
-      ctx.CommitVolatile(guard.heap());
-      for (const auto& [slot, value] : staged) {
-        model_[g][slot] = value;
-      }
-      if (journal) {
-        journal_[g].emplace_back();
-        record = &journal_[g].back();
-        record->writes = std::move(staged);
-      }
-      ++local.committed;
-      WorkloadObs::Get().committed->Increment();
-      live_committed_[g].fetch_add(1, std::memory_order_relaxed);
-      live_total_committed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Status durable = guard.recovery().WaitDurable(commit_staged);
-    if (durable.ok()) {
-      obs::Emit("commit.durable", aid.sequence, commit_staged.marks.front().address.offset, g);
-      if (record != nullptr) {
-        record->durable.store(true, std::memory_order_release);
-      }
-      if (config_.commit_latency_ns) {
-        config_.commit_latency_ns(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - action_start)
-                .count()));
-      }
-    }
-    return durable;
+    l.lock();
   }
-
-  LogAddress commit_address = LogAddress::Null();
-  std::uint64_t durability_epoch = 0;
+  Result<StagedOutcome> committed = rs.StageCommitSharded(aid);
+  if (!committed.ok()) {
+    return committed.status();
+  }
+  // One mark, on the home shard. It carries the log generation read in this
+  // critical section: if an online checkpoint swaps the log between our
+  // unlock and the wait below, the epoch mismatch tells the coordinator the
+  // address is from the retired (already-forced) log.
+  const StagedMark commit_mark = committed.value().marks.front();
+  // The window the flight recorder exists for: between this event and a
+  // matching commit.durable, the commit entry is staged but not durable — a
+  // coherent crash in that window makes the action in-doubt.
+  obs::Emit("commit.stage", aid.sequence, commit_mark.address.offset, g);
+  // Volatile commit and model update stay under the guardian mutex, so the
+  // model's order equals the log's staging order.
+  ctx.CommitVolatile(guard.heap());
+  for (const auto& [slot, value] : staged) {
+    model_[g][slot] = value;
+  }
   CommittedRecord* record = nullptr;
-  {
-    // The per-guardian mutex serializes volatile state (heap versions, locks,
-    // model) and log STAGING; durability is awaited outside, so concurrent
-    // actions on one guardian coalesce their forces.
-    std::lock_guard<std::mutex> l(guardian_mutex);
-    std::vector<std::pair<std::size_t, std::int64_t>> staged;
-    for (std::size_t w = 0; w < config_.writes_per_participant; ++w) {
-      std::size_t slot = rng.NextBelow(config_.objects_per_guardian);
-      std::int64_t value = static_cast<std::int64_t>(rng.NextBelow(100000));
-      RecoverableObject* obj = guard.CommittedStableVariable(SlotName(slot));
-      if (obj == nullptr) {
-        return Status::Corruption("guardian " + std::to_string(g) + " lost " + SlotName(slot));
-      }
-      Status s = ctx.WriteObject(obj, Value::Int(value));
-      if (!s.ok()) {
-        continue;  // self-conflict on a duplicate slot; skip
-      }
-      staged.emplace_back(slot, value);
-    }
-    if (request_abort || staged.empty()) {
-      // Never prepared: no log writes, the volatile rollback is the abort.
-      ctx.AbortVolatile(guard.heap());
-      ++local.aborted;
-      WorkloadObs::Get().aborted->Increment();
-      return Status::Ok();
-    }
-    if (rng.NextBool(config_.early_prepare_probability)) {
-      Result<ModifiedObjectsSet> leftover = guard.recovery().WriteEntry(aid, ctx.TakeMos());
-      if (!leftover.ok()) {
-        return leftover.status();
-      }
-      ctx.AddToMos(leftover.value());
-    }
-    Result<LogAddress> prepared = guard.recovery().StagePrepare(aid, ctx.TakeMos());
-    if (!prepared.ok()) {
-      return prepared.status();
-    }
-    Result<LogAddress> committed = guard.recovery().StageCommit(aid);
-    if (!committed.ok()) {
-      return committed.status();
-    }
-    commit_address = committed.value();
-    // The window the flight recorder exists for: between this event and a
-    // matching commit.durable, the commit entry is staged but not durable —
-    // a coherent crash in that window makes the action in-doubt.
-    obs::Emit("commit.stage", aid.sequence, commit_address.offset, g);
-    // Read the log generation in the SAME critical section as the staging:
-    // if an online checkpoint swaps the log between our unlock and the wait
-    // below, the epoch mismatch tells the coordinator our address is from
-    // the retired (already-forced) log.
-    durability_epoch = guard.recovery().durability_epoch();
-    // Volatile commit and model update stay under the guardian mutex, so the
-    // model's order equals the log's staging order. Forcing the commit entry
-    // below also forces the prepare (§3.1), and a crash before the force
-    // loses both — single-guardian actions need no intermediate force.
-    ctx.CommitVolatile(guard.heap());
-    for (const auto& [slot, value] : staged) {
-      model_[g][slot] = value;
-    }
-    if (journal) {
-      // Journal the commit in the same critical section as the staging, so
-      // the journal order IS the log's staging order — the property the
-      // durable-prefix reconciliation rests on.
-      journal_[g].emplace_back();
-      record = &journal_[g].back();
-      record->writes = std::move(staged);
-    }
-    ++local.committed;
-    WorkloadObs::Get().committed->Increment();
-    live_committed_[g].fetch_add(1, std::memory_order_relaxed);
-    live_total_committed_.fetch_add(1, std::memory_order_relaxed);
+  if (journal) {
+    // Journal the commit in the same critical section as the staging, so the
+    // journal order IS the staging order of the commit records — the
+    // property the reconciliation rests on.
+    journal_[g].emplace_back();
+    record = &journal_[g].back();
+    record->writes = std::move(staged);
+    record->home_shard = commit_mark.shard;
   }
+  ++local.committed;
+  WorkloadObs::Get().committed->Increment();
+  live_committed_[g].fetch_add(1, std::memory_order_relaxed);
+  live_total_committed_.fetch_add(1, std::memory_order_relaxed);
+  l.unlock();
+
   // The coalescing point: many actions block here on one physical flush.
-  Status durable = guard.recovery().WaitDurable(commit_address, durability_epoch);
+  Status durable = rs.WaitDurable(committed.value());
   if (durable.ok()) {
-    obs::Emit("commit.durable", aid.sequence, commit_address.offset, g);
-  }
-  if (durable.ok() && record != nullptr) {
-    record->durable.store(true, std::memory_order_release);
-  }
-  if (durable.ok() && config_.commit_latency_ns) {
-    config_.commit_latency_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                             action_start)
-            .count()));
+    obs::Emit("commit.durable", aid.sequence, commit_mark.address.offset, g);
+    if (record != nullptr) {
+      record->durable.store(true, std::memory_order_release);
+    }
+    if (config_.commit_latency_ns) {
+      config_.commit_latency_ns(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - action_start)
+              .count()));
+    }
   }
   return durable;
 }
@@ -905,6 +837,16 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     return Status::Ok();
   };
 
+  // Journal values must differ from every base value, or the reconciler could
+  // not name records by value; a serial Run leaves model values up to 99 999.
+  for (const auto& slots : model_) {
+    for (const auto& [slot, value] : slots) {
+      if (next_unique_value_.load(std::memory_order_relaxed) <= value) {
+        next_unique_value_.store(value + 1, std::memory_order_relaxed);
+      }
+    }
+  }
+
   if (crashes_enabled) {
     journal_.clear();
     journal_.resize(guardian_count);
@@ -1075,12 +1017,6 @@ Status WorkloadDriver::ReconcileOneGuardian(std::uint32_t g, bool require_full_r
                     "guardian " + std::to_string(g) + " rematerialize: " + ms.message());
     }
   }
-  if (!require_full_replay && guard.recovery().shard_count() > 1) {
-    // N independent force queues: durability is not prefix-closed across
-    // shards, so the crashed-guardian check is set-based, not prefix-based.
-    // (Survivors lost nothing and still take the exact full-replay path.)
-    return ReconcileOneGuardianSharded(g);
-  }
   std::vector<Value> recovered;
   recovered.reserve(config_.objects_per_guardian);
   for (std::size_t slot = 0; slot < config_.objects_per_guardian; ++slot) {
@@ -1092,154 +1028,54 @@ Status WorkloadDriver::ReconcileOneGuardian(std::uint32_t g, bool require_full_r
     recovered.push_back(obj->base_version());
   }
 
+  // A record certainly survived if it is durably confirmed or if a recovered
+  // slot holds one of its (unique) values. Each home shard forces its commit
+  // records in staging order, which is journal order, so on every home shard
+  // the survivors are the journal prefix up to the newest such record. A
+  // survivor (never crashed) keeps its whole journal.
   std::deque<CommittedRecord>& journal = journal_[g];
-  // Every durable-confirmed record must be inside the accepted prefix. A
-  // survivor (never crashed) must replay to its FULL journal: its volatile
-  // state holds everything it ever committed.
-  std::size_t min_prefix = 0;
-  if (require_full_replay) {
-    min_prefix = journal.size();
-  } else {
-    for (std::size_t i = 0; i < journal.size(); ++i) {
-      if (journal[i].durable.load(std::memory_order_acquire)) {
-        min_prefix = i + 1;
-      }
+  std::map<std::uint32_t, std::size_t> survivors_end;  // home shard -> prefix end
+  for (std::size_t p = 0; p < journal.size(); ++p) {
+    bool survived = require_full_replay || journal[p].durable.load(std::memory_order_acquire);
+    for (const auto& [slot, value] : journal[p].writes) {
+      survived = survived || recovered[slot] == Value::Int(value);
+    }
+    if (survived) {
+      survivors_end[journal[p].home_shard] = p + 1;
     }
   }
 
+  // Replaying the base plus the survivors in journal order must reproduce
+  // the recovered state exactly: nothing lost, nothing partial, nothing
+  // invented.
   std::vector<std::int64_t> state = crash_base_[g];
-  auto matches = [&] {
-    for (std::size_t slot = 0; slot < state.size(); ++slot) {
-      if (!(Value::Int(state[slot]) == recovered[slot])) {
-        return false;
+  std::size_t replayed = 0;
+  for (std::size_t p = 0; p < journal.size(); ++p) {
+    if (p < survivors_end[journal[p].home_shard]) {
+      ++replayed;
+      for (const auto& [slot, value] : journal[p].writes) {
+        state[slot] = value;
       }
-    }
-    return true;
-  };
-  std::optional<std::size_t> accepted;
-  std::optional<std::size_t> first_match;
-  for (std::size_t p = 0;; ++p) {
-    if (matches()) {
-      if (!first_match.has_value()) {
-        first_match = p;
-      }
-      if (p >= min_prefix) {
-        accepted = p;
-        break;
-      }
-    }
-    if (p == journal.size()) {
-      break;
-    }
-    for (const auto& [slot, value] : journal[p].writes) {
-      state[slot] = value;
     }
   }
-  if (!accepted.has_value()) {
-    if (require_full_replay && first_match.has_value()) {
+  for (std::size_t slot = 0; slot < state.size(); ++slot) {
+    if (!(Value::Int(state[slot]) == recovered[slot])) {
       return Status::Corruption(
-          "guardian " + std::to_string(g) + ": survivor state equals journal prefix " +
-          std::to_string(*first_match) + " of " + std::to_string(journal.size()) +
-          " — a commit vanished without a crash");
+          "guardian " + std::to_string(g) + " " + SlotName(slot) + " = " +
+          recovered[slot].ToString() + " but replaying " + std::to_string(replayed) + " of " +
+          std::to_string(journal.size()) + " journaled commits gives " +
+          std::to_string(state[slot]) +
+          (require_full_replay ? " — a commit vanished without a crash"
+                               : " — committed work was lost, or a partial or invented "
+                                 "action survived"));
     }
-    if (first_match.has_value()) {
-      return Status::Corruption(
-          "guardian " + std::to_string(g) + ": recovered state equals journal prefix " +
-          std::to_string(*first_match) + " but a durably-confirmed commit sits at index " +
-          std::to_string(min_prefix - 1) + " — committed work was lost");
-    }
-    return Status::Corruption("guardian " + std::to_string(g) +
-                              ": recovered state matches no prefix of the " +
-                              std::to_string(journal.size()) +
-                              "-record commit journal — a partial or invented action survived");
   }
-  // `state` is the replay at the accepted prefix, which the recovered world
-  // equals; the in-doubt tail vanished with the staged log. Rebase the
-  // oracle so post-recovery traffic verifies against reality.
+  // The in-doubt records beyond each home shard's prefix vanished with the
+  // staged log. Rebase the oracle so post-recovery traffic verifies against
+  // reality.
   crash_base_[g] = state;
   for (std::size_t slot = 0; slot < state.size(); ++slot) {
     model_[g][slot] = state[slot];
-  }
-  journal.clear();
-  return Status::Ok();
-}
-
-Status WorkloadDriver::ReconcileOneGuardianSharded(std::uint32_t g) {
-  Guardian& guard = world_->guardian(g);
-  const std::size_t slots = config_.objects_per_guardian;
-  std::deque<CommittedRecord>& journal = journal_[g];
-
-  // Identify, per slot, which journal record produced the recovered value.
-  // Values are globally unique, so the match is unambiguous: -1 means the
-  // slot still holds its pre-storm base value.
-  std::vector<std::int64_t> recovered_value(slots);
-  std::vector<std::ptrdiff_t> origin(slots, -1);
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    RecoverableObject* obj = guard.CommittedStableVariable(SlotName(slot));
-    if (obj == nullptr) {
-      return Status::Corruption("guardian " + std::to_string(g) + " lost " + SlotName(slot) +
-                                " across the crash");
-    }
-    const Value& v = obj->base_version();
-    bool identified = v == Value::Int(crash_base_[g][slot]);
-    recovered_value[slot] = crash_base_[g][slot];
-    if (!identified) {
-      for (std::size_t p = journal.size(); p-- > 0 && !identified;) {
-        for (const auto& [s, value] : journal[p].writes) {
-          if (s == slot && v == Value::Int(value)) {
-            origin[slot] = static_cast<std::ptrdiff_t>(p);
-            recovered_value[slot] = value;
-            identified = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!identified) {
-      return Status::Corruption("guardian " + std::to_string(g) + " " + SlotName(slot) + " = " +
-                                v.ToString() +
-                                " matches neither the base state nor any journaled commit — "
-                                "an invented or partial value survived");
-    }
-  }
-
-  // Zero lost committed work: a durable-confirmed record's write may only be
-  // superseded by a LATER surviving record's write to the same slot.
-  for (std::size_t p = 0; p < journal.size(); ++p) {
-    if (!journal[p].durable.load(std::memory_order_acquire)) {
-      continue;
-    }
-    for (const auto& [slot, value] : journal[p].writes) {
-      if (origin[slot] < static_cast<std::ptrdiff_t>(p)) {
-        return Status::Corruption(
-            "guardian " + std::to_string(g) + " " + SlotName(slot) +
-            ": durably-confirmed commit (journal record " + std::to_string(p) +
-            ") was lost — the slot recovered an older value");
-      }
-    }
-  }
-
-  // Atomicity: a record identified as surviving via ANY slot must account for
-  // every slot it wrote — each must resolve to this record or a newer one.
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    if (origin[slot] < 0) {
-      continue;
-    }
-    const CommittedRecord& rec = journal[static_cast<std::size_t>(origin[slot])];
-    for (const auto& [s, value] : rec.writes) {
-      if (origin[s] < origin[slot]) {
-        return Status::Corruption(
-            "guardian " + std::to_string(g) + ": journal record " +
-            std::to_string(origin[slot]) + " survived partially — " + SlotName(s) +
-            " recovered an older value (atomicity violated)");
-      }
-    }
-  }
-
-  // Rebase the oracle on the recovered state.
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    crash_base_[g][slot] = recovered_value[slot];
-    model_[g][slot] = recovered_value[slot];
   }
   journal.clear();
   return Status::Ok();

@@ -6,6 +6,12 @@
 // probability, and automatic checkpointing. Used by the stress tests and the
 // workload benchmark; it also maintains a model of the committed state so
 // callers can verify the recovered world.
+//
+// The concurrent driver runs one action flow for every shard count: stage the
+// prepare, wait (outside the guardian mutex) only for the prepare marks off
+// the action's home shard, then stage, journal and await the commit. After a
+// crash one strict oracle reconciles each guardian against its journal (see
+// ReconcileOneGuardian).
 
 #ifndef SRC_TPC_WORKLOAD_H_
 #define SRC_TPC_WORKLOAD_H_
@@ -198,40 +204,34 @@ class WorkloadDriver {
 
   // ---- Crash-storm oracle (concurrent driver; see DESIGN.md) ----
 
-  // One volatile commit, journaled in log staging order. Workers keep a
-  // pointer to their record across releasing the staging mutex and set
-  // `durable` after WaitDurable returns Ok; the crash executor reads the
-  // journal only while every worker is parked at the controller's barrier
-  // (which is also the happens-before edge that makes the plain-field reads
-  // race-free — `durable` is atomic because it is written outside any lock).
+  // One volatile commit, journaled in the staging order of commit records.
+  // Workers keep a pointer to their record across releasing the staging
+  // mutex and set `durable` after WaitDurable returns Ok; the crash executor
+  // reads the journal only while every worker is parked at the controller's
+  // barrier (which is also the happens-before edge that makes the plain-field
+  // reads race-free — `durable` is atomic because it is written outside any
+  // lock).
   struct CommittedRecord {
     std::vector<std::pair<std::size_t, std::int64_t>> writes;  // slot → value
+    std::uint32_t home_shard = 0;  // the shard its commit record went to
     std::atomic<bool> durable{false};
   };
 
-  // Durable-prefix reconciliation for one guardian after a coherent crash:
-  // the recovered committed state must equal the replay of some prefix of the
-  // journal (atomicity: records are all-or-nothing units), and that prefix
-  // must cover every durable-confirmed record (zero lost committed work).
-  // In-doubt records beyond the prefix simply vanished with the staged tail.
-  // On success, rebases crash_base_/model_ on the recovered state and clears
-  // the journal.
+  // Durable-prefix reconciliation for one guardian after a coherent crash.
+  // Each home shard forces its commit records in staging order, so on every
+  // home shard the surviving records are a prefix of the journal: the prefix
+  // up to the newest record that is durable-confirmed or visible (a
+  // recovered slot holds one of its values, which are unique). The recovered
+  // committed state must equal the replay of the base plus exactly those
+  // records in journal order — zero lost committed work, no partial or
+  // invented action, and prefix closure per home shard. In-doubt records
+  // beyond a prefix vanished with the staged tail. On success, rebases
+  // crash_base_/model_ on the recovered state and clears the journal.
   //
   // `require_full_replay` is the survivor variant: a guardian that did NOT
   // crash must match the replay of its ENTIRE journal — no record may have
   // vanished. Used by the partial-recover event on every survivor.
   Status ReconcileOneGuardian(std::uint32_t g, bool require_full_replay = false);
-
-  // The sharded-log variant of the crashed-guardian oracle. With N force
-  // queues the durable frontier is per-shard, so the surviving records are a
-  // SUBSET of the journal, not a prefix. Journal values are globally unique
-  // (see next_unique_value_), so each recovered slot identifies the record
-  // that produced it; the checks are then (1) no invented values, (2) every
-  // durable-confirmed record's writes survive unless overwritten by a LATER
-  // surviving record, and (3) atomicity — a record identified by any slot
-  // must account for every slot it wrote. Survivors still use the exact
-  // full-replay check in ReconcileOneGuardian.
-  Status ReconcileOneGuardianSharded(std::uint32_t g);
 
   // Picks 1..N-1 distinct victims for a partial-world crash.
   std::vector<std::uint32_t> PickVictims(Rng& rng) const;
@@ -252,9 +252,10 @@ class WorkloadDriver {
   // Concurrent-mode action sequences: above Setup's per-guardian sequences,
   // and persistent across Run() calls so an ActionId is never reused.
   std::atomic<std::uint64_t> next_concurrent_sequence_{std::uint64_t{1} << 20};
-  // Sharded-mode write values: globally unique (a shared monotone counter)
-  // instead of random, so the relaxed oracle can identify which journal
-  // record produced a recovered slot value.
+  // Concurrent-mode write values: globally unique (a shared monotone counter,
+  // seeded above every base value when a concurrent run starts), so the
+  // reconciler can identify which journal record produced a recovered slot
+  // value.
   std::atomic<std::int64_t> next_unique_value_{1};
   std::string last_crash_dump_;  // written only by the crash executor
 

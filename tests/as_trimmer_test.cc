@@ -23,8 +23,20 @@ void BuildChain(StorageHarness& h, int n) {
   ASSERT_TRUE(h.PrepareAndCommit(t0).ok());
 }
 
-TEST(AsTrimmer, CompletesInBoundedSteps) {
-  StorageHarness h(LogMode::kHybrid);
+// The trimmer cases run on a one-log guardian and on a 4-shard one.
+class AsTrimmer : public testing::TestWithParam<std::uint32_t> {
+ protected:
+  static RecoverySystemConfig Config() {
+    RecoverySystemConfig config = MemConfig(LogMode::kHybrid);
+    config.log_shards = GetParam();
+    return config;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, AsTrimmer, testing::Values(1u, 4u));
+
+TEST_P(AsTrimmer, CompletesInBoundedSteps) {
+  StorageHarness h(Config());
   BuildChain(h, 20);
   IncrementalAsTrimmer trimmer(&h.rs().writer(), &h.heap());
   trimmer.Start();
@@ -38,8 +50,8 @@ TEST(AsTrimmer, CompletesInBoundedSteps) {
   EXPECT_EQ(trimmer.objects_visited(), 21u);  // chain + root
 }
 
-TEST(AsTrimmer, DropsUnreachableUids) {
-  StorageHarness h(LogMode::kHybrid);
+TEST_P(AsTrimmer, DropsUnreachableUids) {
+  StorageHarness h(Config());
   BuildChain(h, 5);
   // Make an object stable, then unlink it: its uid lingers in the AS.
   ActionId t1 = Aid(10);
@@ -61,8 +73,8 @@ TEST(AsTrimmer, DropsUnreachableUids) {
   EXPECT_TRUE(h.rs().writer().accessibility_set().contains(Uid::Root()));
 }
 
-TEST(AsTrimmer, WritingBetweenStepsStaysCorrect) {
-  StorageHarness h(LogMode::kHybrid);
+TEST_P(AsTrimmer, WritingBetweenStepsStaysCorrect) {
+  StorageHarness h(Config());
   BuildChain(h, 12);
   IncrementalAsTrimmer trimmer(&h.rs().writer(), &h.heap());
   trimmer.Start();

@@ -302,10 +302,11 @@ TEST_P(CrashStormSeedSweep, DurablePrefixSurvivesTheStorm) {
 // The sharded E14 storm: the same 64-seed sweep against guardians whose
 // stable state is partitioned across four log shards with independent force
 // queues. Checkpoints stay off (the cross-shard swap barrier is not
-// implemented; Run() rejects the combination), and the reconciliation runs
-// the relaxed set-based oracle — durability is no longer prefix-closed
-// across shards, but committed-durable actions must still survive atomically
-// on every shard they touched.
+// implemented; Run() rejects the combination). Durability is not
+// prefix-closed across shards but is per home shard, so the reconciliation
+// runs the same strict journal oracle as the one-log sweep: on each home
+// shard the recovered actions must be exactly a journal prefix covering every
+// durably confirmed commit.
 class ShardedCrashStormSeedSweep : public testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedCrashStormSeedSweep,

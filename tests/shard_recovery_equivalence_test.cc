@@ -26,6 +26,7 @@
 
 #include "src/common/rng.h"
 #include "src/object/flatten.h"
+#include "src/obs/metrics.h"
 #include "src/recovery/recovery_algorithms.h"
 #include "src/stable/duplexed_medium.h"
 #include "src/tpc/sim_world.h"
@@ -218,7 +219,7 @@ class ShardedHistoryBuilder {
 struct ShardedRun {
   std::string label;
   std::unique_ptr<VolatileHeap> heap;
-  Result<ShardedRecoveryResult> result = Status::Unavailable("recovery not run");
+  Result<RecoveryResult> result = Status::Unavailable("recovery not run");
 };
 
 ShardedRun RunSharded(const RecoverySystem::SurvivingState& surviving, const std::string& label,
@@ -226,14 +227,11 @@ ShardedRun RunSharded(const RecoverySystem::SurvivingState& surviving, const std
   ShardedRun run;
   run.label = label;
   run.heap = std::make_unique<VolatileHeap>();
-  std::vector<StableLog*> raw;
+  std::vector<const StableLog*> raw;
   for (const auto& log : surviving.logs) {
     raw.push_back(log.get());
   }
-  ShardedRecoveryOptions options;
-  options.workers = workers;
-  run.result = RecoverShardedHybridLog(std::span<StableLog* const>(raw.data(), raw.size()),
-                                       *run.heap, options);
+  run.result = RecoverHybridLog(raw, *run.heap, workers);
   return run;
 }
 
@@ -316,9 +314,8 @@ TEST_P(ShardDeterminismTest, ParallelRecoveryEqualsSerial) {
     ShardedRun parallel = RunSharded(surviving, "parallel", /*workers=*/shards);
     ASSERT_TRUE(serial.result.ok()) << serial.result.status().message();
     ASSERT_TRUE(parallel.result.ok()) << parallel.result.status().message();
-    EXPECT_EQ(serial.result.value().shard_last_outcomes,
-              parallel.result.value().shard_last_outcomes);
-    ExpectEquivalentResults(serial.result.value().merged, parallel.result.value().merged,
+    EXPECT_EQ(serial.result.value().last_outcome, parallel.result.value().last_outcome);
+    ExpectEquivalentResults(serial.result.value(), parallel.result.value(),
                             "serial vs parallel (" + std::to_string(shards) + " shards):",
                             /*compare_addresses=*/true);
   }
@@ -356,7 +353,7 @@ TEST_P(ShardSemanticsTest, OneShardEqualsFourShards) {
   ShardedRun parallel = RunSharded(s4, "4-shard", /*workers=*/4);
   ASSERT_TRUE(parallel.result.ok()) << parallel.result.status().message();
 
-  ExpectEquivalentResults(single_result.value(), parallel.result.value().merged,
+  ExpectEquivalentResults(single_result.value(), parallel.result.value(),
                           "1 shard vs 4 shards:", /*compare_addresses=*/false);
 }
 
@@ -403,7 +400,7 @@ TEST(ShardFaultTest, MidRecoveryShardFaultFailsThenHealedRetryMatchesSerial) {
   medium->store().disk_b().set_fault_plan(DiskFaultPlan{});
   ShardedRun healed = RunSharded(surviving, "healed", /*workers=*/4);
   ASSERT_TRUE(healed.result.ok()) << healed.result.status().message();
-  ExpectEquivalentResults(reference.result.value().merged, healed.result.value().merged,
+  ExpectEquivalentResults(reference.result.value(), healed.result.value(),
                           "reference vs healed retry:", /*compare_addresses=*/true);
 }
 
@@ -450,8 +447,21 @@ TEST(ShardFaultTest, GuardianRestartReclaimsSurvivingStateOnFailedRecovery) {
   // have stranded the stable state inside the dead incarnation.
   medium->store().disk_a().set_fault_plan(DiskFaultPlan{});
   medium->store().disk_b().set_fault_plan(DiskFaultPlan{});
+  // The 4-shard restart reports its stages like a one-log restart: one
+  // sample per stage histogram and one recovery run.
+  const char* const stages[] = {"recovery.find_head_ns", "recovery.walk_apply_ns",
+                                "recovery.finalize_ns"};
+  std::vector<std::uint64_t> stage_samples;
+  for (const char* stage : stages) {
+    stage_samples.push_back(obs::GetHistogram(stage)->Count());
+  }
+  const std::uint64_t runs = obs::GetCounter("recovery.runs")->Value();
   Result<RecoveryInfo> healed = g.Restart();
   ASSERT_TRUE(healed.ok()) << healed.status().message();
+  for (std::size_t i = 0; i < stage_samples.size(); ++i) {
+    EXPECT_EQ(obs::GetHistogram(stages[i])->Count(), stage_samples[i] + 1) << stages[i];
+  }
+  EXPECT_EQ(obs::GetCounter("recovery.runs")->Value(), runs + 1);
   for (int i = 0; i < 3; ++i) {
     RecoverableObject* obj = g.CommittedStableVariable("v" + std::to_string(i));
     ASSERT_NE(obj, nullptr) << "v" << i << " lost across the faulted restart";

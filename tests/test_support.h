@@ -100,14 +100,14 @@ class StorageHarness {
     return Status::Ok();
   }
 
-  // Destroys all volatile state and recovers from the surviving log.
+  // Destroys all volatile state and recovers from the surviving log(s).
   Result<RecoveryInfo> CrashAndRecover() {
-    std::unique_ptr<StableLog> log = rs_->TakeLog();
+    RecoverySystem::SurvivingState surviving = rs_->TakeSurvivingState();
     rs_.reset();
     heap_.reset();
     contexts_.clear();
     heap_ = std::make_unique<VolatileHeap>();
-    rs_ = std::make_unique<RecoverySystem>(config_, heap_.get(), std::move(log));
+    rs_ = std::make_unique<RecoverySystem>(config_, heap_.get(), std::move(surviving));
     return rs_->Recover();
   }
 
