@@ -47,8 +47,7 @@ const std::vector<std::byte>& SharedHistoryBytes(std::size_t history_len) {
       guardian.CommitAction(rng, kWritesPerAction);
     }
     std::unique_ptr<StableLog> log = guardian.CrashAndTakeLog();
-    Result<std::uint64_t> r = log->RecoverAfterCrash();
-    ARGUS_CHECK(r.ok());
+    ARGUS_CHECK(log->RecoverAfterCrash().ok());
     std::vector<std::byte> raw(log->medium().durable_size());
     Status s = log->medium().ReadInto(0, std::span<std::byte>(raw.data(), raw.size()));
     ARGUS_CHECK(s.ok());
@@ -90,6 +89,7 @@ void RunFileRestart(benchmark::State& state, const std::string& dir, bool cached
   Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
   ARGUS_CHECK(medium.ok());
   StableLog log(std::move(medium).value());
+  ARGUS_CHECK(log.RecoverAfterCrash().ok());
   ARGUS_CHECK(!log.empty());
 
   obs::Counter* preads = obs::GetCounter("stable.file.preads");

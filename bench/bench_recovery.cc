@@ -42,8 +42,7 @@ std::unique_ptr<StableLog> BuildHistory(LogMode mode, std::size_t history_len) {
     guardian.CommitAction(rng, kWritesPerAction);
   }
   std::unique_ptr<StableLog> log = guardian.CrashAndTakeLog();
-  Result<std::uint64_t> r = log->RecoverAfterCrash();
-  ARGUS_CHECK(r.ok());
+  ARGUS_CHECK(log->RecoverAfterCrash().ok());
   return log;
 }
 
@@ -128,8 +127,7 @@ StableLog* SharedHybridLog(bool duplexed, std::size_t history_len) {
       guardian.CommitAction(rng, kWritesPerAction);
     }
     std::unique_ptr<StableLog> log = guardian.CrashAndTakeLog();
-    Result<std::uint64_t> r = log->RecoverAfterCrash();
-    ARGUS_CHECK(r.ok());
+    ARGUS_CHECK(log->RecoverAfterCrash().ok());
     it = logs.emplace(key, std::move(log)).first;
   }
   return it->second.get();

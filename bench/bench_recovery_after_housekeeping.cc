@@ -27,8 +27,7 @@ std::unique_ptr<StableLog> BuildLog(std::size_t history, bool housekeep,
     ARGUS_CHECK(s.ok());
   }
   std::unique_ptr<StableLog> log = guardian.CrashAndTakeLog();
-  Result<std::uint64_t> r = log->RecoverAfterCrash();
-  ARGUS_CHECK(r.ok());
+  ARGUS_CHECK(log->RecoverAfterCrash().ok());
   return log;
 }
 

@@ -1,13 +1,18 @@
 // Log inspector: renders every entry of a stable log, plus the backward
 // outcome chain a hybrid recovery would walk.
 //
-// With a path argument it opens a file-backed log; with no argument it builds
-// a small in-memory demo history (including an abort and an early prepare)
-// and dumps that.
+// With a path argument it opens a file-backed log read-only: it never runs
+// the restart scan, which would cut a torn tail off the file, and reports a
+// damaged frame where the forward dump stops. With no argument it builds a
+// small in-memory demo history (including an abort and an early prepare) and
+// dumps that.
 //
 // Build & run:  ./build/examples/log_inspector [path/to/logfile]
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <optional>
 
 #include "src/object/action_context.h"
 #include "src/recovery/recovery_system.h"
@@ -17,28 +22,36 @@ using namespace argus;
 
 namespace {
 
-void DumpForward(const StableLog& log) {
+// Dumps every entry from offset 0 and returns the address of the last one
+// read: the top, or the last entry before a damaged frame.
+std::optional<LogAddress> DumpForward(const StableLog& log) {
   std::printf("-- physical order (oldest first) --\n");
   StableLog::ForwardCursor cursor = log.ReadForwardFrom(0);
+  std::optional<LogAddress> last;
   while (true) {
     auto next = cursor.Next();
     if (!next.ok()) {
-      std::printf("  !! %s\n", next.status().ToString().c_str());
-      return;
+      std::printf("  !! %8llu  %s\n", static_cast<unsigned long long>(cursor.offset()),
+                  next.status().ToString().c_str());
+      return last;
     }
     if (!next.value().has_value()) {
-      break;
+      return last;
     }
     const auto& [addr, entry] = *next.value();
     std::printf("  %8llu  %s\n", static_cast<unsigned long long>(addr.offset),
                 DescribeEntry(entry).c_str());
+    last = addr;
   }
 }
 
-void DumpChain(const StableLog& log) {
+void DumpChain(const StableLog& log, std::optional<LogAddress> top) {
   std::printf("-- backward outcome chain (what hybrid recovery walks) --\n");
+  if (!top.has_value()) {
+    return;
+  }
   // Find the chain head: last outcome entry.
-  StableLog::BackwardCursor scan = log.ReadBackwardFromTop();
+  StableLog::BackwardCursor scan = log.ReadBackwardFrom(*top);
   LogAddress head = LogAddress::Null();
   while (true) {
     auto next = scan.Next();
@@ -118,6 +131,11 @@ std::unique_ptr<StableLog> BuildDemoLog() {
 int main(int argc, char** argv) {
   std::unique_ptr<StableLog> log;
   if (argc > 1) {
+    // Open would create a missing file; an inspector only reads.
+    if (::access(argv[1], R_OK) != 0) {
+      std::fprintf(stderr, "cannot read %s\n", argv[1]);
+      return 1;
+    }
     Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(argv[1]);
     if (!medium.ok()) {
       std::fprintf(stderr, "cannot open %s: %s\n", argv[1],
@@ -132,7 +150,6 @@ int main(int argc, char** argv) {
 
   std::printf("log: %llu durable bytes\n",
               static_cast<unsigned long long>(log->durable_size()));
-  DumpForward(*log);
-  DumpChain(*log);
+  DumpChain(*log, DumpForward(*log));
   return 0;
 }

@@ -40,9 +40,6 @@ struct LogObs {
   }
 };
 
-}  // namespace
-namespace {
-
 std::uint32_t LoadU32(std::span<const std::byte> bytes) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -58,16 +55,30 @@ void StoreU32(std::uint32_t v, std::vector<std::byte>& out) {
   }
 }
 
+// Checks a whole frame [len][payload][crc][len] whose leading length fits the
+// extent. Every encoded entry has a kind byte, and zero-filled bytes would
+// pass the other checks (the CRC of no bytes is 0), so an empty payload is
+// rejected too.
+Status CheckFrame(std::span<const std::byte> frame) {
+  const std::size_t len = frame.size() - 12;
+  if (len == 0) {
+    return Status::Corruption("empty frame");
+  }
+  if (LoadU32(frame.subspan(4 + len + 4, 4)) != len) {
+    return Status::Corruption("frame trailer length mismatch");
+  }
+  if (LoadU32(frame.subspan(4 + len, 4)) != Crc32(frame.subspan(4, len))) {
+    return Status::Corruption("frame crc mismatch");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 StableLog::StableLog(std::unique_ptr<StableMedium> medium, ReadCache::Config cache_config)
     : medium_(std::move(medium)), cache_(medium_.get(), cache_config) {
   ARGUS_CHECK(medium_ != nullptr);
-  if (medium_->durable_size() > 0) {
-    // Resuming an existing log (e.g. file-backed): derive the top.
-    Result<std::uint64_t> r = RecoverAfterCrash();
-    ARGUS_CHECK_MSG(r.ok(), "existing log unreadable");
-  }
+  needs_scan_ = medium_->durable_size() > 0;
 }
 
 LogAddress StableLog::Write(const LogEntry& entry) {
@@ -107,6 +118,9 @@ Status StableLog::Force() {
 }
 
 Status StableLog::ForceLocked() {
+  if (needs_scan_) {
+    return Status::Unavailable("log opened over existing bytes: RecoverAfterCrash() first");
+  }
   if (staged_.empty()) {
     return Status::Ok();
   }
@@ -134,48 +148,45 @@ Result<LogEntry> StableLog::Read(LogAddress address) const {
   return DecodeEntry(view.value().payload());
 }
 
-Result<StableLog::FrameView> StableLog::ReadFrameView(LogAddress address) const {
-  return ReadFrameView(address, nullptr);
-}
-
 Result<StableLog::FrameView> StableLog::ReadFrameView(LogAddress address,
                                                       bool* cache_validated) const {
+  if (cache_validated != nullptr) {
+    *cache_validated = false;
+  }
+  LogObs::Get().entries_read->Increment();
   std::uint64_t durable = 0;
-  std::uint64_t total = 0;
   {
     std::lock_guard<std::mutex> l(mu_);
     ++stats_.entries_read;
     durable = medium_->durable_size();
-    total = durable + staged_.size();
+    if (address.offset >= durable) {
+      // A staged frame: copy it out before a force can move the boundary.
+      const std::uint64_t at = address.offset - durable;
+      if (at + kFrameOverhead > staged_.size()) {
+        return Status::NotFound("log address beyond end");
+      }
+      std::span<const std::byte> frame = AsSpan(staged_).subspan(at);
+      const std::uint32_t len = LoadU32(frame);
+      if (at + kFrameOverhead + len > staged_.size()) {
+        return Status::Corruption("frame length exceeds log extent");
+      }
+      if (Status s = CheckFrame(frame.first(kFrameOverhead + len)); !s.ok()) {
+        return s;
+      }
+      std::span<const std::byte> payload = frame.subspan(4, len);
+      FrameView view;
+      view.view_ =
+          ReadCache::View::FromOwned(std::vector<std::byte>(payload.begin(), payload.end()));
+      view.payload_ = view.view_.bytes();
+      return view;
+    }
   }
-  LogObs::Get().entries_read->Increment();
-  return ReadFrameViewAt(address.offset, durable, total, cache_validated);
+  return ReadFrameViewAt(address.offset, durable, cache_validated);
 }
 
 Result<StableLog::FrameView> StableLog::ReadFrameViewAt(std::uint64_t offset,
                                                         std::uint64_t durable,
-                                                        std::uint64_t total,
                                                         bool* cache_validated) const {
-  if (cache_validated != nullptr) {
-    *cache_validated = false;
-  }
-  if (offset + kFrameOverhead > total) {
-    return Status::NotFound("log address beyond end");
-  }
-  if (offset + kFrameOverhead > durable) {
-    // The frame touches the staged tail: take the locked stitched path and
-    // re-materialize the payload as an owned view.
-    std::lock_guard<std::mutex> l(mu_);
-    Result<LogEntry> entry = ReadFrameAt(offset, nullptr);
-    if (!entry.ok()) {
-      return entry.status();
-    }
-    FrameView view;
-    view.view_ = ReadCache::View::FromOwned(EncodeEntry(entry.value()));
-    view.payload_ = view.view_.bytes();
-    return view;
-  }
-
   // One cache access covers the header and, nearly always, the whole frame;
   // the memo flag comes back under the same lock that produced the view.
   bool validated = false;
@@ -184,24 +195,12 @@ Result<StableLog::FrameView> StableLog::ReadFrameViewAt(std::uint64_t offset,
   if (!probe.ok()) {
     return probe.status();
   }
-  std::uint32_t len = LoadU32(probe.value().bytes());
-  if (offset + kFrameOverhead + len > total) {
+  const std::uint32_t len = LoadU32(probe.value().bytes());
+  const std::uint64_t frame_len = kFrameOverhead + len;
+  if (offset + frame_len > durable) {
     return Status::Corruption("frame length exceeds log extent");
   }
-  if (offset + kFrameOverhead + len > durable) {
-    // Frame straddles the durable/staged boundary; locked path as above.
-    std::lock_guard<std::mutex> l(mu_);
-    Result<LogEntry> entry = ReadFrameAt(offset, nullptr);
-    if (!entry.ok()) {
-      return entry.status();
-    }
-    FrameView view;
-    view.view_ = ReadCache::View::FromOwned(EncodeEntry(entry.value()));
-    view.payload_ = view.view_.bytes();
-    return view;
-  }
 
-  const std::uint64_t frame_len = kFrameOverhead + len;
   ReadCache::View frame_view;
   if (probe.value().bytes().size() >= frame_len) {
     frame_view = std::move(probe).value();
@@ -215,19 +214,12 @@ Result<StableLog::FrameView> StableLog::ReadFrameViewAt(std::uint64_t offset,
     validated = cache_.IsValidated(offset);
     frame_view = std::move(frame).value();
   }
-  std::span<const std::byte> bytes = frame_view.bytes().first(frame_len);
   if (cache_validated != nullptr) {
     *cache_validated = validated;
   }
   if (!validated) {
-    std::span<const std::byte> payload = bytes.subspan(4, len);
-    std::uint32_t crc = LoadU32(bytes.subspan(4 + len, 4));
-    std::uint32_t trailer_len = LoadU32(bytes.subspan(4 + len + 4, 4));
-    if (trailer_len != len) {
-      return Status::Corruption("frame trailer length mismatch");
-    }
-    if (crc != Crc32(payload)) {
-      return Status::Corruption("frame crc mismatch");
+    if (Status s = CheckFrame(frame_view.bytes().first(frame_len)); !s.ok()) {
+      return s;
     }
     cache_.MarkValidated(offset, frame_len, frame_view);
   }
@@ -235,6 +227,40 @@ Result<StableLog::FrameView> StableLog::ReadFrameViewAt(std::uint64_t offset,
   view.view_ = std::move(frame_view);
   view.payload_ = view.view_.bytes().subspan(4, len);
   return view;
+}
+
+Result<std::optional<std::uint64_t>> StableLog::PreviousFrameOffset(std::uint64_t offset) const {
+  if (offset == 0) {
+    return std::optional<std::uint64_t>(std::nullopt);
+  }
+  if (offset < kFrameOverhead) {
+    return Status::Corruption("previous frame trailer out of range");
+  }
+  std::uint64_t durable = 0;
+  std::uint32_t prev_len = 0;
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    durable = medium_->durable_size();
+    if (offset > durable) {
+      // The previous frame ends past the boundary, so it is staged too.
+      const std::uint64_t at = offset - durable;
+      if (at < 4 || at > staged_.size()) {
+        return Status::Corruption("previous frame trailer out of range");
+      }
+      prev_len = LoadU32(AsSpan(staged_).subspan(at - 4, 4));
+    }
+  }
+  if (offset <= durable) {
+    Result<ReadCache::View> trailer = cache_.Read(offset - 4, 4, durable);
+    if (!trailer.ok()) {
+      return trailer.status();
+    }
+    prev_len = LoadU32(trailer.value().bytes());
+  }
+  if (offset < kFrameOverhead + prev_len) {
+    return Status::Corruption("previous frame trailer out of range");
+  }
+  return std::optional<std::uint64_t>(offset - kFrameOverhead - prev_len);
 }
 
 std::vector<Result<LogEntry>> StableLog::ReadMany(std::span<const LogAddress> addresses) const {
@@ -317,113 +343,21 @@ void StableLog::RecordForceRequest(bool coalesced, std::uint64_t wait_ns) {
   LogObs::Get().force_wait_ns->Record(wait_ns);
 }
 
-Result<LogEntry> StableLog::ReadFrameAt(std::uint64_t offset, std::optional<std::uint64_t>* prev,
-                                        std::uint64_t* next) const {
-  std::uint64_t total = medium_->durable_size() + staged_.size();
-  if (offset + kFrameOverhead > total) {
-    return Status::NotFound("log address beyond end");
-  }
-
-  // Reads `len` raw bytes at `at`, stitching durable medium and staged tail.
-  // Durable bytes come through the cache (mu_ -> cache mutex lock order).
-  auto read_raw = [&](std::uint64_t at, std::uint64_t len) -> Result<std::vector<std::byte>> {
-    std::uint64_t durable = medium_->durable_size();
-    if (at + len <= durable) {
-      Result<ReadCache::View> v = cache_.Read(at, len, durable);
-      if (!v.ok()) {
-        return v.status();
-      }
-      std::span<const std::byte> b = v.value().bytes();
-      return std::vector<std::byte>(b.begin(), b.end());
-    }
-    if (at >= durable) {
-      if (at - durable + len > staged_.size()) {
-        return Status::NotFound("read past staged tail");
-      }
-      return std::vector<std::byte>(
-          staged_.begin() + static_cast<std::ptrdiff_t>(at - durable),
-          staged_.begin() + static_cast<std::ptrdiff_t>(at - durable + len));
-    }
-    // Straddles the durable / staged boundary.
-    Result<ReadCache::View> head = cache_.Read(at, durable - at, durable);
-    if (!head.ok()) {
-      return head.status();
-    }
-    std::uint64_t rest = len - (durable - at);
-    if (rest > staged_.size()) {
-      return Status::NotFound("read past staged tail");
-    }
-    std::span<const std::byte> hb = head.value().bytes();
-    std::vector<std::byte> out(hb.begin(), hb.end());
-    out.insert(out.end(), staged_.begin(), staged_.begin() + static_cast<std::ptrdiff_t>(rest));
-    return out;
-  };
-
-  Result<std::vector<std::byte>> header = read_raw(offset, 4);
-  if (!header.ok()) {
-    return header.status();
-  }
-  std::uint32_t len = LoadU32(AsSpan(header.value()));
-  if (offset + kFrameOverhead + len > total) {
-    return Status::Corruption("frame length exceeds log extent");
-  }
-  Result<std::vector<std::byte>> body = read_raw(offset + 4, static_cast<std::uint64_t>(len) + 8);
-  if (!body.ok()) {
-    return body.status();
-  }
-  std::span<const std::byte> payload(body.value().data(), len);
-  std::uint32_t crc = LoadU32(std::span<const std::byte>(body.value().data() + len, 4));
-  std::uint32_t trailer_len = LoadU32(std::span<const std::byte>(body.value().data() + len + 4, 4));
-  if (trailer_len != len) {
-    return Status::Corruption("frame trailer length mismatch");
-  }
-  if (crc != Crc32(payload)) {
-    return Status::Corruption("frame crc mismatch");
-  }
-
-  if (next != nullptr) {
-    *next = offset + kFrameOverhead + len;
-  }
-  if (prev != nullptr) {
-    if (offset == 0) {
-      *prev = std::nullopt;
-    } else {
-      Result<std::vector<std::byte>> ptrail = read_raw(offset - 4, 4);
-      if (!ptrail.ok()) {
-        return ptrail.status();
-      }
-      std::uint32_t plen = LoadU32(AsSpan(ptrail.value()));
-      if (offset < kFrameOverhead + plen) {
-        return Status::Corruption("previous frame trailer out of range");
-      }
-      *prev = offset - kFrameOverhead - plen;
-    }
-  }
-  return DecodeEntry(payload);
-}
-
-Result<LogEntry> StableLog::ReadFrameForCursor(std::uint64_t offset,
-                                               std::optional<std::uint64_t>* prev,
-                                               std::uint64_t* next) const {
-  std::lock_guard<std::mutex> l(mu_);
-  Result<LogEntry> entry = ReadFrameAt(offset, prev, next);
-  if (entry.ok()) {
-    ++stats_.entries_read;
-  }
-  return entry;
-}
-
 Result<std::optional<std::pair<LogAddress, LogEntry>>> StableLog::BackwardCursor::Next() {
   if (!next_.has_value()) {
     return std::optional<std::pair<LogAddress, LogEntry>>(std::nullopt);
   }
-  std::optional<std::uint64_t> prev;
-  Result<LogEntry> entry = log_->ReadFrameForCursor(next_->offset, &prev, nullptr);
+  Result<LogEntry> entry = log_->Read(*next_);
   if (!entry.ok()) {
     return entry.status();
   }
+  Result<std::optional<std::uint64_t>> prev = log_->PreviousFrameOffset(next_->offset);
+  if (!prev.ok()) {
+    return prev.status();
+  }
   LogAddress at = *next_;
-  next_ = prev.has_value() ? std::optional<LogAddress>(LogAddress{*prev}) : std::nullopt;
+  next_ = prev.value().has_value() ? std::optional<LogAddress>(LogAddress{*prev.value()})
+                                   : std::nullopt;
   return std::optional<std::pair<LogAddress, LogEntry>>(
       std::make_pair(at, std::move(entry).value()));
 }
@@ -432,23 +366,27 @@ Result<std::optional<std::pair<LogAddress, LogEntry>>> StableLog::ForwardCursor:
   if (next_ + kFrameOverhead > log_->end_offset()) {
     return std::optional<std::pair<LogAddress, LogEntry>>(std::nullopt);
   }
-  std::uint64_t after = 0;
-  Result<LogEntry> entry = log_->ReadFrameForCursor(next_, nullptr, &after);
+  Result<FrameView> frame = log_->ReadFrameView(LogAddress{next_});
+  if (!frame.ok()) {
+    return frame.status();
+  }
+  Result<LogEntry> entry = DecodeEntry(frame.value().payload());
   if (!entry.ok()) {
     return entry.status();
   }
   LogAddress at{next_};
-  next_ = after;
+  next_ += kFrameOverhead + frame.value().payload().size();
   return std::optional<std::pair<LogAddress, LogEntry>>(
       std::make_pair(at, std::move(entry).value()));
 }
 
-Result<std::uint64_t> StableLog::RecoverAfterCrash() {
+Status StableLog::RecoverAfterCrash() {
   std::lock_guard<std::mutex> l(mu_);
   staged_.clear();
   staged_entry_count_ = 0;
   last_forced_ = std::nullopt;
   last_staged_ = std::nullopt;
+  needs_scan_ = true;
 
   Status s = medium_->RecoverAfterCrash();
   if (!s.ok()) {
@@ -459,28 +397,50 @@ Result<std::uint64_t> StableLog::RecoverAfterCrash() {
   // would report.
   cache_.Clear();
 
-  // Scan frames forward to find the last intact entry. On atomic media the
-  // scan always ends exactly at durable_size; on a plain file a torn final
-  // frame is detected by CRC and logically truncated. The ascending frame
+  // Scan frames forward to find the last whole frame. The ascending frame
   // reads make the cache prefetch ahead of the scan.
+  const std::uint64_t durable = medium_->durable_size();
   std::uint64_t offset = 0;
-  std::uint64_t durable = medium_->durable_size();
-  std::uint64_t count = 0;
+  std::optional<LogAddress> top;
   while (offset + kFrameOverhead <= durable) {
-    std::uint64_t next = 0;
-    Result<LogEntry> entry = ReadFrameAt(offset, nullptr, &next);
-    if (!entry.ok()) {
-      if (entry.status().code() == ErrorCode::kCorruption) {
-        break;  // torn tail: log ends at the previous frame
+    Result<FrameView> frame = ReadFrameViewAt(offset, durable, nullptr);
+    if (!frame.ok()) {
+      if (frame.status().code() != ErrorCode::kCorruption) {
+        return frame.status();
       }
-      return entry.status();
+      break;
     }
-    last_forced_ = LogAddress{offset};
-    offset = next;
-    ++count;
+    top = LogAddress{offset};
+    offset += kFrameOverhead + frame.value().payload().size();
   }
-  last_staged_ = last_forced_;
-  return count;
+  if (offset < durable) {
+    // A force torn on its way to the medium leaves no whole frame past the
+    // first frame it broke, while every acknowledged frame is whole. A whole
+    // frame past the bad one is damage: report it and keep every byte.
+    for (std::uint64_t at = offset + 1; at + kFrameOverhead <= durable; ++at) {
+      Result<FrameView> later = ReadFrameViewAt(at, durable, nullptr);
+      if (later.ok()) {
+        return Status::Corruption("damaged log frame at " + std::to_string(offset) +
+                                  " before a whole frame at " + std::to_string(at));
+      }
+      if (later.status().code() != ErrorCode::kCorruption) {
+        return later.status();
+      }
+    }
+    // Only a medium whose appends can tear cuts the bytes off; the default
+    // reports them as damage.
+    s = medium_->TruncateTornTail(offset);
+    if (!s.ok()) {
+      return s;
+    }
+    // Cached blocks may hold the dropped bytes, which the next force
+    // overwrites.
+    cache_.Clear();
+  }
+  last_forced_ = top;
+  last_staged_ = top;
+  needs_scan_ = false;
+  return Status::Ok();
 }
 
 }  // namespace argus

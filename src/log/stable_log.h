@@ -10,11 +10,23 @@
 //
 // Entries are framed [len u32][payload][crc u32][len u32]; the trailing
 // length makes backward physical iteration possible, and the CRC rejects torn
-// frames on media that are not inherently atomic (plain files).
+// frames on media that are not inherently atomic (plain files). A force
+// appends whole frames, so no frame ever straddles the durable/staged
+// boundary.
 //
-// A crash (Guardian restart) discards the staged tail — exactly the
-// volatility the outcome-entry protocol is designed around. After a crash,
-// RecoverAfterCrash() re-derives the durable top by scanning frames forward.
+// Constructing a log reads nothing from its medium. A log over a non-empty
+// medium (a reopened file, a surviving medium) has no top and refuses to
+// force until RecoverAfterCrash() has scanned it. A crash (Guardian restart)
+// discards the staged tail — exactly the volatility the outcome-entry
+// protocol is designed around — and RecoverAfterCrash() re-derives the
+// durable top. That scan is the log's only one. It checks framing only
+// (length, trailer, CRC, a non-empty payload) and decodes nothing: a frame
+// whose payload does not decode is reported by the reader that reaches it.
+// A frame that fails its check ends the log only where a torn force can
+// leave one: at the tail of a medium whose appends are not atomic, with no
+// whole frame after it. The scan then cuts those bytes off
+// (StableMedium::TruncateTornTail). Every other bad frame is damage: the scan
+// returns Corruption and changes no byte.
 //
 // Thread-safety: every public operation is internally synchronized by one
 // coarse mutex, so N actions may stage and read concurrently. Force() holds
@@ -27,11 +39,13 @@
 // RecoverAfterCrash() and the accessors returning references still assume a
 // quiescent log (recovery and housekeeping are single-threaded phases).
 //
-// Reads of durable bytes go through a block ReadCache (src/stable/read_cache)
-// whose mutex is the single funnel for all medium access; ReadFrameView /
-// ReadMany serve concurrent readers (residency faults, the writer's mutex
-// dereferences) without holding the log mutex for the medium fetch, CRC
-// check, or decode.
+// Every frame read — Read, ReadFrameView, ReadMany, both cursors and the
+// recovery scan — goes through one reader. A staged frame is copied out of
+// the staged tail under the same mutex acquisition that reads the
+// durable/staged boundary. A durable frame is read through a block ReadCache
+// (src/stable/read_cache) whose mutex is the single funnel for all medium
+// access, without holding the log mutex for the medium fetch, CRC check, or
+// decode, and its framing is checked once per cache residence.
 
 #ifndef SRC_LOG_STABLE_LOG_H_
 #define SRC_LOG_STABLE_LOG_H_
@@ -88,6 +102,7 @@ struct LogStats {
 
 class StableLog {
  public:
+  // Wraps `medium` without reading it (see the header comment).
   explicit StableLog(std::unique_ptr<StableMedium> medium,
                      ReadCache::Config cache_config = ReadCache::Config());
 
@@ -101,7 +116,8 @@ class StableLog {
   // Stages `entry` then durably flushes the whole staged tail.
   Result<LogAddress> ForceWrite(const LogEntry& entry);
 
-  // Durably flushes the staged tail (group commit).
+  // Durably flushes the staged tail (group commit). Unavailable on a log
+  // opened over a non-empty medium until RecoverAfterCrash() has run.
   Status Force();
 
   // Reads the entry at `address`. Staged (not yet forced) entries are
@@ -125,15 +141,12 @@ class StableLog {
 
   // Reads the frame at `address` as a pinned view. Safe to call from many
   // threads concurrently: durable frames go through the read cache without
-  // holding the log mutex, frames touching the staged tail fall back to a
-  // locked stitched read.
-  Result<FrameView> ReadFrameView(LogAddress address) const;
-
-  // As above, additionally reporting whether the frame was served from an
+  // holding the log mutex; a staged frame is copied out under it. A non-null
+  // `cache_validated` reports whether the frame was served from an
   // already-validated cache residence (a repeat read that skipped the medium
   // and the CRC check). Steady-state table dereferences use this as their
   // cache-hit signal; staged-tail and pass-through reads report false.
-  Result<FrameView> ReadFrameView(LogAddress address, bool* cache_validated) const;
+  Result<FrameView> ReadFrameView(LogAddress address, bool* cache_validated = nullptr) const;
 
   // Batched form of Read (residency faults, the writer's mutex reads):
   // fetches every address, processing them in ascending offset order for
@@ -145,7 +158,8 @@ class StableLog {
   std::optional<LogAddress> GetTop() const;
 
   // Walks entries backward: Read(address), then step to the physically
-  // preceding entry. Next() yields entries until the beginning of the log.
+  // preceding entry, whose offset the 4-byte trailer in front of the current
+  // frame gives. Next() yields entries until the beginning of the log.
   class BackwardCursor {
    public:
     BackwardCursor(const StableLog* log, std::optional<LogAddress> start)
@@ -164,9 +178,9 @@ class StableLog {
   }
   BackwardCursor ReadBackwardFromTop() const { return BackwardCursor(this, GetTop()); }
 
-  // Walks entries forward from a byte offset (used by housekeeping stage 2 to
-  // copy activity that arrived after the housekeeping marker). Iterates
-  // through staged (unforced) entries as well.
+  // Walks entries forward from a byte offset, stepping by each frame's length
+  // (used by housekeeping stage 2 to copy activity that arrived after the
+  // housekeeping marker). Iterates through staged (unforced) entries as well.
   class ForwardCursor {
    public:
     ForwardCursor(const StableLog* log, std::uint64_t offset) : log_(log), next_(offset) {}
@@ -195,11 +209,13 @@ class StableLog {
   std::uint64_t staged_entries() const;
 
   // Discards the staged tail (what a crash does to volatile state) and
-  // re-derives the durable top from the medium. Returns the number of durable
-  // entries found.
-  Result<std::uint64_t> RecoverAfterCrash();
+  // re-derives the durable top with the log's only scan, which cuts a torn
+  // force off or reports damage (see the header comment). Each frame it
+  // checks stays in the read cache's frame memo, so the chain walk that
+  // follows does not check it again.
+  Status RecoverAfterCrash();
 
-  // True if nothing has ever been forced.
+  // True if no forced entry is known (nothing forced, or not yet scanned).
   bool empty() const;
 
   std::uint64_t durable_size() const;
@@ -230,22 +246,16 @@ class StableLog {
   LogAddress WriteLocked(const LogEntry& entry);
   Status ForceLocked();
 
-  // Reads the raw frame that starts at `offset`; also returns the offset of
-  // the frame that physically precedes it (nullopt if first) and/or the
-  // offset just past this frame. Caller holds mu_ (durable bytes still go
-  // through the cache; mu_ -> cache mutex is the fixed lock order).
-  Result<LogEntry> ReadFrameAt(std::uint64_t offset, std::optional<std::uint64_t>* prev,
-                               std::uint64_t* next = nullptr) const;
-
-  // Locked frame read for the cursors (also ticks entries_read).
-  Result<LogEntry> ReadFrameForCursor(std::uint64_t offset, std::optional<std::uint64_t>* prev,
-                                      std::uint64_t* next) const;
-
-  // Lock-free frame read against a consistent (durable, total) snapshot;
-  // the workhorse of ReadFrameView. Validates trailer + CRC once per cache
-  // residence (ReadCache's frame memo).
+  // Reads the durable frame at `offset` against a snapshot `durable` of the
+  // durable extent, without mu_ (a caller may hold it: mu_ -> cache mutex is
+  // the fixed lock order). Checks the framing once per cache residence
+  // (ReadCache's frame memo).
   Result<FrameView> ReadFrameViewAt(std::uint64_t offset, std::uint64_t durable,
-                                    std::uint64_t total, bool* cache_validated = nullptr) const;
+                                    bool* cache_validated) const;
+
+  // Offset of the frame that ends where the frame at `offset` starts, from
+  // the 4-byte trailer in front of it; nullopt at the start of the log.
+  Result<std::optional<std::uint64_t>> PreviousFrameOffset(std::uint64_t offset) const;
 
   mutable std::mutex mu_;
   std::unique_ptr<StableMedium> medium_;
@@ -254,6 +264,7 @@ class StableLog {
   std::uint64_t staged_entry_count_ = 0;
   std::optional<LogAddress> last_forced_;  // top
   std::optional<LogAddress> last_staged_;  // last written (forced or not)
+  bool needs_scan_ = false;                // medium bytes RecoverAfterCrash has not scanned
   mutable LogStats stats_;                 // read counters tick in const reads
 };
 

@@ -15,10 +15,8 @@
 //     cached Counter* outlives every instrumented object; re-registering the
 //     same name returns the same handle.
 //
-// Two disable paths (the ≤5% bench_log_ops budget):
-//  - runtime: SetEnabled(false) turns Add/Set/Record into a flag test;
-//  - compile time: -DARGUS_OBS_DISABLED compiles the bodies out entirely
-//    (cmake -DARGUS_OBS=OFF).
+// One disable path (the ≤5% bench_log_ops budget): SetEnabled(false) turns
+// Add/Set/Record into a flag test.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -39,13 +37,7 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
 
-inline bool Enabled() {
-#ifdef ARGUS_OBS_DISABLED
-  return false;
-#else
-  return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
-}
+inline bool Enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 
 // Runtime toggle. Disabling does not clear accumulated values; it stops new
 // ones. Returns the previous state (benches flip it around a hot loop).
@@ -55,13 +47,9 @@ bool SetEnabled(bool enabled);
 class Counter {
  public:
   void Add(std::uint64_t delta) {
-#ifndef ARGUS_OBS_DISABLED
     if (Enabled()) {
       value_.fetch_add(delta, std::memory_order_relaxed);
     }
-#else
-    (void)delta;
-#endif
   }
   void Increment() { Add(1); }
   std::uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -75,13 +63,9 @@ class Counter {
 class Gauge {
  public:
   void Set(double value) {
-#ifndef ARGUS_OBS_DISABLED
     if (Enabled()) {
       value_.store(value, std::memory_order_relaxed);
     }
-#else
-    (void)value;
-#endif
   }
   double Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
@@ -102,7 +86,6 @@ class Histogram {
   static constexpr int kBuckets = 48;
 
   void Record(std::uint64_t value) {
-#ifndef ARGUS_OBS_DISABLED
     if (!Enabled()) {
       return;
     }
@@ -112,9 +95,6 @@ class Histogram {
     std::uint64_t seen = max_.load(std::memory_order_relaxed);
     while (value > seen && !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
     }
-#else
-    (void)value;
-#endif
   }
 
   std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }

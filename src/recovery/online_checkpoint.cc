@@ -10,10 +10,9 @@ namespace {
 // Checkpoint-phase telemetry. The histograms are the registry view of
 // CheckpointPauseStats (per-checkpointer stats stay on the instance); the
 // counter is the forward-progress signal the checkpoint-race property test
-// asserts on. skipped_gap counts polls the fairness floor suppressed.
+// asserts on.
 struct CkptObs {
   obs::Counter* checkpoints;
-  obs::Counter* skipped_gap;
   obs::Histogram* capture_ns;
   obs::Histogram* build_ns;
   obs::Histogram* swap_ns;
@@ -22,7 +21,6 @@ struct CkptObs {
   static const CkptObs& Get() {
     static const CkptObs m{
         obs::GetCounter("checkpoint.count"),
-        obs::GetCounter("checkpoint.skipped_by_gap"),
         obs::GetHistogram("checkpoint.capture_ns"),
         obs::GetHistogram("checkpoint.build_ns"),
         obs::GetHistogram("checkpoint.swap_ns"),
@@ -220,16 +218,13 @@ void CheckpointService::Loop() {
       }
     }
     {
+      // With a predicate, wait_for returns before `wait` has passed only on
+      // Stop(), so no poll ever lands inside the gap.
       std::unique_lock<std::mutex> l(mu_);
       cv_.wait_for(l, wait, [this] { return stop_; });
       if (stop_) {
         return;
       }
-    }
-    if (have_last && config_.min_checkpoint_gap.count() > 0 &&
-        std::chrono::steady_clock::now() < last_end + config_.min_checkpoint_gap) {
-      CkptObs::Get().skipped_gap->Increment();
-      continue;  // spurious wakeup inside the gap
     }
     // Polling the log's counters is safe without the guardian exclusion:
     // durable_size() and StatsSnapshot() lock internally, and only this

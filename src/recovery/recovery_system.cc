@@ -137,9 +137,8 @@ Result<RecoveryInfo> RecoverySystem::Recover() {
   std::vector<const StableLog*> shards;
   shards.reserve(logs_.size());
   for (const auto& log : logs_) {
-    Result<std::uint64_t> recovered = log->RecoverAfterCrash();
-    if (!recovered.ok()) {
-      return recovered.status();
+    if (Status s = log->RecoverAfterCrash(); !s.ok()) {
+      return s;
     }
     shards.push_back(log.get());
   }

@@ -60,11 +60,6 @@ struct RecoverySystemConfig {
   std::uint64_t shard_salt = 0;
 
   // ---- Replicated stable storage ----
-  // Replica count the medium factory is expected to build (N-way
-  // ReplicatedStableMedium). The factory is supplied by the caller, so this
-  // is a record of the world shape for drivers and tests, not an input to
-  // medium construction — SimWorld::MakeMediumFactory keeps the two in sync.
-  std::uint32_t replicas = 2;
   // When set, every log whose medium is a ReplicatedStableMedium gets a
   // ReplicaRepairService (background thread) scrubbing decayed/diverged
   // replica pages concurrently with commits. Services are per-incarnation:

@@ -59,10 +59,28 @@ Status PreadFully(int fd, std::uint64_t offset, std::span<std::byte> out) {
   return Status::Ok();
 }
 
+// Makes a new directory entry durable: fsync the directory that holds `path`.
+Status SyncParentDirectory(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  const int err = errno;
+  if (fd >= 0) {
+    ::close(fd);
+  }
+  return synced ? Status::Ok() : Status::IoError("fsync " + dir + ": " + std::strerror(err));
+}
+
 }  // namespace
 
 Result<std::unique_ptr<FileStableMedium>> FileStableMedium::Open(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+  bool created = true;
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
+  if (fd < 0 && errno == EEXIST) {
+    created = false;
+    fd = ::open(path.c_str(), O_RDWR);
+  }
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
@@ -71,6 +89,12 @@ Result<std::unique_ptr<FileStableMedium>> FileStableMedium::Open(const std::stri
     int err = errno;
     ::close(fd);
     return Status::IoError("fstat " + path + ": " + std::strerror(err));
+  }
+  if (created) {
+    if (Status s = SyncParentDirectory(path); !s.ok()) {
+      ::close(fd);
+      return s;
+    }
   }
   return std::unique_ptr<FileStableMedium>(
       new FileStableMedium(fd, static_cast<std::uint64_t>(st.st_size)));
@@ -83,23 +107,52 @@ FileStableMedium::~FileStableMedium() {
 }
 
 Status FileStableMedium::Append(std::span<const std::byte> data) {
+  if (failed_) {
+    return Status::IoError("append refused: an earlier write or sync failed; reopen the file");
+  }
   std::size_t done = 0;
   while (done < data.size()) {
-    ssize_t n = ::write(fd_, data.data() + done, data.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("write: ") + std::strerror(errno));
+    ssize_t n = ::pwrite(fd_, data.data() + done, data.size() - done,
+                         static_cast<off_t>(durable_size_ + done));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return Fail(Status::IoError(std::string("pwrite: ") +
+                                  (n < 0 ? std::strerror(errno) : "no progress")));
     }
     done += static_cast<std::size_t>(n);
   }
   if (::fdatasync(fd_) != 0) {
-    return Status::IoError(std::string("fdatasync: ") + std::strerror(errno));
+    return Fail(Status::IoError(std::string("fdatasync: ") + std::strerror(errno)));
   }
   FileObs::Get().fsyncs->Increment();
   durable_size_ += data.size();
   physical_bytes_ += data.size();
+  return Status::Ok();
+}
+
+Status FileStableMedium::Fail(Status error) {
+  failed_ = true;
+  if (::ftruncate(fd_, static_cast<off_t>(durable_size_)) != 0) {
+    // The bytes stay; a reopen's recovery scan cuts them off as a torn tail.
+    return Status::IoError(error.message() + "; ftruncate: " + std::strerror(errno));
+  }
+  return error;
+}
+
+Status FileStableMedium::TruncateTornTail(std::uint64_t size) {
+  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+    return Status::IoError(std::string("ftruncate: ") + std::strerror(errno));
+  }
+  durable_size_ = size;
+  if (::fdatasync(fd_) != 0) {
+    // Not Fail(): the file already ends at `size`. Appends stay refused
+    // until a reopen scans the file again.
+    failed_ = true;
+    return Status::IoError(std::string("fdatasync: ") + std::strerror(errno));
+  }
+  FileObs::Get().fsyncs->Increment();
   return Status::Ok();
 }
 

@@ -3,6 +3,15 @@
 // against a real filesystem; crash simulation in tests uses the in-memory and
 // duplexed media instead (a real file cannot be "un-written").
 //
+// The file holds no bytes past the durable extent for long:
+//  - Append writes with pwrite at durable_size(), never at the file's end.
+//  - A failed write or fdatasync truncates the file back to durable_size()
+//    and refuses every later Append until the file is reopened: after a
+//    failed fdatasync the kernel may have dropped the dirty pages, so a retry
+//    could report success without the data.
+//  - A log's recovery scan cuts a torn force off with TruncateTornTail
+//    (ftruncate + fdatasync) before the log forces again.
+//
 // Reads take one of two paths, visible in the stable.file.* counters:
 //  - ReadInto: one pread per call (what the read cache issues when disabled).
 //  - SubmitReads: byte-adjacent segments of a batch are coalesced into iovec
@@ -23,8 +32,9 @@ namespace argus {
 
 class FileStableMedium final : public StableMedium {
  public:
-  // Opens (creating if needed) the file at `path`. Existing contents become
-  // the durable extent, so re-opening a log file resumes it.
+  // Opens (creating if needed, and then syncing its directory) the file at
+  // `path`. Existing contents become the durable extent, so re-opening a log
+  // file resumes it.
   static Result<std::unique_ptr<FileStableMedium>> Open(const std::string& path);
 
   ~FileStableMedium() override;
@@ -39,6 +49,9 @@ class FileStableMedium final : public StableMedium {
   // internal mutex. ReadInto stays lock-free (pread is reentrant).
   Status SubmitReads(std::span<ReadRequest> requests) override;
   std::uint64_t durable_size() const override { return durable_size_; }
+  // ftruncate + fdatasync down to `size`. After a failed fdatasync, appends
+  // are refused as after a failed Append.
+  Status TruncateTornTail(std::uint64_t size) override;
   std::uint64_t physical_bytes_written() const override { return physical_bytes_; }
 
   // Always false: reads never go through io_uring. perfbench's `restart`
@@ -49,11 +62,15 @@ class FileStableMedium final : public StableMedium {
   FileStableMedium(int fd, std::uint64_t size) : fd_(fd), durable_size_(size) {}
 
   Status SubmitPreadv(std::span<ReadRequest> requests);
+  // Cuts the file back to durable_size_ after a failed write or sync and
+  // refuses later appends; returns `error`.
+  Status Fail(Status error);
 
   int fd_;
   std::mutex submit_mu_;  // serializes whole SubmitReads batches
   std::uint64_t durable_size_;
   std::uint64_t physical_bytes_ = 0;
+  bool failed_ = false;  // a write or sync failed; appends are refused
 };
 
 }  // namespace argus

@@ -58,6 +58,7 @@ class LatencyStableMedium final : public StableMedium {
 
   std::uint64_t durable_size() const override { return inner_->durable_size(); }
   Status RecoverAfterCrash() override { return inner_->RecoverAfterCrash(); }
+  Status TruncateTornTail(std::uint64_t size) override { return inner_->TruncateTornTail(size); }
   std::uint64_t physical_bytes_written() const override {
     return inner_->physical_bytes_written();
   }

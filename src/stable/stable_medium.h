@@ -13,8 +13,10 @@
 //  - DuplexedStableMedium: bytes striped over a DuplexedStore with an
 //    atomically updated superblock holding the durable length. Gives the
 //    realistic 2x write amplification of §1.1 and survives torn writes.
-//  - FileStableMedium: a real file with fsync; the "straightforward
-//    file-backed log" deployment path.
+//  - FileStableMedium: a real file with fdatasync; the "straightforward
+//    file-backed log" deployment path. Its appends are not atomic: a crash
+//    can leave part of a force behind, which a log's recovery scan cuts off
+//    (TruncateTornTail).
 
 #ifndef SRC_STABLE_STABLE_MEDIUM_H_
 #define SRC_STABLE_STABLE_MEDIUM_H_
@@ -22,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/result.h"
@@ -91,6 +94,16 @@ class StableMedium {
 
   // Crash-recovery hook (e.g. re-duplex pages). Default: nothing to do.
   virtual Status RecoverAfterCrash() { return Status::Ok(); }
+
+  // Drops every byte past `size`, the end of the last whole frame a log's
+  // recovery scan found, so the next Append lands right after that frame. The
+  // log calls it only when no whole frame lies past `size`. Default: the
+  // appends of this medium are atomic, so those bytes cannot be a torn append;
+  // it cuts nothing and reports them as damage.
+  virtual Status TruncateTornTail(std::uint64_t size) {
+    return Status::Corruption("damaged frame at " + std::to_string(size) +
+                              " on a medium whose appends are atomic");
+  }
 
   // Total bytes physically written (for write-amplification measurements).
   virtual std::uint64_t physical_bytes_written() const = 0;

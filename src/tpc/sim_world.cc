@@ -29,7 +29,6 @@ SimWorld::SimWorld(const SimWorldConfig& config) : network_(config.seed) {
     rs_config.group_commit = config.group_commit;
     rs_config.log_shards = config.log_shards;
     rs_config.shard_salt = config.seed * 0x9e3779b97f4a7c15ull + i;
-    rs_config.replicas = replicas;
     rs_config.repair = config.repair;
     rs_config.residency.mem_budget_bytes = config.mem_budget_bytes;
     guardians_.push_back(std::make_unique<Guardian>(GuardianId{i}, rs_config, &network_));

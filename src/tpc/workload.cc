@@ -239,18 +239,17 @@ Status WorkloadDriver::RunOneAction() {
       }
     }
   }
-  // Serial residency: shed memory pressure inline between actions (the
-  // concurrent driver uses background ResidencyService threads instead).
-  if (config_.mem_budget_bytes > 0) {
-    for (std::uint32_t g = 0; g < world_->guardian_count(); ++g) {
-      if (world_->guardian(g).crashed()) {
-        continue;
-      }
-      ResidencyManager* rm = world_->guardian(g).recovery().residency();
-      if (rm != nullptr) {
-        rm->RunEvictionPass();
-        live_resident_bytes_[g].store(rm->resident_bytes(), std::memory_order_relaxed);
-      }
+  // Serial residency: every guardian with a memory budget sheds pressure
+  // inline between actions (the concurrent driver uses background
+  // ResidencyService threads instead).
+  for (std::uint32_t g = 0; g < world_->guardian_count(); ++g) {
+    if (world_->guardian(g).crashed()) {
+      continue;
+    }
+    ResidencyManager* rm = world_->guardian(g).recovery().residency();
+    if (rm != nullptr) {
+      rm->RunEvictionPass();
+      live_resident_bytes_[g].store(rm->resident_bytes(), std::memory_order_relaxed);
     }
   }
   return Status::Ok();
@@ -475,15 +474,6 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
       }
     }
   }
-  if (config_.mem_budget_bytes > 0) {
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (world_->guardian(g).recovery().residency() == nullptr) {
-        return Status::InvalidArgument(
-            "mem_budget_bytes is set on the workload but guardian " + std::to_string(g) +
-            " has no residency manager; set SimWorldConfig::mem_budget_bytes too");
-      }
-    }
-  }
 
   // One checkpoint service per guardian: its exclusive section is the same
   // per-guardian mutex the workers stage under, so capture and swap see a
@@ -497,17 +487,13 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   };
   std::vector<ServiceSlot> services(config_.checkpoint.has_value() ? guardian_count : 0);
 
-  // Background eviction: one ResidencyService per guardian when the budget is
-  // set, sharing the guardian's staging mutex as its exclusive section. A
+  // Background eviction: one ResidencyService per guardian with a memory
+  // budget, sharing the guardian's staging mutex as its exclusive section. A
   // service holds a raw ResidencyManager pointer that dies with the
   // guardian's recovery system, so every crash event stops the affected
   // services first and restarts them on the fresh incarnation.
-  std::vector<std::unique_ptr<ResidencyService>> residency_services(
-      config_.mem_budget_bytes > 0 ? guardian_count : 0);
+  std::vector<std::unique_ptr<ResidencyService>> residency_services(guardian_count);
   auto start_residency = [&](std::uint32_t g) {
-    if (residency_services.empty()) {
-      return;
-    }
     ResidencyManager* rm = world_->guardian(g).recovery().residency();
     if (rm == nullptr) {
       return;
@@ -522,7 +508,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     residency_services[g]->Start();
   };
   auto stop_residency = [&](std::uint32_t g) {
-    if (residency_services.empty() || residency_services[g] == nullptr) {
+    if (residency_services[g] == nullptr) {
       return;
     }
     residency_services[g]->Stop();

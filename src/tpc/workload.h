@@ -101,13 +101,11 @@ struct WorkloadConfig {
   std::function<void(std::uint64_t)> commit_latency_ns;
   // ---- Residency (beyond-RAM object store) ----
   //
-  // Per-guardian memory budget. Must match SimWorldConfig::mem_budget_bytes
-  // (the recovery systems own the ResidencyManagers; the driver cannot
-  // retrofit one). When > 0 the concurrent driver runs one ResidencyService
-  // per guardian (exclusive section = the guardian's staging mutex), the
-  // serial driver runs an inline eviction pass between actions, and
-  // SnapshotLiveStats reports per-guardian resident bytes.
-  std::uint64_t mem_budget_bytes = 0;
+  // The memory budget is SimWorldConfig::mem_budget_bytes. For every guardian
+  // whose recovery system has a ResidencyManager, the concurrent driver runs
+  // one ResidencyService (exclusive section = the guardian's staging mutex),
+  // the serial driver runs an inline eviction pass between actions, and
+  // SnapshotLiveStats reports its resident bytes.
   // Poll cadence of the background ResidencyService threads.
   std::chrono::milliseconds residency_poll_interval{1};
 };

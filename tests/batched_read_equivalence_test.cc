@@ -310,8 +310,8 @@ std::vector<std::byte> DumpDurableBytes(StableLog& log) {
   return raw;
 }
 
-// Writes `raw` to a fresh file and opens a StableLog over it (the log
-// constructor derives the durable top from the bytes).
+// Writes `raw` to a fresh file, opens a StableLog over it and derives the
+// durable top from the bytes (the recovery scan).
 std::unique_ptr<StableLog> MakeFileLog(const std::vector<std::byte>& raw, const std::string& path) {
   std::remove(path.c_str());
   {
@@ -321,7 +321,10 @@ std::unique_ptr<StableLog> MakeFileLog(const std::vector<std::byte>& raw, const 
   }
   Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
   EXPECT_TRUE(medium.ok());
-  return std::make_unique<StableLog>(std::move(medium).value());
+  auto log = std::make_unique<StableLog>(std::move(medium).value());
+  Status s = log->RecoverAfterCrash();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return log;
 }
 
 // ---- The equivalence sweep ----------------------------------------------
@@ -333,8 +336,8 @@ TEST_P(ScatterReadEquivalenceTest, AllReadGearsRecoverIdentically) {
   const std::uint64_t seed = GetParam();
   HistoryBuilder builder(HistoryConfig{.seed = seed});
   std::unique_ptr<StableLog> mem_log = builder.BuildAndCrash();
-  Result<std::uint64_t> recovered = mem_log->RecoverAfterCrash();
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Status recovered = mem_log->RecoverAfterCrash();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
 
   RecoveryRun reference = RunRecovery(*mem_log, "mem-uncached", false);
   ASSERT_TRUE(reference.result.ok()) << reference.result.status().ToString();
@@ -378,11 +381,16 @@ TEST(ScatterReadFault, MidBatchCarefulReadFallsBackPerSegment) {
   std::unique_ptr<StableLog> cached_log = HistoryBuilder(config).BuildAndCrash();
   uncached_log->read_cache().SetEnabled(false);
 
-  Result<std::uint64_t> r1 = uncached_log->RecoverAfterCrash();
-  Result<std::uint64_t> r2 = cached_log->RecoverAfterCrash();
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ASSERT_EQ(r1.value(), r2.value()) << "twin histories diverged";
+  Status r1 = uncached_log->RecoverAfterCrash();
+  Status r2 = cached_log->RecoverAfterCrash();
+  ASSERT_TRUE(r1.ok()) << r1.ToString();
+  ASSERT_TRUE(r2.ok()) << r2.ToString();
+  ASSERT_EQ(uncached_log->GetTop(), cached_log->GetTop()) << "twin histories diverged";
+  Result<std::uint64_t> w1 = CountEntriesBackward(*uncached_log);
+  Result<std::uint64_t> w2 = CountEntriesBackward(*cached_log);
+  ASSERT_TRUE(w1.ok()) << w1.status().ToString();
+  ASSERT_TRUE(w2.ok()) << w2.status().ToString();
+  ASSERT_EQ(w1.value(), w2.value()) << "twin histories diverged";
 
   // Decay disk A *after* the restart repair pass, so the pages are bad at
   // cache-fill time — the middle of the log lands mid-batch in a fill run.

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -40,10 +41,16 @@ struct Params {
   std::uint64_t seed;
 };
 
-std::string ParamName(const testing::TestParamInfo<Params>& info) {
-  return std::string(info.param.mode == LogMode::kSimple ? "simple" : "hybrid") + "_seed" +
-         std::to_string(info.param.seed);
+std::string Name(const Params& params) {
+  return std::string(params.mode == LogMode::kSimple ? "simple" : "hybrid") + "_seed" +
+         std::to_string(params.seed);
 }
+
+// gtest prints the parameter into the test listing that ctest names its tests
+// by; a byte dump would carry padding bytes that differ between builds.
+void PrintTo(const Params& params, std::ostream* os) { *os << Name(params); }
+
+std::string ParamName(const testing::TestParamInfo<Params>& info) { return Name(info.param); }
 
 class ConcurrentRecoveryTest : public testing::TestWithParam<Params> {};
 

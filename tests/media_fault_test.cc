@@ -1,10 +1,15 @@
 // Fault-injection tests at the media boundary: guardians running on the full
 // duplexed Lampson-Sturgis stack, decayed pages healed at recovery, torn
-// frames on plain-file logs truncated safely, and corrupt frames rejected.
+// forces on plain-file logs cut off before the next force, and damaged
+// frames reported instead of cut.
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <thread>
 
@@ -33,7 +38,6 @@ RecoverySystemConfig ReplicatedNConfig(std::uint32_t replicas, bool online_repai
   config.medium_factory = [replicas] {
     return std::make_unique<ReplicatedStableMedium>(replicas, 1234);
   };
-  config.replicas = replicas;
   if (online_repair) {
     config.repair = ReplicaRepairConfig{};
   }
@@ -374,6 +378,11 @@ TEST(FileLog, ReopenResumesDurableEntries) {
     Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
     ASSERT_TRUE(medium.ok());
     StableLog log(std::move(medium).value());
+    // Opening reads nothing: the top stays unknown, and forcing is refused,
+    // until the recovery scan has run.
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(log.Force().code(), ErrorCode::kUnavailable);
+    ASSERT_TRUE(log.RecoverAfterCrash().ok());
     ASSERT_FALSE(log.empty());
     EXPECT_EQ(log.GetTop().value(), a2);
     Result<LogEntry> top = log.Read(a2);
@@ -406,11 +415,207 @@ TEST(FileLog, TornTailIsLogicallyTruncated) {
     Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
     ASSERT_TRUE(medium.ok());
     StableLog log(std::move(medium).value());
+    ASSERT_TRUE(log.RecoverAfterCrash().ok());
     // Only the first entry survives; the torn one is invisible.
     Result<LogEntry> top = log.Read(log.GetTop().value());
     ASSERT_TRUE(top.ok());
     EXPECT_EQ(std::get<CommittedEntry>(top.value()).aid.sequence, 1u);
   }
+  std::remove(path.c_str());
+}
+
+std::uint64_t FileSize(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<std::uint64_t>(st.st_size);
+}
+
+// Expects a backward walk of the log file at `path`, reopened and recovered,
+// to find exactly the committed sequences `count` down to 1, and the file to
+// hold nothing past the durable extent.
+void ExpectFileLogHolds(const std::string& path, std::uint64_t count) {
+  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+  ASSERT_TRUE(medium.ok());
+  StableLog log(std::move(medium).value());
+  ASSERT_TRUE(log.RecoverAfterCrash().ok());
+  StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
+  for (std::uint64_t i = count; i >= 1; --i) {
+    auto next = cursor.Next();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(next.value().has_value()) << "acknowledged entry " << i << " lost";
+    EXPECT_EQ(std::get<CommittedEntry>(next.value()->second).aid.sequence, i);
+  }
+  auto end = cursor.Next();
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_FALSE(end.value().has_value());
+  EXPECT_EQ(FileSize(path), log.durable_size());
+}
+
+TEST(FileLog, TornTailIsCutOffBeforeTheNextForce) {
+  std::string path = testing::TempDir() + "/argus_torn_reforce_test.log";
+  std::remove(path.c_str());
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+    }
+  }
+  // A torn append left 7 bytes of a frame behind the last whole one.
+  {
+    FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const char garbage[7] = {'\x21', '\x43', '\x65', '\x07', '\x09', '\x0b', '\x0d'};
+    ASSERT_EQ(std::fwrite(garbage, 1, sizeof(garbage), f), sizeof(garbage));
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    ASSERT_TRUE(log.RecoverAfterCrash().ok());
+    for (std::uint64_t i = 4; i <= 5; ++i) {
+      ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+    }
+  }
+  ExpectFileLogHolds(path, 5);
+  std::remove(path.c_str());
+}
+
+TEST(FileLog, ZeroFilledTailIsCutOff) {
+  // A crash during an extending write can leave zeros past the last whole
+  // frame. They read as empty frames whose CRC (of no bytes) is 0, which the
+  // scan must cut off like any other torn bytes before the next force.
+  std::string path = testing::TempDir() + "/argus_zero_tail_test.log";
+  std::remove(path.c_str());
+  std::uint64_t whole = 0;
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+    }
+    whole = log.durable_size();
+  }
+  {
+    FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const char zeros[24] = {};
+    ASSERT_EQ(std::fwrite(zeros, 1, sizeof(zeros), f), sizeof(zeros));
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    ASSERT_TRUE(log.RecoverAfterCrash().ok());
+    EXPECT_EQ(log.durable_size(), whole);
+    EXPECT_EQ(FileSize(path), whole);
+    for (std::uint64_t i = 4; i <= 5; ++i) {
+      ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+    }
+  }
+  ExpectFileLogHolds(path, 5);
+  std::remove(path.c_str());
+}
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::vector<char> bytes(FileSize(path));
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  return bytes;
+}
+
+TEST(FileLog, DamagedFrameBeforeWholeFramesIsReportedAndKept) {
+  // A bad frame followed by whole frames is damage, not a torn force: the
+  // restart must fail and leave every byte, acknowledged frames included.
+  std::string path = testing::TempDir() + "/argus_damaged_frame_test.log";
+  std::remove(path.c_str());
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+    }
+  }
+  {
+    // Flip a payload byte of the first frame.
+    FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 5, SEEK_SET), 0);
+    const int byte = std::fgetc(f);
+    ASSERT_NE(byte, EOF);
+    ASSERT_EQ(std::fseek(f, 5, SEEK_SET), 0);
+    ASSERT_NE(std::fputc(byte ^ 0x40, f), EOF);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  const std::vector<char> damaged = FileBytes(path);
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    EXPECT_EQ(log.RecoverAfterCrash().code(), ErrorCode::kCorruption);
+    EXPECT_EQ(log.ForceWrite(LogEntry(CommittedEntry{Aid(4)})).status().code(),
+              ErrorCode::kUnavailable);
+  }
+  EXPECT_EQ(FileBytes(path), damaged);
+  std::remove(path.c_str());
+}
+
+// Caps the process's file size for one scope, ignoring SIGXFSZ so that a
+// write past the cap fails with EFBIG instead of killing the process.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(std::uint64_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit limited = saved_;
+    limited.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  }
+  ~ScopedFileSizeLimit() {
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
+  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*previous_handler_)(int) = nullptr;
+};
+
+TEST(FileLog, FailedAppendIsCutOffAndLaterAppendsAreRefused) {
+  std::string path = testing::TempDir() + "/argus_failed_append_test.log";
+  std::remove(path.c_str());
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+    }
+    Result<LogAddress> failed = LogAddress::Null();
+    {
+      // The next force's write stops 10 bytes in.
+      ScopedFileSizeLimit limit(FileSize(path) + 10);
+      failed = log.ForceWrite(LogEntry(CommittedEntry{Aid(4)}));
+    }
+    EXPECT_FALSE(failed.ok()) << "the torn force was acknowledged";
+    // A failed write may have left dirty pages the kernel already dropped:
+    // the medium refuses every later append, even with the cap lifted.
+    EXPECT_FALSE(log.ForceWrite(LogEntry(CommittedEntry{Aid(5)})).ok())
+        << "a force after a failed append was acknowledged";
+    EXPECT_EQ(FileSize(path), log.durable_size()) << "the partial write stayed in the file";
+  }
+  ExpectFileLogHolds(path, 3);
   std::remove(path.c_str());
 }
 
@@ -467,12 +672,36 @@ TEST(LogCorruption, FlippedBitIsDetected) {
   std::vector<std::byte> bytes = raw.value();
   bytes[8] ^= std::byte{0x40};
   ASSERT_TRUE(corrupted->Append(AsSpan(bytes)).ok());
+  InMemoryStableMedium* corrupted_ptr = corrupted.get();
   StableLog bad(std::move(corrupted));
   EXPECT_FALSE(bad.Read(LogAddress{0}).ok());
-  // RecoverAfterCrash treats it as a torn tail → zero entries.
-  Result<std::uint64_t> recovered = bad.RecoverAfterCrash();
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered.value(), 0u);
+  // Appends to this medium are atomic, so the bad frame cannot be a torn
+  // force: the restart reports it, finds no top, keeps every byte and
+  // refuses to force over it.
+  EXPECT_EQ(bad.RecoverAfterCrash().code(), ErrorCode::kCorruption);
+  EXPECT_FALSE(bad.GetTop().has_value());
+  EXPECT_EQ(corrupted_ptr->Read(0, corrupted_ptr->durable_size()).value(), bytes);
+  EXPECT_EQ(bad.ForceWrite(LogEntry(CommittedEntry{Aid(2)})).status().code(),
+            ErrorCode::kUnavailable);
+}
+
+TEST(LogCorruption, DamageBeforeWholeFramesIsReported) {
+  // On an atomic medium too, a bad frame with whole frames after it is decay,
+  // not a torn tail: the restart reports it instead of ending the log there.
+  StableLog log(std::make_unique<InMemoryStableMedium>());
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+  }
+  Result<std::vector<std::byte>> raw = log.medium().Read(0, log.durable_size());
+  ASSERT_TRUE(raw.ok());
+  std::vector<std::byte> bytes = raw.value();
+  bytes[5] ^= std::byte{0x40};
+  auto corrupted = std::make_unique<InMemoryStableMedium>();
+  ASSERT_TRUE(corrupted->Append(AsSpan(bytes)).ok());
+  InMemoryStableMedium* corrupted_ptr = corrupted.get();
+  StableLog bad(std::move(corrupted));
+  EXPECT_EQ(bad.RecoverAfterCrash().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(corrupted_ptr->Read(0, corrupted_ptr->durable_size()).value(), bytes);
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,11 +65,17 @@ struct Params {
   std::uint64_t seed;
 };
 
-std::string ParamName(const testing::TestParamInfo<Params>& info) {
-  return std::string(info.param.method == HousekeepingMethod::kSnapshot ? "snapshot"
-                                                                        : "compaction") +
-         "_seed" + std::to_string(info.param.seed);
+std::string Name(const Params& params) {
+  return std::string(params.method == HousekeepingMethod::kSnapshot ? "snapshot"
+                                                                    : "compaction") +
+         "_seed" + std::to_string(params.seed);
 }
+
+// gtest prints the parameter into the test listing that ctest names its tests
+// by; a byte dump would carry padding bytes that differ between builds.
+void PrintTo(const Params& params, std::ostream* os) { *os << Name(params); }
+
+std::string ParamName(const testing::TestParamInfo<Params>& info) { return Name(info.param); }
 
 class OnlineCheckpointPropertyTest : public testing::TestWithParam<Params> {};
 

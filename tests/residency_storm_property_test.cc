@@ -56,7 +56,6 @@ SerialOutcome RunSerialStorm(std::uint64_t seed, std::uint64_t budget) {
   config.objects_per_guardian = 6;
   config.abort_probability = 0.1;
   config.crash_probability = 0.15;
-  config.mem_budget_bytes = budget;
   WorkloadDriver driver(&world, config);
   EXPECT_TRUE(driver.Setup().ok());
   Status s = driver.Run(80);
@@ -98,7 +97,6 @@ TEST_P(ResidencyStormSeedSweep, EvictionStormMatchesAllResidentOracle) {
   config.objects_per_guardian = 6;
   config.abort_probability = 0.1;
   config.crash_probability = 0.1;
-  config.mem_budget_bytes = kStarvationBudget;
   WorkloadDriver driver(&world, config);
   ASSERT_TRUE(driver.Setup().ok());
   Status s = driver.Run(60);
@@ -118,7 +116,6 @@ TEST(ResidencyStorm, SerialStarvationBudgetEvictsAndFaults) {
   config.seed = seed;
   config.threads = 0;
   config.objects_per_guardian = 6;
-  config.mem_budget_bytes = kStarvationBudget;
   WorkloadDriver driver(&world, config);
   ASSERT_TRUE(driver.Setup().ok());
   Status s = driver.Run(100);
@@ -157,7 +154,6 @@ TEST(ResidencyStorm, SurvivesOnlineCheckpointsUnderPressure) {
   config.threads = 3;
   config.objects_per_guardian = 6;
   config.crash_probability = 0.08;
-  config.mem_budget_bytes = kStarvationBudget;
   CheckpointPolicyConfig checkpoint;
   checkpoint.log_growth_bytes = 4 * 1024;
   config.checkpoint = checkpoint;
@@ -182,7 +178,6 @@ TEST(ResidencyStorm, ShardedGuardiansFaultAcrossShards) {
   config.threads = 3;
   config.objects_per_guardian = 6;
   config.crash_probability = 0.1;
-  config.mem_budget_bytes = kStarvationBudget;
   WorkloadDriver driver(&world, config);
   ASSERT_TRUE(driver.Setup().ok());
   Status s = driver.Run(60);
@@ -190,20 +185,6 @@ TEST(ResidencyStorm, ShardedGuardiansFaultAcrossShards) {
   EXPECT_GT(driver.stats().committed, 0u);
   Result<std::size_t> checked = driver.VerifyAfterCrash();
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-}
-
-// The workload budget knob is a promise about the world's shape: setting it
-// against a world built without residency managers is a configuration error,
-// not a silent no-op.
-TEST(ResidencyStorm, BudgetWithoutManagersIsRejected) {
-  SimWorld world(ResidencyWorld(99, 0));
-  WorkloadConfig config;
-  config.seed = 99;
-  config.threads = 2;
-  config.mem_budget_bytes = kStarvationBudget;
-  WorkloadDriver driver(&world, config);
-  ASSERT_TRUE(driver.Setup().ok());
-  EXPECT_EQ(driver.Run(10).code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

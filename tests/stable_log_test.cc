@@ -5,6 +5,7 @@
 
 #include <cstring>
 
+#include "src/common/crc32.h"
 #include "src/log/stable_log.h"
 #include "src/stable/duplexed_medium.h"
 #include "src/stable/shard_map.h"
@@ -115,10 +116,11 @@ TEST(StableLog, CrashDiscardsStagedTail) {
   LogAddress durable_top = log->GetTop().value();
   log->Write(Committed(2));
   log->Write(Committed(3));
-  Result<std::uint64_t> recovered = log->RecoverAfterCrash();
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered.value(), 1u);
+  ASSERT_TRUE(log->RecoverAfterCrash().ok());
   EXPECT_EQ(log->GetTop().value(), durable_top);
+  Result<std::uint64_t> walked = CountEntriesBackward(*log);
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(walked.value(), 1u);
   // The staged entries are gone.
   EXPECT_FALSE(log->Read(LogAddress{durable_top.offset + 1000}).ok());
 }
@@ -131,13 +133,98 @@ TEST(StableLog, RecoverAfterCrashFindsTopOnDuplexedMedium) {
     ASSERT_TRUE(r.ok());
     a1 = r.value();
   }
-  Result<std::uint64_t> recovered = log->RecoverAfterCrash();
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered.value(), 3u);
+  ASSERT_TRUE(log->RecoverAfterCrash().ok());
   EXPECT_EQ(log->GetTop().value(), a1);
+  Result<std::uint64_t> walked = CountEntriesBackward(*log);
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(walked.value(), 3u);
   Result<LogEntry> top = log->Read(log->GetTop().value());
   ASSERT_TRUE(top.ok());
   EXPECT_EQ(std::get<CommittedEntry>(top.value()).aid.sequence, 3u);
+}
+
+TEST(StableLog, BackwardCursorFromStagedFrameWalksIntoForcedFrames) {
+  // The same entries twice: fully forced, and with the newest two still
+  // staged. A walk from the newest frame must cross the durable/staged
+  // boundary through the trailers and visit the same addresses.
+  auto forced = MakeMemLog();
+  auto mixed = MakeMemLog();
+  std::vector<LogAddress> addrs;
+  for (int i = 0; i < 6; ++i) {
+    LogEntry entry = i % 2 == 0 ? Committed(static_cast<std::uint64_t>(i))
+                                : LogEntry(SmallData(static_cast<std::uint8_t>(i)));
+    addrs.push_back(forced->Write(entry));
+    EXPECT_EQ(mixed->Write(entry), addrs.back());
+    if (i == 3) {
+      ASSERT_TRUE(mixed->Force().ok());
+    }
+  }
+  ASSERT_TRUE(forced->Force().ok());
+  ASSERT_EQ(mixed->staged_entries(), 2u);
+
+  StableLog::BackwardCursor expected = forced->ReadBackwardFrom(addrs.back());
+  StableLog::BackwardCursor actual = mixed->ReadBackwardFrom(addrs.back());
+  for (int i = 5; i >= 0; --i) {
+    auto want = expected.Next();
+    auto got = actual.Next();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.value().has_value());
+    ASSERT_TRUE(got.value().has_value()) << "walk ended early at entry " << i;
+    EXPECT_EQ(want.value()->first, addrs[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(got.value()->first, addrs[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(got.value()->second, want.value()->second);
+  }
+  auto end = actual.Next();
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end.value().has_value());
+}
+
+TEST(StableLog, UndecodableFrameDoesNotEndTheLogAtTheScan) {
+  // Three intact frames; the middle payload carries a valid CRC but names no
+  // entry kind. The scan checks framing only, so the top lies past it; the
+  // decode error surfaces when a reader reaches the frame.
+  auto frame = [](const std::vector<std::byte>& payload) {
+    std::vector<std::byte> out;
+    auto put_u32 = [&out](std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        out.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
+      }
+    };
+    put_u32(static_cast<std::uint32_t>(payload.size()));
+    out.insert(out.end(), payload.begin(), payload.end());
+    put_u32(Crc32(AsSpan(payload)));
+    put_u32(static_cast<std::uint32_t>(payload.size()));
+    return out;
+  };
+  auto medium = std::make_unique<InMemoryStableMedium>();
+  std::vector<LogAddress> addrs;
+  for (const std::vector<std::byte>& payload :
+       {EncodeEntry(Committed(1)), std::vector<std::byte>{std::byte{0xee}, std::byte{0x01}},
+        EncodeEntry(Committed(3))}) {
+    addrs.push_back(LogAddress{medium->durable_size()});
+    ASSERT_TRUE(medium->Append(AsSpan(frame(payload))).ok());
+  }
+  StableLog log(std::move(medium));
+  ASSERT_TRUE(log.RecoverAfterCrash().ok());
+  ASSERT_TRUE(log.GetTop().has_value());
+  EXPECT_EQ(log.GetTop().value(), addrs[2]);
+
+  Result<LogEntry> newest = log.Read(addrs[2]);
+  ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+  EXPECT_EQ(std::get<CommittedEntry>(newest.value()).aid.sequence, 3u);
+  Result<LogEntry> bad = log.Read(addrs[1]);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), ErrorCode::kCorruption);
+
+  StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
+  auto first = cursor.Next();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().has_value());
+  EXPECT_EQ(first.value()->first, addrs[2]);
+  auto second = cursor.Next();
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), ErrorCode::kCorruption);
 }
 
 TEST(StableLog, AddressesAreStableAcrossForce) {

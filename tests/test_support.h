@@ -42,6 +42,22 @@ inline std::unique_ptr<StableLog> MakeMemLog() {
   return std::make_unique<StableLog>(std::make_unique<InMemoryStableMedium>());
 }
 
+// Entries a backward walk from the log's top finds, or the walk's error.
+inline Result<std::uint64_t> CountEntriesBackward(const StableLog& log) {
+  StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
+  std::uint64_t count = 0;
+  while (true) {
+    auto next = cursor.Next();
+    if (!next.ok()) {
+      return next.status();
+    }
+    if (!next.value().has_value()) {
+      return count;
+    }
+    ++count;
+  }
+}
+
 inline RecoverySystemConfig MemConfig(LogMode mode) {
   RecoverySystemConfig config;
   config.mode = mode;
