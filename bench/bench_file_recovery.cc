@@ -56,6 +56,18 @@ const std::vector<std::byte>& SharedHistoryBytes(std::size_t history_len) {
   return it->second;
 }
 
+// The history files this process wrote, keyed by (directory, length). They
+// are removed when the process exits: the large tmpfs one holds ~100 MB of
+// RAM for as long as it exists.
+struct HistoryFiles {
+  std::map<std::pair<std::string, std::size_t>, std::string> paths;
+  ~HistoryFiles() {
+    for (const auto& [key, path] : paths) {
+      std::remove(path.c_str());
+    }
+  }
+};
+
 // Lazily materializes the history file for a (directory, length) pair; all
 // variants over that pair share one file. Returns "" when the directory is
 // unusable (no /dev/shm on exotic CI hosts).
@@ -64,17 +76,17 @@ std::string HistoryFile(const std::string& dir, std::size_t history_len) {
   if (::stat(dir.c_str(), &st) != 0) {
     return "";
   }
-  static std::map<std::pair<std::string, std::size_t>, std::string> files;
+  static HistoryFiles files;
   auto key = std::make_pair(dir, history_len);
-  auto it = files.find(key);
-  if (it == files.end()) {
+  auto it = files.paths.find(key);
+  if (it == files.paths.end()) {
     const std::vector<std::byte>& raw = SharedHistoryBytes(history_len);
     std::string path = dir + "/argus_e15_" + std::to_string(history_len) + ".log";
     std::remove(path.c_str());
     Result<std::unique_ptr<FileStableMedium>> writer = FileStableMedium::Open(path);
     ARGUS_CHECK(writer.ok());
     ARGUS_CHECK(writer.value()->Append(std::span<const std::byte>(raw.data(), raw.size())).ok());
-    it = files.emplace(key, std::move(path)).first;
+    it = files.paths.emplace(key, std::move(path)).first;
   }
   return it->second;
 }

@@ -60,6 +60,14 @@ void RunRepairStorm(benchmark::State& state, bool repair_on) {
     // includes the repair work the storm induces, independent of how the
     // scheduler happens to slice a short run.
     ReplicaRepairService service(&store, repair_config);
+    // The service counts passes (unscoped: the process totals); the store
+    // counts the copies it heals.
+    auto healed = [] {
+      return CounterValue("stable.repair.pages_repaired") +
+             CounterValue("stable.repair.resilver_pages");
+    };
+    const std::uint64_t healed_before = healed();
+    const std::uint64_t passes_before = CounterValue("stable.repair.scans");
     Rng rng(9);
     state.ResumeTiming();
 
@@ -77,9 +85,8 @@ void RunRepairStorm(benchmark::State& state, bool repair_on) {
     }
 
     state.PauseTiming();
-    ReplicaRepairStats stats = service.StatsSnapshot();
-    copies_healed += stats.copies_written;
-    passes += stats.passes;
+    copies_healed += healed() - healed_before;
+    passes += CounterValue("stable.repair.scans") - passes_before;
     ops += kStormOps;
     // The storm must always be healable: clear the plans, scrub, converge.
     for (std::uint32_t r = 0; r < n; ++r) {

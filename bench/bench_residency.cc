@@ -41,6 +41,27 @@ std::vector<RecoverableObject*> CollectObjects(BenchGuardian& guard) {
   return out;
 }
 
+// A BenchGuardian is guardian 0; its residency manager counts here.
+const obs::Scope kGuardian0{.guardian = 0};
+
+// What that manager has counted; the difference of two reads is what
+// happened between them.
+struct ResidencyCounts {
+  std::uint64_t evictions = CounterValue("residency.evictions", kGuardian0);
+  std::uint64_t faults = CounterValue("residency.faults", kGuardian0);
+  std::uint64_t fault_batches = CounterValue("residency.fault_batches", kGuardian0);
+  std::uint64_t fault_reads = CounterValue("residency.fault_reads", kGuardian0);
+
+  ResidencyCounts operator-(const ResidencyCounts& base) const {
+    ResidencyCounts d = *this;
+    d.evictions -= base.evictions;
+    d.faults -= base.faults;
+    d.fault_batches -= base.fault_batches;
+    d.fault_reads -= base.fault_reads;
+    return d;
+  }
+};
+
 // arg: working-set-to-budget ratio; 0 = no budget (all resident).
 void BM_ResidencyWorkload(benchmark::State& state) {
   const std::uint64_t ratio = static_cast<std::uint64_t>(state.range(0));
@@ -48,6 +69,7 @@ void BM_ResidencyWorkload(benchmark::State& state) {
   if (ratio > 0) {
     config.residency.mem_budget_bytes = (kObjects * kValueBytes) / ratio;
   }
+  const ResidencyCounts before;
   BenchGuardian guard(config, kObjects, kValueBytes);
   ResidencyManager* rm = guard.rs().residency();
   std::vector<RecoverableObject*> objects = CollectObjects(guard);
@@ -100,7 +122,7 @@ void BM_ResidencyWorkload(benchmark::State& state) {
 
   state.SetItemsProcessed(static_cast<std::int64_t>(actions));
   if (rm != nullptr) {
-    const ResidencyStats& rs = rm->stats();
+    const ResidencyCounts rs = ResidencyCounts() - before;
     state.counters["resident_mb"] =
         benchmark::Counter(static_cast<double>(rm->resident_bytes()) / (1024.0 * 1024.0));
     state.counters["budget_mb"] = benchmark::Counter(
@@ -133,6 +155,7 @@ void BM_ResidencyColdScan(benchmark::State& state) {
   const std::uint64_t ratio = static_cast<std::uint64_t>(state.range(0));
   RecoverySystemConfig config = BenchConfig(LogMode::kHybrid);
   config.residency.mem_budget_bytes = (kObjects * kValueBytes) / ratio;
+  const ResidencyCounts before;
   BenchGuardian guard(config, kObjects, kValueBytes);
   ResidencyManager* rm = guard.rs().residency();
   ARGUS_CHECK(rm != nullptr);
@@ -156,7 +179,7 @@ void BM_ResidencyColdScan(benchmark::State& state) {
     ++scans;
   }
 
-  const ResidencyStats& rs = rm->stats();
+  const ResidencyCounts rs = ResidencyCounts() - before;
   state.SetItemsProcessed(static_cast<std::int64_t>(scans * kObjects));
   state.counters["faults"] = benchmark::Counter(static_cast<double>(rs.faults));
   state.counters["reads_per_fault"] = benchmark::Counter(

@@ -9,9 +9,9 @@
 // RecoverHybridLog over the N shards with N workers against cold caches.
 // Per-shard scan (head find plus decision pass) and apply (walk) timings land
 // in the metrics registry (recovery.shard.{scan,apply}_ns labeled by shard),
-// force-batch stats come
-// from the per-shard LogStats, and both ship in BENCH_shard_scaling.metrics.json
-// when run with --json.
+// the build phase's force counts come from the registry too (the log.* totals
+// and each shard's {guardian=0,shard=s} entries), and both ship in
+// BENCH_shard_scaling.metrics.json when run with --json.
 //
 // ARGUS_BENCH_LARGE=1 selects the large configuration the E14 acceptance
 // criterion is measured on (N=4 must recover ≥2x faster than N=1).
@@ -25,7 +25,6 @@
 
 #include "bench/bench_support.h"
 
-#include "src/recovery/debug.h"
 #include "src/recovery/recovery_algorithms.h"
 #include "src/stable/duplexed_medium.h"
 #include "src/stable/latency_medium.h"
@@ -74,7 +73,17 @@ void BM_ShardedRecovery(benchmark::State& state) {
   const ShardBenchConfig bench = PickConfig();
 
   // Build the same committed history at every N, crash, and make the logs
-  // readable again (RecoverAfterCrash also drops their block caches).
+  // readable again (RecoverAfterCrash also drops their block caches). Shard
+  // s of the guardian counts under {guardian=0, shard=s} at every N, so the
+  // build phase's largest force batch is read from histograms reset here.
+  std::vector<obs::Histogram*> batch_entries;
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    batch_entries.push_back(
+        obs::Scope{.guardian = 0, .shard = s}.GetHistogram("log.force.batch_entries"));
+    batch_entries.back()->Reset();
+  }
+  const std::uint64_t forces_before = CounterValue("log.forces");
+  const std::uint64_t staged_before = CounterValue("log.entries_staged");
   RecoverySystem::SurvivingState surviving;
   {
     BenchGuardian guardian(ShardedConfig(shards, bench), bench.objects, bench.value_size);
@@ -83,6 +92,12 @@ void BM_ShardedRecovery(benchmark::State& state) {
       guardian.CommitAction(rng, bench.writes_per_action);
     }
     surviving = guardian.rs().TakeSurvivingState();
+  }
+  const std::uint64_t forces = CounterValue("log.forces") - forces_before;
+  const std::uint64_t staged = CounterValue("log.entries_staged") - staged_before;
+  std::uint64_t max_entries_per_force = 0;
+  for (const obs::Histogram* h : batch_entries) {
+    max_entries_per_force = std::max(max_entries_per_force, h->Max());
   }
   std::vector<StableLog*> raw;
   std::uint64_t total_durable = 0;
@@ -107,13 +122,6 @@ void BM_ShardedRecovery(benchmark::State& state) {
     recovered_objects = result.value().ot.size();
   }
 
-  // Force-batch stats from the build phase, rolled up across shards.
-  std::vector<LogStats> per_shard;
-  per_shard.reserve(raw.size());
-  for (StableLog* log : raw) {
-    per_shard.push_back(log->StatsSnapshot());
-  }
-  LogStats rollup = AggregateLogStats(per_shard);
   state.counters["shards"] = benchmark::Counter(static_cast<double>(shards));
   state.counters["durable_bytes"] = benchmark::Counter(static_cast<double>(total_durable));
   // max/avg durable bytes: 1.0 means perfectly balanced shards; the skew is
@@ -123,10 +131,11 @@ void BM_ShardedRecovery(benchmark::State& state) {
       (static_cast<double>(total_durable) / static_cast<double>(raw.size())));
   state.counters["recovered_objects"] =
       benchmark::Counter(static_cast<double>(recovered_objects));
-  state.counters["forces"] = benchmark::Counter(static_cast<double>(rollup.forces));
-  state.counters["entries_per_force"] = benchmark::Counter(rollup.entries_per_force());
+  state.counters["forces"] = benchmark::Counter(static_cast<double>(forces));
+  state.counters["entries_per_force"] = benchmark::Counter(
+      forces == 0 ? 0.0 : static_cast<double>(staged) / static_cast<double>(forces));
   state.counters["max_entries_per_force"] =
-      benchmark::Counter(static_cast<double>(rollup.max_entries_per_force));
+      benchmark::Counter(static_cast<double>(max_entries_per_force));
 }
 BENCHMARK(BM_ShardedRecovery)
     ->Arg(1)

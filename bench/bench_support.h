@@ -138,6 +138,16 @@ inline int RunBenchMain(const char* bench_name, int argc, char** argv) {
   return 0;
 }
 
+// The registry counter `name` as `scope` counts it (the unlabelled process
+// total for an unscoped Scope). Values are cumulative for the process, so a
+// bench reads it before and after the work it reports.
+inline std::uint64_t CounterValue(std::string_view name, const obs::Scope& scope = {}) {
+  return scope.GetCounter(name)->Value();
+}
+
+// A BenchGuardian, and guardian 0 of a SimWorld, counts its one log here.
+inline const obs::Scope kGuardian0Log{.guardian = 0, .shard = 0};
+
 inline RecoverySystemConfig BenchConfig(LogMode mode) {
   RecoverySystemConfig config;
   config.mode = mode;

@@ -44,11 +44,18 @@ Status Bump(Guardian& g, ActionId aid, ActionContext& ctx) {
 
 void BM_TwoPhaseCommit(benchmark::State& state) {
   std::size_t participants = static_cast<std::size_t>(state.range(0));
+  // Guardian i's one log counts under {guardian=i, shard=0}; the force counts
+  // cover each log's whole life, setup included.
+  auto log_of = [](std::uint32_t i) { return obs::Scope{.guardian = i, .shard = 0}; };
+  std::vector<std::uint64_t> forces_before;
+  for (std::uint32_t i = 0; i <= participants; ++i) {
+    forces_before.push_back(CounterValue("log.forces", log_of(i)));
+  }
   SimWorld world(MakeConfig(participants + 1));
   for (std::uint32_t i = 1; i <= participants; ++i) {
     Seed(world, GuardianId{i});
   }
-  std::uint64_t messages_before = world.network().stats().delivered;
+  std::uint64_t messages_before = CounterValue("tpc.net.delivered");
   std::uint64_t actions = 0;
   for (auto _ : state) {
     Result<Guardian::ActionFate> fate =
@@ -66,17 +73,17 @@ void BM_TwoPhaseCommit(benchmark::State& state) {
     ARGUS_CHECK(fate.ok() && fate.value() == Guardian::ActionFate::kCommitted);
     ++actions;
   }
-  std::uint64_t messages = world.network().stats().delivered - messages_before;
+  std::uint64_t messages = CounterValue("tpc.net.delivered") - messages_before;
   state.counters["messages/action"] =
       benchmark::Counter(static_cast<double>(messages) / static_cast<double>(actions));
   std::uint64_t forces = 0;
   for (std::uint32_t i = 0; i <= participants; ++i) {
-    forces += world.guardian(i).recovery().log().stats().forces;
+    forces += CounterValue("log.forces", log_of(i)) - forces_before[i];
   }
   state.counters["forces/action"] =
       benchmark::Counter(static_cast<double>(forces) / static_cast<double>(actions));
   state.counters["participant_forces/action"] = benchmark::Counter(
-      static_cast<double>(world.guardian(1).recovery().log().stats().forces) /
+      static_cast<double>(CounterValue("log.forces", log_of(1)) - forces_before[1]) /
       static_cast<double>(actions));
 }
 BENCHMARK(BM_TwoPhaseCommit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);

@@ -22,19 +22,22 @@ constexpr std::size_t kValueSize = 64;
 
 void RunLogCommit(benchmark::State& state, LogMode mode) {
   std::size_t total_objects = static_cast<std::size_t>(state.range(0));
+  // forces/commit counts every force of the guardian's life, setup included.
+  const std::uint64_t forces_before = CounterValue("log.forces", kGuardian0Log);
   BenchGuardian guardian(mode, total_objects, kValueSize);
   Rng rng(42);
-  std::uint64_t bytes_before = guardian.rs().log().stats().bytes_forced;
+  std::uint64_t bytes_before = CounterValue("log.bytes_forced", kGuardian0Log);
   std::uint64_t commits = 0;
   for (auto _ : state) {
     guardian.CommitAction(rng, kWritesPerAction);
     ++commits;
   }
-  std::uint64_t bytes = guardian.rs().log().stats().bytes_forced - bytes_before;
+  std::uint64_t bytes = CounterValue("log.bytes_forced", kGuardian0Log) - bytes_before;
   state.counters["bytes/commit"] =
       benchmark::Counter(static_cast<double>(bytes) / static_cast<double>(commits));
   state.counters["forces/commit"] = benchmark::Counter(
-      static_cast<double>(guardian.rs().log().stats().forces) / static_cast<double>(commits));
+      static_cast<double>(CounterValue("log.forces", kGuardian0Log) - forces_before) /
+      static_cast<double>(commits));
 }
 
 void BM_SimpleLogCommit(benchmark::State& state) { RunLogCommit(state, LogMode::kSimple); }
@@ -85,13 +88,13 @@ BENCHMARK(BM_ShadowCommit)->Arg(64)->Arg(512)->Arg(4096);
 void BM_HybridLogCommitByWriteSet(benchmark::State& state) {
   BenchGuardian guardian(LogMode::kHybrid, 1024, kValueSize);
   Rng rng(42);
-  std::uint64_t bytes_before = guardian.rs().log().stats().bytes_forced;
+  std::uint64_t bytes_before = CounterValue("log.bytes_forced", kGuardian0Log);
   std::uint64_t commits = 0;
   for (auto _ : state) {
     guardian.CommitAction(rng, static_cast<std::size_t>(state.range(0)));
     ++commits;
   }
-  std::uint64_t bytes = guardian.rs().log().stats().bytes_forced - bytes_before;
+  std::uint64_t bytes = CounterValue("log.bytes_forced", kGuardian0Log) - bytes_before;
   state.counters["bytes/commit"] =
       benchmark::Counter(static_cast<double>(bytes) / static_cast<double>(commits));
 }

@@ -44,7 +44,8 @@ int main() {
   std::printf("committed: %s\n", greeting->base_version().ToString().c_str());
   std::printf("log: %llu bytes, %llu forces\n",
               static_cast<unsigned long long>(rs->log().durable_size()),
-              static_cast<unsigned long long>(rs->log().stats().forces));
+              static_cast<unsigned long long>(
+                  rs->log().scope().GetCounter("log.forces")->Value()));
 
   // -- Crash ---------------------------------------------------------------
   std::unique_ptr<StableLog> surviving_log = rs->TakeLog();

@@ -7,27 +7,23 @@ namespace argus {
 
 namespace {
 
-struct CoordinatorObs {
-  obs::Histogram* leader_wait_ns;    // elected leaders: linger + medium append
-  obs::Histogram* follower_wait_ns;  // coalesced requests: blocked on a leader
-  obs::Histogram* batch_requests;    // pending requests a leader's flush served
-
-  static const CoordinatorObs& Get() {
-    static const CoordinatorObs m{
-        obs::GetHistogram("log.force.leader_wait_ns"),
-        obs::GetHistogram("log.force.follower_wait_ns"),
-        obs::GetHistogram("log.force.batch_requests"),
-    };
-    return m;
-  }
-};
+const obs::Scope& ScopeOf(const StableLog* log) {
+  ARGUS_CHECK(log != nullptr);
+  return log->scope();
+}
 
 }  // namespace
 
+FlushCoordinator::Metrics::Metrics(const obs::Scope& scope)
+    : requests(scope.GetCounter("log.force.requests")),
+      coalesced(scope.GetCounter("log.force.coalesced")),
+      wait_ns(scope.GetHistogram("log.force.wait_ns")),
+      leader_wait_ns(scope.GetHistogram("log.force.leader_wait_ns")),
+      follower_wait_ns(scope.GetHistogram("log.force.follower_wait_ns")),
+      batch_requests(scope.GetHistogram("log.force.batch_requests")) {}
+
 FlushCoordinator::FlushCoordinator(StableLog* log, FlushCoordinatorConfig config)
-    : log_(log), config_(config) {
-  ARGUS_CHECK(log != nullptr);
-}
+    : metrics_(ScopeOf(log)), log_(log), config_(config) {}
 
 Result<LogAddress> FlushCoordinator::ForceWrite(const LogEntry& entry) {
   LogAddress addr = log_->Write(entry);
@@ -73,7 +69,6 @@ Status FlushCoordinator::ForceOffset(std::uint64_t offset, std::optional<std::ui
   const auto start = std::chrono::steady_clock::now();
   bool led_flush = false;
   Status out = Status::Ok();
-  StableLog* log = nullptr;
   {
     std::unique_lock<std::mutex> l(mu_);
     if (epoch.has_value() && *epoch != epoch_) {
@@ -83,7 +78,6 @@ Status FlushCoordinator::ForceOffset(std::uint64_t offset, std::optional<std::ui
       // (a compacted log restarts at offset 0).
       return Status::Ok();
     }
-    log = log_;
     ++pending_requests_;
     cv_.notify_all();  // a lingering leader may now have a full batch
     while (log_->durable_size() <= offset) {
@@ -121,7 +115,7 @@ Status FlushCoordinator::ForceOffset(std::uint64_t offset, std::optional<std::ui
       l.unlock();
       Status s = log_->Force();
       l.lock();
-      CoordinatorObs::Get().batch_requests->Record(batch);
+      metrics_.batch_requests->Record(batch);
       obs::EmitEnd("log.force.batch", batch, s.ok() ? 1 : 0);
       flush_in_progress_ = false;
       cv_.notify_all();
@@ -143,11 +137,13 @@ Status FlushCoordinator::ForceOffset(std::uint64_t offset, std::optional<std::ui
   const auto wait = std::chrono::steady_clock::now() - start;
   const std::uint64_t wait_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count());
-  log->RecordForceRequest(!led_flush, wait_ns);
+  metrics_.requests->Increment();
+  metrics_.wait_ns->Record(wait_ns);
   if (led_flush) {
-    CoordinatorObs::Get().leader_wait_ns->Record(wait_ns);
+    metrics_.leader_wait_ns->Record(wait_ns);
   } else {
-    CoordinatorObs::Get().follower_wait_ns->Record(wait_ns);
+    metrics_.coalesced->Increment();
+    metrics_.follower_wait_ns->Record(wait_ns);
   }
   return out;
 }

@@ -45,6 +45,7 @@ struct FlushCoordinatorConfig {
 
 class FlushCoordinator {
  public:
+  // Counts force requests under `log`'s registry scope.
   explicit FlushCoordinator(StableLog* log, FlushCoordinatorConfig config = {});
 
   FlushCoordinator(const FlushCoordinator&) = delete;
@@ -109,6 +110,19 @@ class FlushCoordinator {
   // current log, whatever it is" (legacy single-log callers).
   Status ForceOffset(std::uint64_t offset, std::optional<std::uint64_t> epoch);
 
+  // force.wait_ns is what an action pays from "durability requested" to
+  // "durable" (leaders and followers both).
+  struct Metrics {
+    explicit Metrics(const obs::Scope& scope);
+    obs::Counter* requests;
+    obs::Counter* coalesced;
+    obs::Histogram* wait_ns;
+    obs::Histogram* leader_wait_ns;    // elected leaders: linger + medium append
+    obs::Histogram* follower_wait_ns;  // coalesced requests: blocked on a leader
+    obs::Histogram* batch_requests;    // pending requests a leader's flush served
+  };
+
+  const Metrics metrics_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   StableLog* log_;

@@ -11,35 +11,6 @@ namespace argus {
 
 namespace {
 
-// Global log-layer aggregates, mirrored from the per-instance LogStats at the
-// same tick sites. force.batch_entries is the group-commit coalescing shape;
-// force.wait_ns is what an action pays from "durability requested" to
-// "durable" (leaders and followers both).
-struct LogObs {
-  obs::Counter* entries_staged;
-  obs::Counter* forces;
-  obs::Counter* bytes_forced;
-  obs::Counter* entries_read;
-  obs::Counter* force_requests;
-  obs::Counter* coalesced_requests;
-  obs::Histogram* batch_entries;
-  obs::Histogram* force_wait_ns;
-
-  static const LogObs& Get() {
-    static const LogObs m{
-        obs::GetCounter("log.entries_staged"),
-        obs::GetCounter("log.forces"),
-        obs::GetCounter("log.bytes_forced"),
-        obs::GetCounter("log.entries_read"),
-        obs::GetCounter("log.force.requests"),
-        obs::GetCounter("log.force.coalesced"),
-        obs::GetHistogram("log.force.batch_entries"),
-        obs::GetHistogram("log.force.wait_ns"),
-    };
-    return m;
-  }
-};
-
 std::uint32_t LoadU32(std::span<const std::byte> bytes) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -75,8 +46,20 @@ Status CheckFrame(std::span<const std::byte> frame) {
 
 }  // namespace
 
-StableLog::StableLog(std::unique_ptr<StableMedium> medium, ReadCache::Config cache_config)
-    : medium_(std::move(medium)), cache_(medium_.get(), cache_config) {
+// force.batch_entries is the group-commit coalescing shape.
+StableLog::Metrics::Metrics(const obs::Scope& scope)
+    : entries_staged(scope.GetCounter("log.entries_staged")),
+      forces(scope.GetCounter("log.forces")),
+      bytes_forced(scope.GetCounter("log.bytes_forced")),
+      entries_read(scope.GetCounter("log.entries_read")),
+      batch_entries(scope.GetHistogram("log.force.batch_entries")) {}
+
+StableLog::StableLog(std::unique_ptr<StableMedium> medium, ReadCache::Config cache_config,
+                     obs::Scope scope)
+    : scope_(std::move(scope)),
+      metrics_(scope_),
+      medium_(std::move(medium)),
+      cache_(medium_.get(), cache_config, scope_) {
   ARGUS_CHECK(medium_ != nullptr);
   needs_scan_ = medium_->durable_size() > 0;
 }
@@ -95,8 +78,8 @@ LogAddress StableLog::WriteLocked(const LogEntry& entry) {
   StoreU32(Crc32(AsSpan(payload)), staged_);
   StoreU32(static_cast<std::uint32_t>(payload.size()), staged_);
 
-  ++stats_.entries_written;
-  LogObs::Get().entries_staged->Increment();
+  ++entries_written_;
+  metrics_.entries_staged->Increment();
   ++staged_entry_count_;
   last_staged_ = LogAddress{offset};
   return LogAddress{offset};
@@ -128,12 +111,9 @@ Status StableLog::ForceLocked() {
   if (!s.ok()) {
     return s;
   }
-  stats_.bytes_forced += staged_.size();
-  ++stats_.forces;
-  stats_.max_entries_per_force = std::max(stats_.max_entries_per_force, staged_entry_count_);
-  LogObs::Get().forces->Increment();
-  LogObs::Get().bytes_forced->Add(staged_.size());
-  LogObs::Get().batch_entries->Record(staged_entry_count_);
+  metrics_.forces->Increment();
+  metrics_.bytes_forced->Add(staged_.size());
+  metrics_.batch_entries->Record(staged_entry_count_);
   staged_.clear();
   staged_entry_count_ = 0;
   last_forced_ = last_staged_;
@@ -153,11 +133,10 @@ Result<StableLog::FrameView> StableLog::ReadFrameView(LogAddress address,
   if (cache_validated != nullptr) {
     *cache_validated = false;
   }
-  LogObs::Get().entries_read->Increment();
+  metrics_.entries_read->Increment();
   std::uint64_t durable = 0;
   {
     std::lock_guard<std::mutex> l(mu_);
-    ++stats_.entries_read;
     durable = medium_->durable_size();
     if (address.offset >= durable) {
       // A staged frame: copy it out before a force can move the boundary.
@@ -276,11 +255,6 @@ std::vector<Result<LogEntry>> StableLog::ReadMany(std::span<const LogAddress> ad
   for (std::size_t i : order) {
     results[i] = Read(addresses[i]);
   }
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    ++stats_.read_batches;
-    stats_.batched_reads += addresses.size();
-  }
   return results;
 }
 
@@ -314,33 +288,9 @@ std::uint64_t StableLog::durable_size() const {
   return medium_->durable_size();
 }
 
-LogStats StableLog::StatsSnapshot() const {
-  LogStats out;
-  {
-    // The medium is only ever touched under mu_ (appends in ForceLocked,
-    // durable_size()); the counter read must follow the same discipline.
-    std::lock_guard<std::mutex> l(mu_);
-    out = stats_;
-    out.physical_bytes = medium_->physical_bytes_written();
-  }
-  ReadCache::Stats cs = cache_.StatsSnapshot();
-  out.cache_hits = cs.hits;
-  out.cache_misses = cs.misses;
-  out.cache_bytes_read = cs.bytes_from_medium;
-  out.readahead_blocks = cs.readahead_blocks;
-  return out;
-}
-
-void StableLog::RecordForceRequest(bool coalesced, std::uint64_t wait_ns) {
+std::uint64_t StableLog::entries_written() const {
   std::lock_guard<std::mutex> l(mu_);
-  ++stats_.force_requests;
-  if (coalesced) {
-    ++stats_.coalesced_requests;
-    LogObs::Get().coalesced_requests->Increment();
-  }
-  stats_.total_force_wait_ns += wait_ns;
-  LogObs::Get().force_requests->Increment();
-  LogObs::Get().force_wait_ns->Record(wait_ns);
+  return entries_written_;
 }
 
 Result<std::optional<std::pair<LogAddress, LogEntry>>> StableLog::BackwardCursor::Next() {

@@ -56,55 +56,20 @@
 
 #include "src/log/entry_codec.h"
 #include "src/log/log_entry.h"
+#include "src/obs/metrics.h"
 #include "src/stable/read_cache.h"
 #include "src/stable/stable_medium.h"
 
 namespace argus {
 
-struct LogStats {
-  std::uint64_t entries_written = 0;
-  std::uint64_t forces = 0;               // physical medium appends
-  std::uint64_t bytes_forced = 0;
-  std::uint64_t physical_bytes = 0;       // bytes the medium physically wrote,
-                                          // summed over all N replicas (merged
-                                          // in by StatsSnapshot; write
-                                          // amplification = physical_bytes /
-                                          // bytes_forced)
-  std::uint64_t entries_read = 0;
-
-  // Group-commit accounting (fed by StableLog::Force and by the
-  // FlushCoordinator when one is layered on top).
-  std::uint64_t force_requests = 0;       // logical force calls by actions
-  std::uint64_t coalesced_requests = 0;   // requests served by another
-                                          // thread's physical flush
-  std::uint64_t max_entries_per_force = 0;
-  std::uint64_t total_force_wait_ns = 0;  // time actions spent waiting for
-                                          // their entry to become durable
-
-  // Read-side accounting. The cache counters are merged in by
-  // StatsSnapshot() from the ReadCache.
-  std::uint64_t cache_hits = 0;           // reads served from cached blocks
-  std::uint64_t cache_misses = 0;         // reads that touched the medium
-  std::uint64_t cache_bytes_read = 0;     // bytes fetched from the medium
-  std::uint64_t readahead_blocks = 0;     // blocks fetched ahead of a scan
-  std::uint64_t read_batches = 0;         // ReadMany calls
-  std::uint64_t batched_reads = 0;        // entries fetched via ReadMany
-
-  double entries_per_force() const {
-    return forces == 0 ? 0.0
-                       : static_cast<double>(entries_written) / static_cast<double>(forces);
-  }
-  double cache_hit_rate() const {
-    std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
-  }
-};
-
 class StableLog {
  public:
-  // Wraps `medium` without reading it (see the header comment).
+  // Wraps `medium` without reading it (see the header comment). The log and
+  // its read cache count into the registry under `scope` (a guardian's shard;
+  // unscoped by default).
   explicit StableLog(std::unique_ptr<StableMedium> medium,
-                     ReadCache::Config cache_config = ReadCache::Config());
+                     ReadCache::Config cache_config = ReadCache::Config(),
+                     obs::Scope scope = {});
 
   StableLog(const StableLog&) = delete;
   StableLog& operator=(const StableLog&) = delete;
@@ -220,15 +185,13 @@ class StableLog {
 
   std::uint64_t durable_size() const;
 
-  // Reference accessor for single-threaded phases (tests, recovery); use
-  // StatsSnapshot() when other threads may be writing.
-  const LogStats& stats() const { return stats_; }
-  LogStats StatsSnapshot() const;
+  // Entries written (staged) through this log object since it was built. A
+  // plain count the checkpoint policy reads: behaviour never reads a metric.
+  std::uint64_t entries_written() const;
 
-  // Group-commit bookkeeping hook for the FlushCoordinator: one logical force
-  // request finished after `wait_ns`; `coalesced` when it was satisfied by a
-  // flush some other thread led.
-  void RecordForceRequest(bool coalesced, std::uint64_t wait_ns);
+  // The registry scope this log counts under; a checkpoint's new log and the
+  // shard's FlushCoordinator take it.
+  const obs::Scope& scope() const { return scope_; }
 
   StableMedium& medium() { return *medium_; }
 
@@ -257,6 +220,17 @@ class StableLog {
   // the 4-byte trailer in front of it; nullopt at the start of the log.
   Result<std::optional<std::uint64_t>> PreviousFrameOffset(std::uint64_t offset) const;
 
+  struct Metrics {
+    explicit Metrics(const obs::Scope& scope);
+    obs::Counter* entries_staged;
+    obs::Counter* forces;
+    obs::Counter* bytes_forced;
+    obs::Counter* entries_read;
+    obs::Histogram* batch_entries;
+  };
+
+  const obs::Scope scope_;
+  const Metrics metrics_;
   mutable std::mutex mu_;
   std::unique_ptr<StableMedium> medium_;
   mutable ReadCache cache_;                // all durable reads + appends funnel here
@@ -265,7 +239,7 @@ class StableLog {
   std::optional<LogAddress> last_forced_;  // top
   std::optional<LogAddress> last_staged_;  // last written (forced or not)
   bool needs_scan_ = false;                // medium bytes RecoverAfterCrash has not scanned
-  mutable LogStats stats_;                 // read counters tick in const reads
+  std::uint64_t entries_written_ = 0;
 };
 
 }  // namespace argus

@@ -79,31 +79,60 @@ Registry& Registry::Global() {
   return *instance;
 }
 
-Counter* Registry::GetCounter(const std::string& name) {
+Counter* Registry::GetCounter(const std::string& name, Counter* total) {
   std::lock_guard<std::mutex> l(mu_);
   auto& slot = counters_[name];
   if (!slot) {
     slot = std::make_unique<Counter>();
+    slot->total_ = total;
   }
   return slot.get();
 }
 
-Gauge* Registry::GetGauge(const std::string& name) {
+Gauge* Registry::GetGauge(const std::string& name, Gauge* total) {
   std::lock_guard<std::mutex> l(mu_);
   auto& slot = gauges_[name];
   if (!slot) {
     slot = std::make_unique<Gauge>();
+    slot->total_ = total;
   }
   return slot.get();
 }
 
-Histogram* Registry::GetHistogram(const std::string& name) {
+Histogram* Registry::GetHistogram(const std::string& name, Histogram* total) {
   std::lock_guard<std::mutex> l(mu_);
   auto& slot = histograms_[name];
   if (!slot) {
     slot = std::make_unique<Histogram>();
+    slot->total_ = total;
   }
   return slot.get();
+}
+
+std::string Scope::Name(std::string_view name) const {
+  if (!guardian.has_value()) {
+    return std::string(name);
+  }
+  const std::string g = std::to_string(*guardian);
+  if (!shard.has_value()) {
+    return Labeled(name, {{"guardian", g}});
+  }
+  return Labeled(name, {{"guardian", g}, {"shard", std::to_string(*shard)}});
+}
+
+Counter* Scope::GetCounter(std::string_view name) const {
+  Counter* total = obs::GetCounter(std::string(name));
+  return guardian.has_value() ? Registry::Global().GetCounter(Name(name), total) : total;
+}
+
+Gauge* Scope::GetGauge(std::string_view name) const {
+  Gauge* total = obs::GetGauge(std::string(name));
+  return guardian.has_value() ? Registry::Global().GetGauge(Name(name), total) : total;
+}
+
+Histogram* Scope::GetHistogram(std::string_view name) const {
+  Histogram* total = obs::GetHistogram(std::string(name));
+  return guardian.has_value() ? Registry::Global().GetHistogram(Name(name), total) : total;
 }
 
 namespace {

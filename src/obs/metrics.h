@@ -9,14 +9,17 @@
 //  2. Snapshots are advisory. Counters tick with relaxed ordering, so a JSON
 //     snapshot taken while writers run is a consistent-enough view for
 //     dashboards and benches, not a linearizable cut. Tests that assert exact
-//     values quiesce the writers first (join threads), as they already do for
-//     the per-instance stats structs.
+//     values quiesce the writers first (join threads).
 //  3. Handles are immortal. The registry never deallocates a metric, so a
 //     cached Counter* outlives every instrumented object; re-registering the
 //     same name returns the same handle.
+//  4. The registry is the only accounting path. An instrumented instance
+//     counts through handles its Scope resolved when it was built (see Scope
+//     below); it keeps no private stats struct.
 //
 // One disable path (the ≤5% bench_log_ops budget): SetEnabled(false) turns
-// Add/Set/Record into a flag test.
+// Add/Set/Record into a flag test. Nothing that decides what the system does
+// may read a metric: with metrics disabled it would read a frozen value.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -26,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -49,6 +53,9 @@ class Counter {
   void Add(std::uint64_t delta) {
     if (Enabled()) {
       value_.fetch_add(delta, std::memory_order_relaxed);
+      if (total_ != nullptr) {
+        total_->value_.fetch_add(delta, std::memory_order_relaxed);
+      }
     }
   }
   void Increment() { Add(1); }
@@ -56,7 +63,9 @@ class Counter {
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
+  friend class Registry;
   std::atomic<std::uint64_t> value_{0};
+  Counter* total_ = nullptr;  // the unlabelled entry a scoped handle also adds into
 };
 
 // A point-in-time double (sizes, rates, ratios). Last write wins.
@@ -65,13 +74,18 @@ class Gauge {
   void Set(double value) {
     if (Enabled()) {
       value_.store(value, std::memory_order_relaxed);
+      if (total_ != nullptr) {
+        total_->value_.store(value, std::memory_order_relaxed);
+      }
     }
   }
   double Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
+  friend class Registry;
   std::atomic<double> value_{0.0};
+  Gauge* total_ = nullptr;
 };
 
 // A fixed-bucket histogram on power-of-two boundaries: bucket 0 counts value
@@ -89,11 +103,9 @@ class Histogram {
     if (!Enabled()) {
       return;
     }
-    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    std::uint64_t seen = max_.load(std::memory_order_relaxed);
-    while (value > seen && !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+    RecordOne(value);
+    if (total_ != nullptr) {
+      total_->RecordOne(value);
     }
   }
 
@@ -114,12 +126,23 @@ class Histogram {
   void Reset();
 
  private:
+  friend class Registry;
   static int BucketIndex(std::uint64_t value);
+
+  void RecordOne(std::uint64_t value) {
+    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    std::uint64_t seen = max_.load(std::memory_order_relaxed);
+    while (value > seen && !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+    }
+  }
 
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
+  Histogram* total_ = nullptr;
 };
 
 // Formats "name{k1=v1,k2=v2}" — the registry's labeling convention. Metrics
@@ -133,9 +156,11 @@ class Registry {
  public:
   static Registry& Global();
 
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
+  // `total`, when set, is the entry the new one also adds into (or, for a
+  // gauge, also sets); it is fixed when the name is first registered.
+  Counter* GetCounter(const std::string& name, Counter* total = nullptr);
+  Gauge* GetGauge(const std::string& name, Gauge* total = nullptr);
+  Histogram* GetHistogram(const std::string& name, Histogram* total = nullptr);
 
   // One JSON object: {"schema":"argus.metrics.v1","counters":{...},
   // "gauges":{...},"histograms":{name:{count,sum,max,p50,p99,p999,
@@ -164,6 +189,29 @@ inline Gauge* GetGauge(const std::string& name) { return Registry::Global().GetG
 inline Histogram* GetHistogram(const std::string& name) {
   return Registry::Global().GetHistogram(name);
 }
+
+// Who an instrumented instance counts for: a guardian and, for the per-shard
+// layers (log, read cache, flush coordinator, repair service), a shard. A
+// handle resolved through a scope is the labelled entry
+// "name{guardian=g,shard=s}" ("name{guardian=g}" without a shard), and every
+// Add/Record on it also lands in the unlabelled entry "name", so the process
+// totals count exactly what they would without labels; a scoped gauge also
+// sets the unlabelled one (last write wins). A Scope without a guardian is
+// unscoped: its handles are the unlabelled entries themselves. An instance
+// resolves its handles once, when it is built; no hot path resolves one.
+// Labelled values are cumulative for the process, like the totals: a test or
+// bench that wants one phase takes a delta.
+struct Scope {
+  std::optional<std::uint32_t> guardian = std::nullopt;
+  std::optional<std::uint32_t> shard = std::nullopt;
+
+  // The registry name this scope counts `name` under.
+  std::string Name(std::string_view name) const;
+
+  Counter* GetCounter(std::string_view name) const;
+  Gauge* GetGauge(std::string_view name) const;
+  Histogram* GetHistogram(std::string_view name) const;
+};
 
 }  // namespace argus::obs
 

@@ -14,9 +14,7 @@ bool CheckpointPolicy::ShouldHousekeep(const RecoverySystem& rs) const {
     }
   }
   if (config_.entries_since_checkpoint > 0) {
-    // StatsSnapshot, not stats(): the policy may be polled from a background
-    // checkpoint thread while workers append.
-    std::uint64_t entries = log.StatsSnapshot().entries_written;
+    std::uint64_t entries = log.entries_written();
     if (entries >= baseline_entries_ &&
         entries - baseline_entries_ >= config_.entries_since_checkpoint) {
       return true;
@@ -40,7 +38,7 @@ Result<bool> CheckpointPolicy::MaybeHousekeep(RecoverySystem& rs) {
 
 void CheckpointPolicy::Rearm(const RecoverySystem& rs) {
   baseline_bytes_ = rs.log().durable_size();
-  baseline_entries_ = rs.log().StatsSnapshot().entries_written;
+  baseline_entries_ = rs.log().entries_written();
 }
 
 }  // namespace argus

@@ -13,7 +13,8 @@ class Housekeeper {
               std::function<std::unique_ptr<StableMedium>()> medium_factory)
       : capture_(std::move(capture)), old_log_(old_log), stage2_next_(capture_.marker) {
     ARGUS_CHECK(old_log != nullptr && medium_factory != nullptr);
-    outcome_.new_log = std::make_unique<StableLog>(medium_factory());
+    outcome_.new_log =
+        std::make_unique<StableLog>(medium_factory(), ReadCache::Config(), old_log->scope());
   }
 
   std::uint64_t marker() const { return capture_.marker; }
@@ -42,15 +43,14 @@ class Housekeeper {
   // cursor is internally locked, so racing live appends is safe.
   Status CatchUp() {
     for (int pass = 0; pass < 4; ++pass) {
-      std::uint64_t before = stats_.stage2_entries_copied;
-      Status s = StageTwo({});
-      if (!s.ok()) {
-        return s;
+      Result<std::uint64_t> copied = StageTwo({});
+      if (!copied.ok()) {
+        return copied.status();
       }
-      if (stats_.stage2_entries_copied == before) {
+      if (copied.value() == 0) {
         break;
       }
-      s = outcome_.new_log->Force();
+      Status s = outcome_.new_log->Force();
       if (!s.ok()) {
         return s;
       }
@@ -60,17 +60,16 @@ class Housekeeper {
 
   // Stage 2 + force. Requires the old log's suffix to be frozen.
   Result<HousekeepingOutcome> Finish(const std::function<bool(std::uint64_t)>& stage2_hook) {
-    Status s = StageTwo(stage2_hook);
-    if (!s.ok()) {
-      return s;
+    Result<std::uint64_t> copied = StageTwo(stage2_hook);
+    if (!copied.ok()) {
+      return copied.status();
     }
-    s = outcome_.new_log->Force();
+    Status s = outcome_.new_log->Force();
     if (!s.ok()) {
       return s;
     }
     outcome_.new_last_outcome = new_chain_;
     outcome_.new_mt = std::move(new_mt_);
-    outcome_.stats = stats_;
     return std::move(outcome_);
   }
 
@@ -87,7 +86,6 @@ class Housekeeper {
     DataEntry entry;
     entry.kind = kind;
     entry.value = std::move(value);
-    ++stats_.new_entries_written;
     return outcome_.new_log->Write(LogEntry(std::move(entry)));
   }
 
@@ -102,7 +100,6 @@ class Housekeeper {
         entry);
     LogAddress addr = outcome_.new_log->Write(entry);
     new_chain_ = addr;
-    ++stats_.new_entries_written;
     return addr;
   }
 
@@ -115,7 +112,6 @@ class Housekeeper {
     for (const auto& [uid, addr] : cssl_) {
       css.objects.push_back(UidAddress{uid, addr});
     }
-    stats_.objects_checkpointed = cssl_.size();
     AppendOutcome(LogEntry(std::move(css)));
     // deferred_ was filled newest-first (backward walks); reverse restores
     // temporal order. The snapshot fills it in arbitrary traversal order,
@@ -138,7 +134,6 @@ class Housekeeper {
     if (!view.ok()) {
       return view.status();
     }
-    ++stats_.data_entries_read;
     Result<DataEntryView> data = DecodeDataEntryView(view.value().payload());
     if (!data.ok()) {
       if (data.status().code() == ErrorCode::kCorruption) {
@@ -197,7 +192,6 @@ class Housekeeper {
       if (!entry_or.ok()) {
         return entry_or.status();
       }
-      ++stats_.old_entries_processed;
       const LogEntry& entry = entry_or.value();
 
       Status s = Status::Ok();
@@ -329,7 +323,6 @@ class Housekeeper {
 
   Status StageOneSnapshot() {
     for (const CheckpointCapture::SnapshotObject& obj : capture_.objects) {
-      ++stats_.old_entries_processed;
       if (obj.kind == ObjectKind::kAtomic) {
         CheckpointAtomic(obj.uid, obj.base);
         if (obj.prepared_locker.has_value()) {
@@ -374,8 +367,9 @@ class Housekeeper {
   // ---- Stage 2 (§5.1.1 second stage, shared) ----
 
   // One pass over the old-log suffix not yet carried over; resumable (the
-  // cursor position persists across calls, for CatchUp).
-  Status StageTwo(const std::function<bool(std::uint64_t)>& hook) {
+  // cursor position persists across calls, for CatchUp). Returns the number
+  // of outcome entries it copied.
+  Result<std::uint64_t> StageTwo(const std::function<bool(std::uint64_t)>& hook) {
     StableLog::ForwardCursor cursor = old_log_->ReadForwardFrom(stage2_next_);
     std::uint64_t copied = 0;
     while (true) {
@@ -395,7 +389,6 @@ class Housekeeper {
         return Status::IoError("checkpoint abandoned by stage-2 hook");
       }
       ++copied;
-      ++stats_.stage2_entries_copied;
 
       if (const auto* prepared = std::get_if<PreparedEntry>(&entry)) {
         std::vector<UidAddress> new_pairs;
@@ -432,13 +425,12 @@ class Housekeeper {
         return Status::Corruption("committed_ss after the housekeeping marker");
       }
     }
-    return Status::Ok();
+    return copied;
   }
 
   CheckpointCapture capture_;
   const StableLog* old_log_;
   HousekeepingOutcome outcome_;
-  HousekeepingStats stats_;
 
   std::unordered_map<Uid, Tracked> tracked_;  // stage-1 OT analogue
   ParticipantTable pt_;

@@ -64,15 +64,8 @@ enum class HousekeepingMethod {
   kSnapshot,
 };
 
-struct HousekeepingStats {
-  std::uint64_t old_entries_processed = 0;  // stage-1 chain/traversal work
-  std::uint64_t data_entries_read = 0;      // old data entries dereferenced
-  std::uint64_t new_entries_written = 0;
-  std::uint64_t objects_checkpointed = 0;   // CSSL size
-  std::uint64_t stage2_entries_copied = 0;
-};
-
 struct HousekeepingOutcome {
+  // Counts under the old log's registry scope.
   std::unique_ptr<StableLog> new_log;
   MutexTable new_mt;
   LogAddress new_last_outcome = LogAddress::Null();
@@ -80,7 +73,6 @@ struct HousekeepingOutcome {
   // (intersect with the writer's AS per §5.2). Compaction leaves the AS
   // untouched.
   std::optional<AccessibilitySet> new_as;
-  HousekeepingStats stats;
 };
 
 struct HousekeepingInputs {

@@ -83,7 +83,6 @@ LogAddress LogWriter::WriteOutcome(LogEntry entry, std::uint32_t shard) {
   }
   LogAddress addr = b.log->Write(entry);
   b.last_outcome = addr;
-  ++stats_.outcome_entries;
   return addr;
 }
 
@@ -98,7 +97,6 @@ LogAddress LogWriter::WriteDataEntryFor(ActionId aid, RecoverableObject* obj,
     entry.aid = aid;
   }
   LogAddress addr = shards_[router_.ShardOf(obj->uid())].log->Write(LogEntry(std::move(entry)));
-  ++stats_.data_entries;
   PendingAction& pending = pending_[aid];
   pending.pairs[obj->uid()] = addr;
   if (obj->is_mutex()) {
@@ -194,7 +192,6 @@ Status LogWriter::WriteNewlyAccessibleObject(ActionId aid, RecoverableObject* ob
         WriteOutcome(LogEntry(BaseCommittedEntry{obj->uid(), std::move(base_flat)}), shard);
     pending_[aid].chained_marks[shard] = bc_addr;
     obj->set_stable_address(bc_addr);
-    ++stats_.base_committed_entries;
     std::vector<std::byte> cur_flat = FlattenValue(obj->current_version(), &refs);
     queue_refs(refs);
     WriteDataEntryFor(aid, obj, std::move(cur_flat));
@@ -211,7 +208,6 @@ Status LogWriter::WriteNewlyAccessibleObject(ActionId aid, RecoverableObject* ob
         WriteOutcome(LogEntry(BaseCommittedEntry{obj->uid(), std::move(flat)}), shard);
     pending_[aid].chained_marks[shard] = bc_addr;
     obj->set_stable_address(bc_addr);
-    ++stats_.base_committed_entries;
     return Status::Ok();
   }
 
@@ -224,7 +220,6 @@ Status LogWriter::WriteNewlyAccessibleObject(ActionId aid, RecoverableObject* ob
     std::vector<std::byte> base_flat = FlattenValue(obj->base_version(), &refs);
     obj->set_stable_address(
         WriteOutcome(LogEntry(BaseCommittedEntry{obj->uid(), std::move(base_flat)}), shard));
-    ++stats_.base_committed_entries;
     std::vector<std::byte> cur_flat = FlattenValue(obj->current_version(), &refs);
     queue_refs(refs);
     LogAddress pd_addr =
@@ -233,7 +228,6 @@ Status LogWriter::WriteNewlyAccessibleObject(ActionId aid, RecoverableObject* ob
     // The prepared entry's current version becomes the base if *other*
     // commits — that action's CommitAction promotes the pending slot.
     obj->set_pending_stable_address(pd_addr);
-    ++stats_.prepared_data_entries;
     return Status::Ok();
   }
 
@@ -246,7 +240,6 @@ Status LogWriter::WriteNewlyAccessibleObject(ActionId aid, RecoverableObject* ob
       WriteOutcome(LogEntry(BaseCommittedEntry{obj->uid(), std::move(base_flat)}), shard);
   pending_[aid].chained_marks[shard] = bc_addr;
   obj->set_stable_address(bc_addr);
-  ++stats_.base_committed_entries;
   return Status::Ok();
 }
 
@@ -299,7 +292,6 @@ Status LogWriter::LogGuardianCreation() {
     } else {
       addr = shards_[0].log->Write(LogEntry(BaseCommittedEntry{Uid::Root(), std::move(flat)}));
     }
-    ++stats_.base_committed_entries;
     staged.marks.push_back(StagedMark{0, addr, EpochOf(0)});
   }
   return WaitDurable(staged);

@@ -62,13 +62,6 @@ enum class LogMode {
   kHybrid,  // chapter 4
 };
 
-struct WriterStats {
-  std::uint64_t data_entries = 0;
-  std::uint64_t base_committed_entries = 0;
-  std::uint64_t prepared_data_entries = 0;
-  std::uint64_t outcome_entries = 0;
-};
-
 // One staged-but-not-yet-durable outcome entry. `epoch` is the shard
 // coordinator's log generation at stage time (see WaitDurable).
 struct StagedMark {
@@ -191,7 +184,6 @@ class LogWriter {
     return open_coordinators_;
   }
   void RestoreOpenCoordinators(std::map<ActionId, std::vector<GuardianId>> open);
-  const WriterStats& stats() const { return stats_; }
 
   // Re-binding after recovery or housekeeping: install externally
   // reconstructed state, with one chain head per shard.
@@ -275,7 +267,6 @@ class LogWriter {
   MutexTable mt_;
   std::map<ActionId, std::vector<GuardianId>> open_coordinators_;
   std::map<ActionId, PendingAction> pending_;
-  WriterStats stats_;
 };
 
 }  // namespace argus

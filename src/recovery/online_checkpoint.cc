@@ -7,51 +7,41 @@ namespace argus {
 
 namespace {
 
-// Checkpoint-phase telemetry. The histograms are the registry view of
-// CheckpointPauseStats (per-checkpointer stats stay on the instance); the
-// counter is the forward-progress signal the checkpoint-race property test
-// asserts on.
-struct CkptObs {
-  obs::Counter* checkpoints;
-  obs::Histogram* capture_ns;
-  obs::Histogram* build_ns;
-  obs::Histogram* swap_ns;
-  obs::Histogram* pause_ns;
-
-  static const CkptObs& Get() {
-    static const CkptObs m{
-        obs::GetCounter("checkpoint.count"),
-        obs::GetHistogram("checkpoint.capture_ns"),
-        obs::GetHistogram("checkpoint.build_ns"),
-        obs::GetHistogram("checkpoint.swap_ns"),
-        obs::GetHistogram("checkpoint.pause_ns"),
-    };
-    return m;
-  }
-
-  void RecordPhases(std::uint64_t capture_ns_v, std::uint64_t build_ns_v,
-                    std::uint64_t swap_ns_v, std::uint64_t pause_ns_v) const {
-    checkpoints->Increment();
-    capture_ns->Record(capture_ns_v);
-    build_ns->Record(build_ns_v);
-    swap_ns->Record(swap_ns_v);
-    pause_ns->Record(pause_ns_v);
-  }
-};
-
 std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         std::chrono::steady_clock::now() - start)
                                         .count());
 }
 
+obs::Scope ScopeOf(const RecoverySystem* rs) {
+  ARGUS_CHECK(rs != nullptr);
+  return obs::Scope{.guardian = rs->guardian().value};
+}
+
 }  // namespace
+
+// checkpoint.count is the forward-progress signal the checkpoint-race
+// property test asserts on.
+OnlineCheckpointer::Metrics::Metrics(const obs::Scope& scope)
+    : checkpoints(scope.GetCounter("checkpoint.count")),
+      capture_ns(scope.GetHistogram("checkpoint.capture_ns")),
+      build_ns(scope.GetHistogram("checkpoint.build_ns")),
+      swap_ns(scope.GetHistogram("checkpoint.swap_ns")),
+      pause_ns(scope.GetHistogram("checkpoint.pause_ns")) {}
 
 OnlineCheckpointer::OnlineCheckpointer(RecoverySystem* rs, ExclusiveSection exclusive,
                                        CheckpointMode mode)
-    : rs_(rs), exclusive_(std::move(exclusive)), mode_(mode) {
-  ARGUS_CHECK(rs_ != nullptr);
+    : rs_(rs), exclusive_(std::move(exclusive)), mode_(mode), metrics_(ScopeOf(rs)) {
   ARGUS_CHECK(exclusive_ != nullptr);
+}
+
+void OnlineCheckpointer::RecordPhases(std::uint64_t capture_ns, std::uint64_t build_ns,
+                                      std::uint64_t swap_ns, std::uint64_t pause_ns) const {
+  metrics_.checkpoints->Increment();
+  metrics_.capture_ns->Record(capture_ns);
+  metrics_.build_ns->Record(build_ns);
+  metrics_.swap_ns->Record(swap_ns);
+  metrics_.pause_ns->Record(pause_ns);
 }
 
 Status OnlineCheckpointer::RunOnce(HousekeepingMethod method) {
@@ -87,18 +77,7 @@ Status OnlineCheckpointer::RunOnce(HousekeepingMethod method) {
     if (!status.ok()) {
       return status;
     }
-    const std::uint64_t pause_ns = ElapsedNs(pause_start);
-    CkptObs::Get().RecordPhases(capture_ns, build_ns, swap_ns, pause_ns);
-    std::lock_guard<std::mutex> l(stats_mu_);
-    ++stats_.checkpoints;
-    stats_.capture_ns_total += capture_ns;
-    stats_.capture_ns_max = std::max(stats_.capture_ns_max, capture_ns);
-    stats_.build_ns_total += build_ns;
-    stats_.build_ns_max = std::max(stats_.build_ns_max, build_ns);
-    stats_.swap_ns_total += swap_ns;
-    stats_.swap_ns_max = std::max(stats_.swap_ns_max, swap_ns);
-    stats_.pause_ns_total += pause_ns;
-    stats_.pause_ns_max = std::max(stats_.pause_ns_max, pause_ns);
+    RecordPhases(capture_ns, build_ns, swap_ns, ElapsedNs(pause_start));
     return Status::Ok();
   }
 
@@ -143,105 +122,36 @@ Status OnlineCheckpointer::RunOnce(HousekeepingMethod method) {
     return status;
   }
 
-  CkptObs::Get().RecordPhases(capture_ns, build_ns, swap_ns, std::max(capture_ns, swap_ns));
-  std::lock_guard<std::mutex> l(stats_mu_);
-  ++stats_.checkpoints;
-  stats_.capture_ns_total += capture_ns;
-  stats_.capture_ns_max = std::max(stats_.capture_ns_max, capture_ns);
-  stats_.build_ns_total += build_ns;
-  stats_.build_ns_max = std::max(stats_.build_ns_max, build_ns);
-  stats_.swap_ns_total += swap_ns;
-  stats_.swap_ns_max = std::max(stats_.swap_ns_max, swap_ns);
-  stats_.pause_ns_total += capture_ns + swap_ns;
-  stats_.pause_ns_max = std::max(stats_.pause_ns_max, std::max(capture_ns, swap_ns));
+  RecordPhases(capture_ns, build_ns, swap_ns, std::max(capture_ns, swap_ns));
   return Status::Ok();
 }
 
-CheckpointPauseStats OnlineCheckpointer::StatsSnapshot() const {
-  std::lock_guard<std::mutex> l(stats_mu_);
-  return stats_;
-}
-
 CheckpointService::CheckpointService(RecoverySystem* rs, CheckpointPolicy* policy,
-                                     OnlineCheckpointer::ExclusiveSection exclusive,
-                                     CheckpointServiceConfig config)
+                                     ExclusiveSection exclusive, CheckpointMode mode)
     : rs_(rs),
       policy_(policy),
-      config_(config),
-      checkpointer_(rs, std::move(exclusive), config.mode) {
+      checkpointer_(rs, std::move(exclusive), mode),
+      loop_([this] { return Pass(); }) {
   ARGUS_CHECK(policy_ != nullptr);
 }
 
-CheckpointService::~CheckpointService() { Stop(); }
-
-void CheckpointService::Start() {
-  std::lock_guard<std::mutex> l(mu_);
-  ARGUS_CHECK_MSG(!started_, "checkpoint service started twice");
-  started_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void CheckpointService::Stop() {
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    if (!started_) {
-      return;
-    }
-    stop_ = true;
+std::optional<PeriodicService::Clock::duration> CheckpointService::Pass() {
+  // Polling the log's counts is safe without the guardian exclusion:
+  // durable_size() and entries_written() lock internally, and only this
+  // thread ever swaps the log pointer.
+  if (!policy_->ShouldHousekeep(*rs_)) {
+    return PeriodicService::kPoll;
   }
-  cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> l(mu_);
-  started_ = false;
-}
-
-Status CheckpointService::last_error() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return last_error_;
-}
-
-void CheckpointService::Loop() {
-  // The fairness floor (min_checkpoint_gap) is measured from the END of the
-  // last successful checkpoint, so the commit path is guaranteed a gap-sized
-  // window of uncontended guardian mutex no matter how eager the policy or
-  // how long checkpoints take.
-  bool have_last = false;
-  std::chrono::steady_clock::time_point last_end{};
-  for (;;) {
-    std::chrono::steady_clock::duration wait = config_.poll_interval;
-    if (have_last && config_.min_checkpoint_gap.count() > 0) {
-      const auto next_allowed = last_end + config_.min_checkpoint_gap;
-      const auto now = std::chrono::steady_clock::now();
-      if (next_allowed > now) {
-        wait = std::max<std::chrono::steady_clock::duration>(wait, next_allowed - now);
-      }
-    }
-    {
-      // With a predicate, wait_for returns before `wait` has passed only on
-      // Stop(), so no poll ever lands inside the gap.
-      std::unique_lock<std::mutex> l(mu_);
-      cv_.wait_for(l, wait, [this] { return stop_; });
-      if (stop_) {
-        return;
-      }
-    }
-    // Polling the log's counters is safe without the guardian exclusion:
-    // durable_size() and StatsSnapshot() lock internally, and only this
-    // thread ever swaps the log pointer.
-    if (!policy_->ShouldHousekeep(*rs_)) {
-      continue;
-    }
-    Status s = checkpointer_.RunOnce(policy_->method());
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> l(mu_);
-      last_error_ = s;
-      return;
-    }
-    policy_->NoteCheckpointTaken(*rs_);
-    have_last = true;
-    last_end = std::chrono::steady_clock::now();
+  Status s = checkpointer_.RunOnce(policy_->method());
+  if (!s.ok()) {
+    loop_.RecordError(s);
+    return std::nullopt;
   }
+  policy_->NoteCheckpointTaken(*rs_);
+  // The gap runs from the end of this checkpoint, so the commit path gets a
+  // gap-sized window of uncontended guardian mutex however eager the policy
+  // or however long checkpoints take.
+  return kMinCheckpointGap;
 }
 
 }  // namespace argus

@@ -15,19 +15,23 @@
 // the guardian's action path owns the lock — the per-guardian mutex in the
 // workload driver, a test's scheduler, or the Argus runtime's action lock.
 //
-// CheckpointService wraps an OnlineCheckpointer in a background thread that
+// CheckpointService runs an OnlineCheckpointer on a PeriodicService that
 // polls a CheckpointPolicy, turning housekeeping into a maintenance activity
 // the commit path never sees (except for the bounded swap pause).
+//
+// Pause accounting lives in the registry, under the guardian's scope:
+// checkpoint.count and the checkpoint.{capture,build,swap,pause}_ns
+// histograms. `pause` covers only time spent inside the caller's exclusive
+// section (what the commit path actually observes): the longer of capture and
+// swap in online mode, the whole checkpoint in stop-the-world mode. `build`
+// is the concurrent phase-2 work (wall time, not a pause, except in
+// stop-the-world mode where it happens inside the pause too).
 
 #ifndef SRC_RECOVERY_ONLINE_CHECKPOINT_H_
 #define SRC_RECOVERY_ONLINE_CHECKPOINT_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-
+#include "src/common/periodic_service.h"
+#include "src/obs/metrics.h"
 #include "src/recovery/checkpoint_policy.h"
 #include "src/recovery/recovery_system.h"
 
@@ -41,33 +45,11 @@ enum class CheckpointMode {
   kOnline,
 };
 
-// Writer-visible pause accounting. `pause` covers only time spent inside the
-// caller's exclusive section (what the commit path actually observes);
-// `build` is the concurrent phase-2 work (wall time, not a pause, except in
-// stop-the-world mode where it happens inside the pause too).
-struct CheckpointPauseStats {
-  std::uint64_t checkpoints = 0;
-  std::uint64_t capture_ns_total = 0;
-  std::uint64_t capture_ns_max = 0;
-  std::uint64_t build_ns_total = 0;
-  std::uint64_t build_ns_max = 0;
-  std::uint64_t swap_ns_total = 0;
-  std::uint64_t swap_ns_max = 0;
-  // Longest single exclusive section: max capture or swap pause in online
-  // mode, the whole checkpoint in stop-the-world mode.
-  std::uint64_t pause_ns_max = 0;
-  std::uint64_t pause_ns_total = 0;
-};
-
 class OnlineCheckpointer {
  public:
-  // Runs `fn` with the guardian's action path excluded: no thread may mutate
-  // the heap or stage log entries while `fn` executes. The callback form lets
-  // the owner of that lock decide how (a mutex, a scheduler, a barrier).
-  using ExclusiveSection = std::function<void(const std::function<void()>&)>;
-
-  // `rs` must outlive this object. `exclusive` must be re-entrant-safe in the
-  // sense that RunOnce may invoke it twice per checkpoint (online mode).
+  // `rs` must outlive this object; the checkpointer counts under its
+  // guardian's scope. `exclusive` must be re-entrant-safe in the sense that
+  // RunOnce may invoke it twice per checkpoint (online mode).
   OnlineCheckpointer(RecoverySystem* rs, ExclusiveSection exclusive, CheckpointMode mode);
 
   OnlineCheckpointer(const OnlineCheckpointer&) = delete;
@@ -78,64 +60,57 @@ class OnlineCheckpointer {
   // exclusive section (see LogWriter::WaitDurable's epoch variant).
   Status RunOnce(HousekeepingMethod method);
 
-  CheckpointPauseStats StatsSnapshot() const;
-
  private:
+  struct Metrics {
+    explicit Metrics(const obs::Scope& scope);
+    obs::Counter* checkpoints;
+    obs::Histogram* capture_ns;
+    obs::Histogram* build_ns;
+    obs::Histogram* swap_ns;
+    obs::Histogram* pause_ns;
+  };
+  void RecordPhases(std::uint64_t capture_ns, std::uint64_t build_ns, std::uint64_t swap_ns,
+                    std::uint64_t pause_ns) const;
+
   RecoverySystem* rs_;
   ExclusiveSection exclusive_;
   CheckpointMode mode_;
-  mutable std::mutex stats_mu_;
-  CheckpointPauseStats stats_;
+  const Metrics metrics_;
 };
 
-struct CheckpointServiceConfig {
-  CheckpointMode mode = CheckpointMode::kOnline;
-  HousekeepingMethod method = HousekeepingMethod::kSnapshot;
-  // How often the background thread polls the policy.
-  std::chrono::milliseconds poll_interval{1};
-  // Fairness floor: minimum time between the end of one checkpoint and the
-  // start of the next. An eager policy (entries_since_checkpoint = 0) plus a
-  // short poll interval would otherwise re-enter the guardian's exclusive
-  // section on every poll and starve the commit path on small hosts — the
-  // documented ConcurrentCheckpointWorkloadTest stall. Zero disables the gap.
-  std::chrono::milliseconds min_checkpoint_gap{5};
-};
-
-// A background thread that checkpoints whenever `policy` says the log has
-// grown enough. Start() spawns it; Stop() (or the destructor) joins it. The
-// first checkpoint error stops the service and is reported by last_error().
+// Checkpoints whenever `policy` says the log has grown enough, polling it
+// every PeriodicService::kPoll. Start() spawns the thread; Stop() (or the
+// destructor) joins it. The first checkpoint error stops the service and is
+// reported by last_error().
 class CheckpointService {
  public:
+  // Fairness floor: after a checkpoint ends, the next poll waits this long.
+  // An eager policy (entries_since_checkpoint = 0) would otherwise re-enter
+  // the guardian's exclusive section on every poll and starve the commit
+  // path on small hosts (the ConcurrentCheckpointWorkloadTest stall).
+  static constexpr std::chrono::milliseconds kMinCheckpointGap{5};
+
   // All pointees must outlive the service. `policy` is driven (polled and
   // re-armed) only by the service thread once Start() is called.
-  CheckpointService(RecoverySystem* rs, CheckpointPolicy* policy,
-                    OnlineCheckpointer::ExclusiveSection exclusive,
-                    CheckpointServiceConfig config);
-  ~CheckpointService();
+  CheckpointService(RecoverySystem* rs, CheckpointPolicy* policy, ExclusiveSection exclusive,
+                    CheckpointMode mode);
 
   CheckpointService(const CheckpointService&) = delete;
   CheckpointService& operator=(const CheckpointService&) = delete;
 
-  void Start();
-  void Stop();
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
 
-  Status last_error() const;
-  CheckpointPauseStats StatsSnapshot() const { return checkpointer_.StatsSnapshot(); }
+  Status last_error() const { return loop_.last_error(); }
 
  private:
-  void Loop();
+  std::optional<PeriodicService::Clock::duration> Pass();
 
   RecoverySystem* rs_;
   CheckpointPolicy* policy_;
-  CheckpointServiceConfig config_;
   OnlineCheckpointer checkpointer_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool started_ = false;
-  Status last_error_ = Status::Ok();
-  std::thread thread_;
+  // Declared last: stopped before the members its pass uses are destroyed.
+  PeriodicService loop_;
 };
 
 }  // namespace argus

@@ -17,8 +17,9 @@ void RecoverySystem::StartRepairServices() {
     if (medium == nullptr) {
       continue;  // in-memory / file media have nothing to scrub
     }
-    repair_services_[i] =
-        std::make_unique<ReplicaRepairService>(&medium->store(), *config_.repair);
+    repair_services_[i] = std::make_unique<ReplicaRepairService>(
+        &medium->store(), *config_.repair,
+        obs::Scope{.guardian = guardian_.value, .shard = static_cast<std::uint32_t>(i)});
     repair_services_[i]->Start();
   }
 }
@@ -53,12 +54,15 @@ void RecoverySystem::InitResidency() {
   for (const auto& log : logs_) {
     raw.push_back(log.get());
   }
-  residency_ =
-      std::make_unique<ResidencyManager>(heap_, std::move(raw), router_, config_.residency);
+  residency_ = std::make_unique<ResidencyManager>(heap_, std::move(raw), router_,
+                                                  config_.residency,
+                                                  obs::Scope{.guardian = guardian_.value});
 }
 
-RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap)
+RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
+                               GuardianId guardian)
     : config_(std::move(config)),
+      guardian_(guardian),
       heap_(heap),
       router_(ShardMapRecord{
           .num_shards = config_.log_shards, .salt = config_.shard_salt, .overrides = {}}) {
@@ -75,7 +79,9 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap)
     ARGUS_CHECK_MSG(s.ok(), "shard map creation write failed");
   }
   for (std::uint32_t i = 0; i < config_.log_shards; ++i) {
-    logs_.push_back(std::make_unique<StableLog>(config_.medium_factory()));
+    logs_.push_back(
+        std::make_unique<StableLog>(config_.medium_factory(), ReadCache::Config(),
+                                    obs::Scope{.guardian = guardian_.value, .shard = i}));
   }
   InitWriterAndCoordinators();
   // A fresh guardian durably records its (empty) stable-variables root so
@@ -87,16 +93,20 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap)
 }
 
 RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
-                               std::unique_ptr<StableLog> log)
-    : RecoverySystem(std::move(config), heap, [&log] {
-        SurvivingState surviving;
-        surviving.logs.push_back(std::move(log));
-        return surviving;
-      }()) {}
+                               std::unique_ptr<StableLog> log, GuardianId guardian)
+    : RecoverySystem(
+          std::move(config), heap,
+          [&log] {
+            SurvivingState surviving;
+            surviving.logs.push_back(std::move(log));
+            return surviving;
+          }(),
+          guardian) {}
 
 RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
-                               SurvivingState surviving)
+                               SurvivingState surviving, GuardianId guardian)
     : config_(std::move(config)),
+      guardian_(guardian),
       heap_(heap),
       logs_(std::move(surviving.logs)),
       shard_map_(std::move(surviving.shard_map)),

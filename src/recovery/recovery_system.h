@@ -7,6 +7,11 @@
 //   done(aid) · recovery() · housekeeping()
 // plus write_entry(aid, MOS), the early-prepare operation of §4.4.
 //
+// Accounting: the instance counts into the metrics registry under its
+// guardian's id. Each shard's log, read cache, flush coordinator and repair
+// service count under obs::Scope{guardian, shard}; the residency manager and
+// the online checkpointer under obs::Scope{guardian}.
+//
 // Ownership across crashes: the StableLog(s) and the shard map survive; the
 // heap and the RecoverySystem are volatile. A restart takes the surviving
 // state (TakeSurvivingState() from the dead incarnation), builds a fresh
@@ -100,16 +105,17 @@ class RecoverySystem {
   };
 
   // Fresh guardian: creates empty log(s), and the shard map when there is more
-  // than one shard.
-  RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap);
+  // than one shard. `guardian` labels what this instance counts.
+  RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap, GuardianId guardian = {});
 
   // Restart after a crash: adopts the surviving log of a one-log guardian.
-  // Call Recover() next.
+  // Call Recover() next. An adopted log keeps the scope it was built with.
   RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
-                 std::unique_ptr<StableLog> log);
+                 std::unique_ptr<StableLog> log, GuardianId guardian = {});
 
   // Restart after a crash, any shard count: adopts the surviving state.
-  RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap, SurvivingState surviving);
+  RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap, SurvivingState surviving,
+                 GuardianId guardian = {});
 
   RecoverySystem(const RecoverySystem&) = delete;
   RecoverySystem& operator=(const RecoverySystem&) = delete;
@@ -217,6 +223,7 @@ class RecoverySystem {
   LogWriter& writer() { return *writer_; }
   VolatileHeap& heap() { return *heap_; }
   LogMode mode() const { return config_.mode; }
+  GuardianId guardian() const { return guardian_; }
   // Null when group commit is not configured. The no-arg form is shard 0.
   FlushCoordinator* coordinator() { return coordinators_.empty() ? nullptr : coordinators_[0].get(); }
   FlushCoordinator* coordinator(std::uint32_t shard) {
@@ -249,6 +256,7 @@ class RecoverySystem {
   void StopRepairServices();
 
   RecoverySystemConfig config_;
+  GuardianId guardian_;
   VolatileHeap* heap_;
   std::vector<std::unique_ptr<StableLog>> logs_;
   // The previous log, kept alive for one checkpoint generation: epoch-checked

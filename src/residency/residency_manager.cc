@@ -7,34 +7,6 @@
 #include "src/obs/metrics.h"
 
 namespace argus {
-namespace {
-
-struct ResidencyObs {
-  obs::Gauge* resident_bytes;
-  obs::Counter* evictions;
-  obs::Counter* faults;
-  obs::Counter* fault_batches;
-  obs::Counter* fault_reads;
-  obs::Counter* pinned_skips;
-  obs::Counter* eviction_passes;
-  obs::Histogram* fault_ns;
-
-  static const ResidencyObs& Get() {
-    static const ResidencyObs m{
-        obs::GetGauge("residency.resident_bytes"),
-        obs::GetCounter("residency.evictions"),
-        obs::GetCounter("residency.faults"),
-        obs::GetCounter("residency.fault_batches"),
-        obs::GetCounter("residency.fault_reads"),
-        obs::GetCounter("residency.pinned_skips"),
-        obs::GetCounter("residency.eviction_passes"),
-        obs::GetHistogram("residency.fault_ns"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
 
 Result<Value> DecodeStubPayload(const LogEntry& entry, Uid expected) {
   if (const auto* data = std::get_if<DataEntry>(&entry)) {
@@ -59,9 +31,24 @@ Result<Value> DecodeStubPayload(const LogEntry& entry, Uid expected) {
   return Status::Corruption("stub address points at a non-data entry");
 }
 
+ResidencyManager::Metrics::Metrics(const obs::Scope& scope)
+    : resident_bytes(scope.GetGauge("residency.resident_bytes")),
+      evictions(scope.GetCounter("residency.evictions")),
+      faults(scope.GetCounter("residency.faults")),
+      fault_batches(scope.GetCounter("residency.fault_batches")),
+      fault_reads(scope.GetCounter("residency.fault_reads")),
+      pinned_skips(scope.GetCounter("residency.pinned_skips")),
+      eviction_passes(scope.GetCounter("residency.eviction_passes")),
+      fault_ns(scope.GetHistogram("residency.fault_ns")) {}
+
 ResidencyManager::ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> logs,
-                                   ShardRouter router, ResidencyConfig config)
-    : heap_(heap), logs_(std::move(logs)), router_(std::move(router)), config_(config) {
+                                   ShardRouter router, ResidencyConfig config,
+                                   const obs::Scope& scope)
+    : heap_(heap),
+      logs_(std::move(logs)),
+      router_(std::move(router)),
+      config_(config),
+      metrics_(scope) {
   ARGUS_CHECK(heap_ != nullptr && router_.num_shards() == logs_.size());
   for (StableLog* log : logs_) {
     ARGUS_CHECK(log != nullptr);
@@ -70,8 +57,7 @@ ResidencyManager::ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> l
 
 void ResidencyManager::PublishResidentBytes(std::uint64_t resident) {
   resident_bytes_.store(resident, std::memory_order_relaxed);
-  stats_.resident_bytes = resident;
-  ResidencyObs::Get().resident_bytes->Set(static_cast<double>(resident));
+  metrics_.resident_bytes->Set(static_cast<double>(resident));
 }
 
 bool ResidencyManager::EvictionEligible(const RecoverableObject& obj,
@@ -101,11 +87,9 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
   if (!enabled()) {
     return 0;
   }
-  const ResidencyObs& o = ResidencyObs::Get();
   std::uint64_t resident = heap_->SettleResidentBytes();
   PublishResidentBytes(resident);
-  ++stats_.eviction_passes;
-  o.eviction_passes->Increment();
+  metrics_.eviction_passes->Increment();
   if (resident <= high_watermark_bytes()) {
     return 0;
   }
@@ -148,8 +132,7 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
     if (!EvictionEligible(*obj, durable_sizes)) {
       if (obj->pin_count() > 0 || (obj->is_atomic() && obj->locked()) ||
           (obj->is_mutex() && obj->seized())) {
-        ++stats_.pinned_skips;
-        o.pinned_skips->Increment();
+        metrics_.pinned_skips->Increment();
       }
       continue;
     }
@@ -168,8 +151,7 @@ std::uint64_t ResidencyManager::RunEvictionPass() {
     obj->Evict(bytes, std::move(ref_uids));
     resident -= std::min(resident, bytes);
     ++evicted_count;
-    ++stats_.evictions;
-    o.evictions->Increment();
+    metrics_.evictions->Increment();
     if (config_.max_evictions_per_pass != 0 &&
         evicted_count >= config_.max_evictions_per_pass) {
       break;
@@ -202,7 +184,7 @@ Status ResidencyManager::FaultInBatch(std::span<RecoverableObject* const> object
   // Also on failure: the objects materialized before it count.
   PublishResidentBytes(heap_->SettleResidentBytes());
   if (s.ok()) {
-    ResidencyObs::Get().fault_ns->Record(static_cast<std::uint64_t>(
+    metrics_.fault_ns->Record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                              start)
             .count()));
@@ -211,7 +193,6 @@ Status ResidencyManager::FaultInBatch(std::span<RecoverableObject* const> object
 }
 
 Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*>& targets) {
-  const ResidencyObs& o = ResidencyObs::Get();
   // Group addresses by owning shard; one ReadMany (one scatter submission on
   // a batched medium) rematerializes a shard's whole group.
   std::vector<std::vector<LogAddress>> shard_addresses(logs_.size());
@@ -230,10 +211,8 @@ Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*
       continue;
     }
     std::vector<Result<LogEntry>> entries = logs_[shard]->ReadMany(addrs);
-    ++stats_.fault_batches;
-    o.fault_batches->Increment();
-    stats_.fault_reads += addrs.size();
-    o.fault_reads->Add(addrs.size());
+    metrics_.fault_batches->Increment();
+    metrics_.fault_reads->Add(addrs.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
       RecoverableObject* obj = shard_targets[shard][i];
       if (!entries[i].ok()) {
@@ -249,8 +228,7 @@ Status ResidencyManager::ReadAndMaterialize(const std::vector<RecoverableObject*
         return resolved;
       }
       obj->Materialize(std::move(v));
-      ++stats_.faults;
-      o.faults->Increment();
+      metrics_.faults->Increment();
     }
   }
   return Status::Ok();

@@ -37,6 +37,7 @@
 #include "src/log/stable_log.h"
 #include "src/object/heap.h"
 #include "src/object/residency_hooks.h"
+#include "src/obs/metrics.h"
 #include "src/stable/shard_map.h"
 
 namespace argus {
@@ -54,16 +55,6 @@ struct ResidencyConfig {
   std::uint64_t max_evictions_per_pass = 0;
 };
 
-struct ResidencyStats {
-  std::uint64_t resident_bytes = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t faults = 0;         // objects rematerialized
-  std::uint64_t fault_batches = 0;  // per-shard ReadMany submissions
-  std::uint64_t fault_reads = 0;    // frames fetched by those submissions
-  std::uint64_t pinned_skips = 0;   // clock visits refused by pin/lock state
-  std::uint64_t eviction_passes = 0;
-};
-
 // Decodes the payload of a frame an evicted object's stub points at: the
 // flattened value inside a DataEntry, BaseCommittedEntry, or
 // PreparedDataEntry (the three entry kinds whose address ever lands in a
@@ -74,9 +65,9 @@ class ResidencyManager : public ResidencyPager {
  public:
   // `logs[shard]` must be the guardian's shard logs in `router` order; they
   // must outlive the manager (RebindLog re-points a shard after a checkpoint
-  // swap).
+  // swap). The manager counts under `scope` (its guardian).
   ResidencyManager(VolatileHeap* heap, std::vector<StableLog*> logs, ShardRouter router,
-                   ResidencyConfig config);
+                   ResidencyConfig config, const obs::Scope& scope = {});
 
   // ---- ResidencyPager ----
   Status FaultIn(RecoverableObject* object) override;
@@ -111,12 +102,11 @@ class ResidencyManager : public ResidencyPager {
   }
   bool enabled() const { return config_.mem_budget_bytes > 0; }
   const ResidencyConfig& config() const { return config_; }
-  const ResidencyStats& stats() const { return stats_; }
 
  private:
   bool EvictionEligible(const RecoverableObject& obj,
                         const std::vector<std::uint64_t>& durable_sizes) const;
-  // Stores `resident` in the atomic, the stats and the gauge.
+  // Stores `resident` in the atomic and the gauge.
   void PublishResidentBytes(std::uint64_t resident);
   // Reads the frames of `targets` (evicted objects) with one ReadMany per
   // shard and materializes them; stops at the first failure.
@@ -127,6 +117,19 @@ class ResidencyManager : public ResidencyPager {
   ShardRouter router_;
   ResidencyConfig config_;
 
+  struct Metrics {
+    explicit Metrics(const obs::Scope& scope);
+    obs::Gauge* resident_bytes;
+    obs::Counter* evictions;
+    obs::Counter* faults;         // objects rematerialized
+    obs::Counter* fault_batches;  // per-shard ReadMany submissions
+    obs::Counter* fault_reads;    // frames fetched by those submissions
+    obs::Counter* pinned_skips;   // clock visits refused by pin/lock state
+    obs::Counter* eviction_passes;
+    obs::Histogram* fault_ns;
+  };
+  const Metrics metrics_;
+
   // The clock ring: every object but the root, in uid order. It is kept
   // between passes and rebuilt only when the heap's object count changes;
   // the heap never erases an object, so the pointers stay valid.
@@ -135,7 +138,6 @@ class ResidencyManager : public ResidencyPager {
   Uid clock_hand_ = Uid::Root();
 
   std::atomic<std::uint64_t> resident_bytes_{0};
-  ResidencyStats stats_;
 };
 
 }  // namespace argus

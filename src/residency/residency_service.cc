@@ -2,57 +2,12 @@
 
 namespace argus {
 
-ResidencyService::ResidencyService(ResidencyManager* manager, ExclusiveSection exclusive,
-                                   ResidencyServiceConfig config)
-    : manager_(manager), exclusive_(std::move(exclusive)), config_(config) {
-  ARGUS_CHECK(manager_ != nullptr && exclusive_ != nullptr);
-}
-
-ResidencyService::~ResidencyService() { Stop(); }
-
-void ResidencyService::Start() {
-  std::lock_guard<std::mutex> l(mu_);
-  ARGUS_CHECK_MSG(!started_, "residency service started twice");
-  started_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ResidencyService::Stop() {
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    if (!started_) {
-      return;
-    }
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> l(mu_);
-  started_ = false;
-}
-
-std::uint64_t ResidencyService::evictions() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return evictions_;
-}
-
-void ResidencyService::Loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      cv_.wait_for(l, config_.poll_interval, [this] { return stop_; });
-      if (stop_) {
-        return;
-      }
-    }
-    std::uint64_t evicted = 0;
-    exclusive_([&] { evicted = manager_->RunEvictionPass(); });
-    if (evicted > 0) {
-      std::lock_guard<std::mutex> l(mu_);
-      evictions_ += evicted;
-    }
-  }
+ResidencyService::ResidencyService(ResidencyManager* manager, ExclusiveSection exclusive)
+    : loop_([manager, exclusive] {
+        exclusive([manager] { manager->RunEvictionPass(); });
+        return std::optional<PeriodicService::Clock::duration>(PeriodicService::kPoll);
+      }) {
+  ARGUS_CHECK(manager != nullptr && exclusive != nullptr);
 }
 
 }  // namespace argus

@@ -1,61 +1,30 @@
-// Background eviction, modeled on CheckpointService / ReplicaRepairService:
-// a thread that periodically runs one clock pass over the guardian's heap
-// inside the caller-supplied exclusive section (the same per-guardian lock
-// the action path holds), so memory pressure is shed as a maintenance
-// activity the commit path only sees as a bounded pause.
+// Background eviction: a PeriodicService that runs one clock pass over the
+// guardian's heap every poll, inside the caller-supplied exclusive section
+// (the same per-guardian lock the action path holds), so memory pressure is
+// shed as a maintenance activity the commit path only sees as a bounded
+// pause. Evictions are counted by the manager (residency.evictions).
 
 #ifndef SRC_RESIDENCY_RESIDENCY_SERVICE_H_
 #define SRC_RESIDENCY_RESIDENCY_SERVICE_H_
 
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <thread>
-
+#include "src/common/periodic_service.h"
 #include "src/residency/residency_manager.h"
 
 namespace argus {
 
-struct ResidencyServiceConfig {
-  // How often the background thread checks the watermark.
-  std::chrono::milliseconds poll_interval{1};
-};
-
 class ResidencyService {
  public:
-  // Runs `fn` with the guardian's action path excluded (see
-  // OnlineCheckpointer::ExclusiveSection — same contract).
-  using ExclusiveSection = std::function<void(const std::function<void()>&)>;
-
   // `manager` must outlive the service.
-  ResidencyService(ResidencyManager* manager, ExclusiveSection exclusive,
-                   ResidencyServiceConfig config);
-  ~ResidencyService();
+  ResidencyService(ResidencyManager* manager, ExclusiveSection exclusive);
 
   ResidencyService(const ResidencyService&) = delete;
   ResidencyService& operator=(const ResidencyService&) = delete;
 
-  void Start();
-  void Stop();
-
-  // Total objects demoted by this service's passes.
-  std::uint64_t evictions() const;
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
 
  private:
-  void Loop();
-
-  ResidencyManager* manager_;
-  ExclusiveSection exclusive_;
-  ResidencyServiceConfig config_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool started_ = false;
-  std::uint64_t evictions_ = 0;
-  std::thread thread_;
+  PeriodicService loop_;
 };
 
 }  // namespace argus

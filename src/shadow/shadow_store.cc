@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "src/obs/metrics.h"
+
 namespace argus {
 namespace {
 
@@ -12,7 +14,8 @@ enum class RecordType : std::uint8_t {
 
 }  // namespace
 
-ShadowStore::ShadowStore(std::unique_ptr<StableMedium> medium) : medium_(std::move(medium)) {
+ShadowStore::ShadowStore(std::unique_ptr<StableMedium> medium)
+    : medium_(std::move(medium)), map_bytes_written_(obs::GetCounter("shadow.map_bytes_written")) {
   ARGUS_CHECK(medium_ != nullptr);
 }
 
@@ -25,7 +28,6 @@ Result<std::uint64_t> ShadowStore::AppendRecord(std::span<const std::byte> paylo
   if (!s.ok()) {
     return s;
   }
-  ++stats_.forces;
   return offset;
 }
 
@@ -42,7 +44,6 @@ Status ShadowStore::Prepare(ActionId aid,
       return offset.status();
     }
     intent.versions[uid] = offset.value();
-    ++stats_.versions_written;
   }
   in_doubt_[aid] = std::move(intent);
   // The prepared state must survive a crash: rewrite the map with the new
@@ -86,12 +87,11 @@ Status ShadowStore::WriteMapAndSwitch() {
       w.PutU64(offset);
     }
   }
-  stats_.map_bytes_written += w.size();
+  map_bytes_written_->Add(w.size());
   Result<std::uint64_t> offset = AppendRecord(AsSpan(w.bytes()));
   if (!offset.ok()) {
     return offset.status();
   }
-  ++stats_.maps_written;
   // The atomic pointer switch: the commit point.
   map_pointer_ = offset.value();
   return Status::Ok();

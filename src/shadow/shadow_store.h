@@ -26,19 +26,14 @@
 
 #include "src/common/codec.h"
 #include "src/common/ids.h"
+#include "src/obs/metrics.h"
 #include "src/stable/stable_medium.h"
 
 namespace argus {
 
-struct ShadowStats {
-  std::uint64_t versions_written = 0;
-  std::uint64_t maps_written = 0;
-  std::uint64_t map_bytes_written = 0;
-  std::uint64_t forces = 0;
-};
-
 class ShadowStore {
  public:
+  // Counts the bytes of every map it rewrites (shadow.map_bytes_written).
   explicit ShadowStore(std::unique_ptr<StableMedium> medium);
 
   // Writes the new versions and an intentions record, durably. After this
@@ -66,7 +61,6 @@ class ShadowStore {
   std::vector<ActionId> InDoubtActions() const;
 
   std::size_t object_count() const { return map_.size(); }
-  const ShadowStats& stats() const { return stats_; }
   std::uint64_t bytes_on_medium() const { return medium_->durable_size(); }
 
  private:
@@ -84,7 +78,7 @@ class ShadowStore {
   // Simulates the atomically updatable stable map pointer. In a real system
   // this is one duplexed cell; a crash never tears it.
   std::optional<std::uint64_t> map_pointer_;
-  ShadowStats stats_;
+  obs::Counter* map_bytes_written_;
 };
 
 }  // namespace argus

@@ -9,36 +9,28 @@ namespace argus {
 
 namespace {
 
-// All caches aggregated; per-cache numbers stay in Stats. Gauge updates are
-// amortized (every 64 events) — the rate is a dashboard value, not a ledger.
-struct CacheObs {
-  obs::Counter* hits;
-  obs::Counter* misses;
-  obs::Counter* bytes_from_medium;
-  obs::Counter* readahead_blocks;
-  obs::Gauge* hit_rate;
-
-  static const CacheObs& Get() {
-    static const CacheObs m{
-        obs::GetCounter("stable.cache.hits"),
-        obs::GetCounter("stable.cache.misses"),
-        obs::GetCounter("stable.cache.bytes_from_medium"),
-        obs::GetCounter("stable.cache.readahead_blocks"),
-        obs::GetGauge("stable.cache.hit_rate"),
-    };
-    return m;
+// The process-wide hit rate over every cache. Updates are amortized (every
+// 64 events): the rate is a dashboard value, not a ledger.
+void UpdateHitRate() {
+  static obs::Counter* const hits = obs::GetCounter("stable.cache.hits");
+  static obs::Counter* const misses = obs::GetCounter("stable.cache.misses");
+  static obs::Gauge* const hit_rate = obs::GetGauge("stable.cache.hit_rate");
+  std::uint64_t h = hits->Value();
+  std::uint64_t total = h + misses->Value();
+  if (total != 0 && total % 64 == 0) {
+    hit_rate->Set(static_cast<double>(h) / static_cast<double>(total));
   }
-
-  void UpdateRate() const {
-    std::uint64_t h = hits->Value();
-    std::uint64_t total = h + misses->Value();
-    if (total != 0 && total % 64 == 0) {
-      hit_rate->Set(static_cast<double>(h) / static_cast<double>(total));
-    }
-  }
-};
+}
 
 }  // namespace
+
+ReadCache::ReadCache(StableMedium* medium, Config config, const obs::Scope& scope)
+    : medium_(medium),
+      config_(config),
+      hits_(scope.GetCounter("stable.cache.hits")),
+      misses_(scope.GetCounter("stable.cache.misses")),
+      bytes_from_medium_(scope.GetCounter("stable.cache.bytes_from_medium")),
+      readahead_blocks_(scope.GetCounter("stable.cache.readahead_blocks")) {}
 
 Result<ReadCache::View> ReadCache::Read(std::uint64_t offset, std::uint64_t len,
                                         std::uint64_t durable_limit) {
@@ -50,10 +42,8 @@ Result<ReadCache::View> ReadCache::Read(std::uint64_t offset, std::uint64_t len,
     return View();
   }
   if (!config_.enabled) {
-    ++stats_.misses;
-    stats_.bytes_from_medium += len;
-    CacheObs::Get().misses->Increment();
-    CacheObs::Get().bytes_from_medium->Add(len);
+    misses_->Increment();
+    bytes_from_medium_->Add(len);
     std::vector<std::byte> raw(len);
     Status s = medium_->ReadInto(offset, std::span<std::byte>(raw.data(), raw.size()));
     if (!s.ok()) {
@@ -73,10 +63,8 @@ Result<ReadCache::View> ReadCache::ReadProbe(std::uint64_t offset, std::uint64_t
   }
   std::lock_guard<std::mutex> l(mu_);
   if (!config_.enabled) {
-    ++stats_.misses;
-    stats_.bytes_from_medium += min_len;
-    CacheObs::Get().misses->Increment();
-    CacheObs::Get().bytes_from_medium->Add(min_len);
+    misses_->Increment();
+    bytes_from_medium_->Add(min_len);
     std::vector<std::byte> raw(min_len);
     Status s = medium_->ReadInto(offset, std::span<std::byte>(raw.data(), raw.size()));
     if (!s.ok()) {
@@ -108,9 +96,8 @@ Result<ReadCache::View> ReadCache::ReadRangeLocked(std::uint64_t offset, std::ui
     // Single-block fast path: one hash lookup serves the common probe hit.
     auto it = blocks_.find(first);
     if (it != blocks_.end() && it->second.data->size() >= offset + len - first * bs) {
-      ++stats_.hits;
-      CacheObs::Get().hits->Increment();
-      CacheObs::Get().UpdateRate();
+      hits_->Increment();
+      UpdateHitRate();
       TouchLocked(it->second, first);
       View v;
       v.pin_ = it->second.data;
@@ -137,17 +124,15 @@ Result<ReadCache::View> ReadCache::ReadRangeLocked(std::uint64_t offset, std::ui
   }
 
   if (miss) {
-    ++stats_.misses;
-    CacheObs::Get().misses->Increment();
+    misses_->Increment();
     Status s = FillRangeLocked(fill_first, fill_last, durable_limit, fill_first, fill_last);
     if (!s.ok()) {
       return s;
     }
   } else {
-    ++stats_.hits;
-    CacheObs::Get().hits->Increment();
+    hits_->Increment();
   }
-  CacheObs::Get().UpdateRate();
+  UpdateHitRate();
 
   if (first == last) {
     Block& block = blocks_.at(first);
@@ -229,8 +214,7 @@ Status ReadCache::FillRangeLocked(std::uint64_t first_block, std::uint64_t last_
     }
     std::uint64_t b = first_block + i;
     std::uint64_t size = requests[i].out.size();
-    stats_.bytes_from_medium += size;
-    CacheObs::Get().bytes_from_medium->Add(size);
+    bytes_from_medium_->Add(size);
     auto [it, inserted] = blocks_.try_emplace(b);
     if (inserted) {
       lru_.push_front(b);
@@ -242,8 +226,7 @@ Status ReadCache::FillRangeLocked(std::uint64_t first_block, std::uint64_t last_
     // The bytes under any previously validated frame here may differ now.
     it->second.validated_frames.clear();
     if (b < demand_first || b > demand_last) {
-      ++stats_.readahead_blocks;
-      CacheObs::Get().readahead_blocks->Increment();
+      readahead_blocks_->Increment();
     }
   }
   have_last_fill_ = true;
@@ -338,11 +321,6 @@ void ReadCache::ClearLocked() {
   blocks_.clear();
   lru_.clear();
   have_last_fill_ = false;
-}
-
-ReadCache::Stats ReadCache::StatsSnapshot() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return stats_;
 }
 
 }  // namespace argus

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/obs/metrics.h"
 #include "src/stable/stable_medium.h"
 
 namespace argus {
@@ -53,13 +54,6 @@ class ReadCache {
     std::uint64_t block_size = 4096;
     std::size_t max_blocks = 4096;      // 16 MiB of cache at the default block size
     std::size_t readahead_blocks = 8;   // extra blocks fetched ahead of a moving scan
-  };
-
-  struct Stats {
-    std::uint64_t hits = 0;              // reads served entirely from cached blocks
-    std::uint64_t misses = 0;            // reads that had to fill at least one block
-    std::uint64_t bytes_from_medium = 0; // bytes fetched from the medium (incl. read-ahead)
-    std::uint64_t readahead_blocks = 0;  // blocks fetched speculatively, not on demand
   };
 
   // Immutable bytes pinned for the caller: either a zero-copy subspan of one
@@ -89,8 +83,10 @@ class ReadCache {
     std::span<const std::byte> bytes_;
   };
 
-  explicit ReadCache(StableMedium* medium) : medium_(medium) {}
-  ReadCache(StableMedium* medium, Config config) : medium_(medium), config_(config) {}
+  // Counts hits (reads served entirely from cached blocks), misses (reads
+  // that filled at least one block), bytes fetched from the medium (read-ahead
+  // included) and read-ahead blocks under `scope` (its log's).
+  ReadCache(StableMedium* medium, Config config, const obs::Scope& scope);
 
   // Reads [offset, offset+len) of the medium, which must lie within
   // `durable_limit` (the caller's snapshot of the durable extent). Fills
@@ -134,8 +130,6 @@ class ReadCache {
   // Drops all cached blocks and memo entries. Outstanding views stay valid.
   void Clear();
 
-  Stats StatsSnapshot() const;
-
  private:
   struct Block {
     std::shared_ptr<const std::vector<std::byte>> data;  // size may be < block_size at tail
@@ -158,6 +152,10 @@ class ReadCache {
 
   StableMedium* medium_;
   Config config_;
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* bytes_from_medium_;
+  obs::Counter* readahead_blocks_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Block> blocks_;
@@ -166,7 +164,6 @@ class ReadCache {
   bool have_last_fill_ = false;
   std::uint64_t last_fill_first_ = 0;
   std::uint64_t last_fill_last_ = 0;
-  Stats stats_;
 };
 
 }  // namespace argus

@@ -22,22 +22,20 @@ struct ReplicatedObs {
   }
 };
 
+// The store's online-repair counts. A store does not know its guardian, so
+// these are process totals; the service's own counts are scoped.
 struct RepairObs {
-  obs::Counter* scans;            // repair passes started (service RunPass)
   obs::Counter* pages_repaired;   // corrupt/unreadable copies healed online
   obs::Counter* divergent_found;  // intact-but-stale copies overwritten
   obs::Counter* resilver_pages;   // blank copies filled on a silvering replica
   obs::Counter* pages_lost;       // pages CRC-bad on every replica (scrub skips)
-  obs::Histogram* pass_ns;        // wall time per repair pass
 
   static const RepairObs& Get() {
     static const RepairObs m{
-        obs::GetCounter("stable.repair.scans"),
         obs::GetCounter("stable.repair.pages_repaired"),
         obs::GetCounter("stable.repair.divergent_found"),
         obs::GetCounter("stable.repair.resilver_pages"),
         obs::GetCounter("stable.repair.pages_lost"),
-        obs::GetHistogram("stable.repair.pass_ns"),
     };
     return m;
   }
@@ -421,54 +419,36 @@ std::uint64_t ReplicatedStore::physical_writes() const {
 // ReplicaRepairService
 // ---------------------------------------------------------------------------
 
-ReplicaRepairService::ReplicaRepairService(ReplicatedStore* store, ReplicaRepairConfig config)
-    : store_(store), config_(config) {
+ReplicaRepairService::Metrics::Metrics(const obs::Scope& scope)
+    : scans(scope.GetCounter("stable.repair.scans")),
+      dirty_drained(scope.GetCounter("stable.repair.dirty_drained")),
+      resilvers(scope.GetCounter("stable.repair.resilvers")),
+      pass_ns(scope.GetHistogram("stable.repair.pass_ns")) {}
+
+ReplicaRepairService::ReplicaRepairService(ReplicatedStore* store, ReplicaRepairConfig config,
+                                           const obs::Scope& scope)
+    : store_(store), config_(config), metrics_(scope), loop_([this] {
+        // Errors are retained (RunPass records them) but never stop the loop:
+        // a page lost this pass may be healable next pass (transient storm),
+        // and the rest of the range still deserves scrubbing either way.
+        RunPass();
+        return std::optional<PeriodicService::Clock::duration>(PeriodicService::kPoll);
+      }) {
   ARGUS_CHECK(store != nullptr);
-}
-
-ReplicaRepairService::~ReplicaRepairService() { Stop(); }
-
-void ReplicaRepairService::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (started_) {
-    return;
-  }
-  stop_ = false;
-  started_ = true;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ReplicaRepairService::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_) {
-      return;
-    }
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  started_ = false;
 }
 
 Status ReplicaRepairService::RunPass() {
   const RepairObs& obs = RepairObs::Get();
-  obs.scans->Increment();
+  metrics_.scans->Increment();
   auto started = std::chrono::steady_clock::now();
   Status pass_error = Status::Ok();
 
   // 1. Drain the dirty queue fed by quorum-read fallbacks: pages known to
   //    have a lagging or broken replica get healed first.
   std::vector<std::size_t> dirty = store_->TakeDirtyPages();
-  std::size_t drained = 0;
-  std::size_t copies = 0;
   for (std::size_t page : dirty) {
     Result<std::size_t> r = store_->RepairPage(page);
-    ++drained;
-    if (r.ok()) {
-      copies += r.value();
-    } else {
+    if (!r.ok()) {
       if (r.status().code() == ErrorCode::kCorruption) {
         obs.pages_lost->Increment();
       }
@@ -481,7 +461,6 @@ Status ReplicaRepairService::RunPass() {
   // 2. Advance either the re-silver scan (priority: a blank replica is one
   //    whole-disk failure away from data loss) or the rolling background
   //    scrub. Both are windows of the same ScrubRange machinery.
-  std::size_t scrubbed = 0;
   std::uint64_t resilvers_done = 0;
   if (config_.scrub_pages_per_pass > 0) {
     std::size_t pages = store_->page_count();
@@ -493,10 +472,7 @@ Status ReplicaRepairService::RunPass() {
       }
       std::size_t end = std::min(pages, begin + config_.scrub_pages_per_pass);
       Result<std::size_t> r = store_->ScrubRange(begin, end);
-      scrubbed = end - begin;
-      if (r.ok()) {
-        copies += r.value();
-      } else if (pass_error.ok()) {
+      if (!r.ok() && pass_error.ok()) {
         pass_error = r.status();
       }
       std::lock_guard<std::mutex> lock(mu_);
@@ -520,10 +496,7 @@ Status ReplicaRepairService::RunPass() {
       }
       std::size_t end = std::min(pages, begin + config_.scrub_pages_per_pass);
       Result<std::size_t> r = store_->ScrubRange(begin, end);
-      scrubbed = end - begin;
-      if (r.ok()) {
-        copies += r.value();
-      } else if (pass_error.ok()) {
+      if (!r.ok() && pass_error.ok()) {
         pass_error = r.status();
       }
       std::lock_guard<std::mutex> lock(mu_);
@@ -532,45 +505,12 @@ Status ReplicaRepairService::RunPass() {
   }
 
   auto elapsed = std::chrono::steady_clock::now() - started;
-  obs.pass_ns->Record(
+  metrics_.pass_ns->Record(
       static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.passes;
-  stats_.dirty_pages_drained += drained;
-  stats_.pages_scrubbed += scrubbed;
-  stats_.copies_written += copies;
-  stats_.resilvers_completed += resilvers_done;
-  if (!pass_error.ok()) {
-    last_error_ = pass_error;
-  }
+  metrics_.dirty_drained->Add(dirty.size());
+  metrics_.resilvers->Add(resilvers_done);
+  loop_.RecordError(pass_error);
   return pass_error;
-}
-
-void ReplicaRepairService::Loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, config_.poll_interval, [this] { return stop_; });
-      if (stop_) {
-        return;
-      }
-    }
-    // Errors are retained in last_error_ but never stop the loop: a page
-    // lost this pass may be healable next pass (transient storm), and the
-    // rest of the range still deserves scrubbing either way.
-    RunPass();
-  }
-}
-
-ReplicaRepairStats ReplicaRepairService::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-Status ReplicaRepairService::last_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_error_;
 }
 
 }  // namespace argus

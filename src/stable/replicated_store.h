@@ -21,9 +21,9 @@
 //    at all — which is exactly what re-silvering a freshly attached blank
 //    replica needs, so replica replacement rides the same scrub machinery.
 //
-// ReplicaRepairService wraps the online pass in a background thread (modeled
-// on CheckpointService): each pass drains the dirty-page queue, advances an
-// in-flight re-silver, and scrubs the next window of the full page range.
+// ReplicaRepairService runs the online pass on a PeriodicService: each pass
+// drains the dirty-page queue, advances an in-flight re-silver, and scrubs
+// the next window of the full page range.
 //
 // Thread safety: every public operation serializes on one internal mutex, so
 // the store is shareable between the commit path and the repair thread. With
@@ -35,13 +35,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
+#include "src/common/periodic_service.h"
+#include "src/obs/metrics.h"
 #include "src/stable/careful_disk.h"
 #include "src/stable/simulated_disk.h"
 
@@ -166,60 +166,56 @@ class ReplicatedStore {
 // ---------------------------------------------------------------------------
 
 struct ReplicaRepairConfig {
-  // How often the repair thread wakes when there is nothing dirty.
-  std::chrono::milliseconds poll_interval{1};
   // Pages scrubbed per pass of the rolling full-range scan (0 disables the
   // background scan; the pass then only drains the dirty queue).
   std::size_t scrub_pages_per_pass = 64;
 };
 
-struct ReplicaRepairStats {
-  std::uint64_t passes = 0;
-  std::uint64_t dirty_pages_drained = 0;
-  std::uint64_t pages_scrubbed = 0;
-  std::uint64_t copies_written = 0;
-  std::uint64_t resilvers_completed = 0;
-};
-
 // A background thread that heals a ReplicatedStore while commits continue:
-// each pass drains the dirty-page queue fed by quorum-read fallbacks, then
-// either advances an in-flight re-silver or scrubs the next window of the
-// rolling full-range scan. The first hard error stops nothing — scrub
-// continues past lost pages — but is retained for last_error().
+// every PeriodicService::kPoll, a pass drains the dirty-page queue fed by
+// quorum-read fallbacks, then either advances an in-flight re-silver or
+// scrubs the next window of the rolling full-range scan. An error stops
+// nothing — scrub continues past lost pages — but the last one is retained
+// for last_error(). Passes, drained dirty pages and completed re-silvers are
+// counted under the service's scope (stable.repair.scans, .dirty_drained,
+// .resilvers); healed copies are counted by the store
+// (stable.repair.pages_repaired and .resilver_pages).
 class ReplicaRepairService {
  public:
   // `store` must outlive the service.
-  ReplicaRepairService(ReplicatedStore* store, ReplicaRepairConfig config);
-  ~ReplicaRepairService();
+  ReplicaRepairService(ReplicatedStore* store, ReplicaRepairConfig config,
+                       const obs::Scope& scope = {});
 
   ReplicaRepairService(const ReplicaRepairService&) = delete;
   ReplicaRepairService& operator=(const ReplicaRepairService&) = delete;
 
-  void Start();
-  void Stop();
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
 
   // One repair pass, runnable inline for deterministic tests (also the body
   // the background thread loops). Safe to call while the thread runs.
   Status RunPass();
 
-  ReplicaRepairStats StatsSnapshot() const;
-  Status last_error() const;
+  Status last_error() const { return loop_.last_error(); }
 
  private:
-  void Loop();
+  struct Metrics {
+    explicit Metrics(const obs::Scope& scope);
+    obs::Counter* scans;          // repair passes started
+    obs::Counter* dirty_drained;  // dirty-queue pages a pass repaired
+    obs::Counter* resilvers;      // re-silvers a pass completed
+    obs::Histogram* pass_ns;      // wall time per repair pass
+  };
 
   ReplicatedStore* store_;
   ReplicaRepairConfig config_;
+  const Metrics metrics_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool started_ = false;
-  Status last_error_ = Status::Ok();
-  ReplicaRepairStats stats_;
+  std::mutex mu_;  // guards the cursors
   std::size_t scrub_cursor_ = 0;
   std::size_t resilver_cursor_ = 0;
-  std::thread thread_;
+  // Declared last: stopped before the members its pass uses are destroyed.
+  PeriodicService loop_;
 };
 
 }  // namespace argus

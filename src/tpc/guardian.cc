@@ -40,7 +40,7 @@ Guardian::Guardian(GuardianId gid, RecoverySystemConfig config, SimNetwork* netw
     : gid_(gid), config_(std::move(config)), network_(network) {
   ARGUS_CHECK(network_ != nullptr);
   heap_ = std::make_unique<VolatileHeap>();
-  recovery_ = std::make_unique<RecoverySystem>(config_, heap_.get());
+  recovery_ = std::make_unique<RecoverySystem>(config_, heap_.get(), gid_);
 }
 
 ActionId Guardian::BeginTopAction() {
@@ -506,7 +506,8 @@ Result<RecoveryInfo> Guardian::Restart() {
   GuardianObs::Get().restarts->Increment();
   obs::TraceSpan span("tpc.restart", gid_.value);
   heap_ = std::make_unique<VolatileHeap>();
-  recovery_ = std::make_unique<RecoverySystem>(config_, heap_.get(), std::move(surviving_));
+  recovery_ =
+      std::make_unique<RecoverySystem>(config_, heap_.get(), std::move(surviving_), gid_);
   Result<RecoveryInfo> info = recovery_->Recover();
   if (!info.ok()) {
     // A failed recovery (e.g. a still-faulted disk) must not strand the

@@ -10,12 +10,13 @@ namespace argus {
 
 namespace {
 
-// All networks aggregated (mirrors NetworkStats at the same tick sites).
+// All networks aggregated. A network joins every guardian of a world, so it
+// counts process totals.
 struct NetObs {
   obs::Counter* sent;
   obs::Counter* delivered;
   obs::Counter* dropped;
-  obs::Counter* delayed;
+  obs::Counter* delayed;  // enqueued with a future delivery tick
 
   static const NetObs& Get() {
     static const NetObs m{
@@ -56,7 +57,6 @@ std::uint64_t SimNetwork::SampleDelay(const Message& message) {
 void SimNetwork::Enqueue(const Message& message) {
   std::uint64_t delay = SampleDelay(message);
   if (delay > 0) {
-    ++stats_.delayed;
     NetObs::Get().delayed->Increment();
     obs::Emit("tpc.net.delay", TraceHop(message), static_cast<std::uint64_t>(message.type),
               delay);
@@ -65,19 +65,16 @@ void SimNetwork::Enqueue(const Message& message) {
 }
 
 void SimNetwork::Send(const Message& message) {
-  ++stats_.sent;
   NetObs::Get().sent->Increment();
   obs::Emit("tpc.send", TraceHop(message), static_cast<std::uint64_t>(message.type),
             message.aid.sequence);
   if (Blocked(message.from, message.to)) {
-    ++stats_.dropped;
     NetObs::Get().dropped->Increment();
     obs::Emit("tpc.drop", TraceHop(message), static_cast<std::uint64_t>(message.type),
               message.aid.sequence);
     return;
   }
   if (rng_.NextBool(drop_probability_)) {
-    ++stats_.dropped;
     NetObs::Get().dropped->Increment();
     obs::Emit("tpc.drop", TraceHop(message), static_cast<std::uint64_t>(message.type),
               message.aid.sequence);
@@ -90,7 +87,6 @@ void SimNetwork::Send(const Message& message) {
 }
 
 void SimNetwork::DropAtDelivery(const Message& m) {
-  ++stats_.dropped;
   NetObs::Get().dropped->Increment();
   obs::Emit("tpc.drop", TraceHop(m), static_cast<std::uint64_t>(m.type), m.aid.sequence);
 }
@@ -108,7 +104,6 @@ std::optional<Message> SimNetwork::DeliverAt(std::size_t index) {
     DropAtDelivery(m);
     return std::nullopt;
   }
-  ++stats_.delivered;
   NetObs::Get().delivered->Increment();
   obs::Emit("tpc.deliver", TraceHop(m), static_cast<std::uint64_t>(m.type), m.aid.sequence);
   return m;
@@ -150,7 +145,6 @@ std::optional<Message> SimNetwork::NextDelivery() {
       DropAtDelivery(m);
       continue;  // an endpoint is unreachable at delivery time
     }
-    ++stats_.delivered;
     NetObs::Get().delivered->Increment();
     obs::Emit("tpc.deliver", TraceHop(m), static_cast<std::uint64_t>(m.type), m.aid.sequence);
     return m;

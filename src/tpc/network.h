@@ -27,13 +27,6 @@
 
 namespace argus {
 
-struct NetworkStats {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t delayed = 0;  // enqueued with a future delivery tick
-};
-
 class SimNetwork {
  public:
   explicit SimNetwork(std::uint64_t seed = 0) : rng_(seed) {}
@@ -117,8 +110,6 @@ class SimNetwork {
     global_delay_ = DelayRange{};
   }
 
-  const NetworkStats& stats() const { return stats_; }
-
  private:
   struct DelayRange {
     std::uint64_t min_delay = 0;
@@ -149,7 +140,6 @@ class SimNetwork {
   std::uint64_t now_ = 0;
   std::uint64_t next_seq_ = 0;
   Rng rng_;
-  NetworkStats stats_;
 };
 
 }  // namespace argus

@@ -234,9 +234,6 @@ Status WorkloadDriver::RunOneAction() {
       if (!ran.ok()) {
         return ran.status();
       }
-      if (ran.value()) {
-        ++stats_.checkpoints;
-      }
     }
   }
   // Serial residency: every guardian with a memory budget sheds pressure
@@ -265,17 +262,22 @@ Status WorkloadDriver::Run(std::size_t actions) {
       }
     }
   }
+  Status s = Status::Ok();
   if (config_.threads >= 1) {
-    return RunConcurrent(actions);
-  }
-  for (std::size_t i = 0; i < actions; ++i) {
-    Status s = RunOneAction();
-    if (!s.ok()) {
-      return s;
+    s = RunConcurrent(actions);
+  } else {
+    for (std::size_t i = 0; i < actions && s.ok(); ++i) {
+      s = RunOneAction();
+    }
+    if (s.ok()) {
+      world_->Pump();
     }
   }
-  world_->Pump();
-  return Status::Ok();
+  stats_.checkpoints = 0;
+  for (const CheckpointPolicy& policy : policies_) {
+    stats_.checkpoints += policy.checkpoints_taken();
+  }
+  return s;
 }
 
 Status WorkloadDriver::RunOneConcurrentAction(Rng& rng,
@@ -498,13 +500,11 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     if (rm == nullptr) {
       return;
     }
-    ResidencyServiceConfig svc;
-    svc.poll_interval = config_.residency_poll_interval;
     auto exclusive = [&guardian_mutexes, g](const std::function<void()>& fn) {
       std::lock_guard<std::mutex> l(guardian_mutexes[g]);
       fn();
     };
-    residency_services[g] = std::make_unique<ResidencyService>(rm, exclusive, svc);
+    residency_services[g] = std::make_unique<ResidencyService>(rm, exclusive);
     residency_services[g]->Start();
   };
   auto stop_residency = [&](std::uint32_t g) {
@@ -536,42 +536,24 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
         });
   };
   auto start_service = [&](std::uint32_t g) {
-    CheckpointServiceConfig svc;
-    svc.mode = config_.checkpoint_mode;
-    svc.method = config_.checkpoint->method;
-    svc.poll_interval = config_.checkpoint_poll_interval;
-    svc.min_checkpoint_gap = config_.checkpoint_min_gap;
     auto exclusive = [&guardian_mutexes, g](const std::function<void()>& fn) {
       std::lock_guard<std::mutex> l(guardian_mutexes[g]);
       fn();
     };
     services[g].service = std::make_unique<CheckpointService>(
-        &world_->guardian(g).recovery(), &policies_[g], exclusive, svc);
+        &world_->guardian(g).recovery(), &policies_[g], exclusive, config_.checkpoint_mode);
     services[g].service->Start();
   };
-  // Stops a service, folds its pause accounting into the driver totals, and
-  // classifies its terminal error: standing down for a coherent crash (a
-  // drain that woke kCrashed on the crashed coordinator, or a hook-abandoned
-  // checkpoint) is a clean exit, anything else is a real failure.
+  // Stops a service and classifies its terminal error: standing down for a
+  // coherent crash (a drain that woke kCrashed on the crashed coordinator, or
+  // a hook-abandoned checkpoint) is a clean exit, anything else is a real
+  // failure.
   auto absorb_service = [&](std::uint32_t g) -> Status {
     ServiceSlot& slot = services[g];
     if (slot.service == nullptr) {
       return Status::Ok();
     }
     slot.service->Stop();
-    CheckpointPauseStats ps = slot.service->StatsSnapshot();
-    stats_.checkpoints += ps.checkpoints;
-    checkpoint_pauses_.checkpoints += ps.checkpoints;
-    checkpoint_pauses_.capture_ns_total += ps.capture_ns_total;
-    checkpoint_pauses_.capture_ns_max =
-        std::max(checkpoint_pauses_.capture_ns_max, ps.capture_ns_max);
-    checkpoint_pauses_.build_ns_total += ps.build_ns_total;
-    checkpoint_pauses_.build_ns_max = std::max(checkpoint_pauses_.build_ns_max, ps.build_ns_max);
-    checkpoint_pauses_.swap_ns_total += ps.swap_ns_total;
-    checkpoint_pauses_.swap_ns_max = std::max(checkpoint_pauses_.swap_ns_max, ps.swap_ns_max);
-    checkpoint_pauses_.pause_ns_total += ps.pause_ns_total;
-    checkpoint_pauses_.pause_ns_max =
-        std::max(checkpoint_pauses_.pause_ns_max, ps.pause_ns_max);
     Status err = slot.service->last_error();
     slot.service.reset();
     bool stood_down = slot.abandoned->exchange(false, std::memory_order_relaxed);

@@ -61,10 +61,6 @@ struct WorkloadConfig {
   // pauses only for capture and the swap barrier; kStopTheWorld holds the
   // guardian mutex across the whole checkpoint (the baseline to beat).
   CheckpointMode checkpoint_mode = CheckpointMode::kOnline;
-  std::chrono::milliseconds checkpoint_poll_interval{1};
-  // Fairness floor between checkpoints, forwarded to every guardian's
-  // CheckpointService (see CheckpointServiceConfig::min_checkpoint_gap).
-  std::chrono::milliseconds checkpoint_min_gap{5};
   // ---- Partial-world outages (concurrent driver only) ----
   //
   // Per-action chance that a worker requests a partial-world crash: a random
@@ -106,8 +102,6 @@ struct WorkloadConfig {
   // one ResidencyService (exclusive section = the guardian's staging mutex),
   // the serial driver runs an inline eviction pass between actions, and
   // SnapshotLiveStats reports its resident bytes.
-  // Poll cadence of the background ResidencyService threads.
-  std::chrono::milliseconds residency_poll_interval{1};
 };
 
 struct WorkloadStats {
@@ -115,6 +109,7 @@ struct WorkloadStats {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
   std::uint64_t crashes = 0;
+  // Checkpoints taken, summed over the guardians' policies.
   std::uint64_t checkpoints = 0;
   // Concurrent actions whose durability wait was interrupted by a coherent
   // crash (kCrashed): the outcome is legal either way, and the post-crash
@@ -174,10 +169,6 @@ class WorkloadDriver {
   std::uint64_t live_committed_total() const {
     return live_total_committed_.load(std::memory_order_relaxed);
   }
-
-  // Aggregated checkpoint pause accounting across guardians (concurrent
-  // driver only; totals summed, maxima taken across services).
-  const CheckpointPauseStats& checkpoint_pauses() const { return checkpoint_pauses_; }
 
   // Flight-recorder dump captured by the crash executor at the most recent
   // coherent crash, while every worker was parked at the rendezvous — the
@@ -241,7 +232,6 @@ class WorkloadDriver {
   // model_[guardian][slot] = committed value
   std::vector<std::map<std::size_t, std::int64_t>> model_;
   std::vector<CheckpointPolicy> policies_;
-  CheckpointPauseStats checkpoint_pauses_;
   // Per-guardian journal of volatile commits since the last reconciliation
   // point (deque: stable element addresses while workers append).
   std::vector<std::deque<CommittedRecord>> journal_;

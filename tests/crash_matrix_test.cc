@@ -101,9 +101,9 @@ class CrashMatrixTest : public testing::TestWithParam<LogMode> {};
 
 INSTANTIATE_TEST_SUITE_P(Modes, CrashMatrixTest,
                          testing::Values(LogMode::kSimple, LogMode::kHybrid),
-                         [](const testing::TestParamInfo<LogMode>& info) {
-                           return info.param == LogMode::kSimple ? std::string("simple")
-                                                                 : std::string("hybrid");
+                         [](const testing::TestParamInfo<LogMode>& param_info) {
+                           return param_info.param == LogMode::kSimple ? std::string("simple")
+                                                                       : std::string("hybrid");
                          });
 
 TEST_P(CrashMatrixTest, TornWriteAtEveryStepOfCoalescedForceYieldsLegalPrefix) {

@@ -56,7 +56,14 @@ TEST(DebugDump, FullRecoveryInfoAfterScenario) {
 }
 
 TEST(DebugDump, LogStatsShowsReadSideCounters) {
-  // Drive the real read path so the cache counters are live.
+  // A shard's row of the log's counters is its labelled entries in the
+  // registry snapshot. Drive the real read path so the cache counters are
+  // live.
+  const obs::Scope shard{.guardian = 0, .shard = 0};
+  auto cache_reads = [&shard] {
+    return CounterValue("stable.cache.hits", shard) + CounterValue("stable.cache.misses", shard);
+  };
+  const std::uint64_t reads_before = cache_reads();
   StorageHarness h(LogMode::kHybrid);
   ActionId t1 = Aid(1);
   RecoverableObject* v = h.ctx(t1).CreateAtomic(h.heap(), Value::Int(10));
@@ -65,17 +72,17 @@ TEST(DebugDump, LogStatsShowsReadSideCounters) {
   Result<RecoveryInfo> info = h.CrashAndRecover();
   ASSERT_TRUE(info.ok());
 
-  LogStats stats = h.rs().log().StatsSnapshot();
-  std::string out = DumpLogStats(stats);
-  EXPECT_NE(out.find("LogStats"), std::string::npos) << out;
-  EXPECT_NE(out.find("entries_written=" + std::to_string(stats.entries_written)),
+  const std::string out = obs::Registry::Global().ToJson();
+  auto row = [&shard](const char* name) { return "\"" + shard.Name(name) + "\":"; };
+  EXPECT_NE(out.find(row("log.entries_staged") +
+                     std::to_string(CounterValue("log.entries_staged", shard))),
             std::string::npos)
       << out;
-  EXPECT_NE(out.find("cache_hits="), std::string::npos) << out;
-  EXPECT_NE(out.find("cache_hit_rate="), std::string::npos) << out;
-  EXPECT_NE(out.find("readahead_blocks="), std::string::npos) << out;
+  EXPECT_NE(out.find(row("stable.cache.hits")), std::string::npos) << out;
+  EXPECT_NE(out.find("\"stable.cache.hit_rate\":"), std::string::npos) << out;
+  EXPECT_NE(out.find(row("stable.cache.readahead_blocks")), std::string::npos) << out;
   // Recovery went through the cache, so the medium was actually consulted.
-  EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_GT(cache_reads() - reads_before, 0u);
 }
 
 TEST(DebugDump, MutexRowShowsAddress) {

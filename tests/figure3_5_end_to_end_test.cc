@@ -27,8 +27,8 @@ class Figure3_5Test : public testing::TestWithParam<LogMode> {};
 
 INSTANTIATE_TEST_SUITE_P(BothLogs, Figure3_5Test,
                          testing::Values(LogMode::kSimple, LogMode::kHybrid),
-                         [](const auto& info) {
-                           return info.param == LogMode::kSimple ? "simple" : "hybrid";
+                         [](const auto& param_info) {
+                           return param_info.param == LogMode::kSimple ? "simple" : "hybrid";
                          });
 
 TEST_P(Figure3_5Test, NewlyAccessibleObjectSurvivesCreatorAbort) {

@@ -74,10 +74,10 @@ TEST(Figure3_7, AtomicObjectsScenario) {
   b.Outcome(LogEntry(BaseCommittedEntry{o1, Flat(Value::Int(10))}));
   b.Outcome(LogEntry(BaseCommittedEntry{o2, Flat(Value::Int(20))}));
   b.Data(o2, ObjectKind::kAtomic, Value::Int(21), t1);
-  b.Outcome(LogEntry(PreparedEntry{t1}));
+  b.Outcome(LogEntry(PreparedEntry{t1, {}}));
   b.Outcome(LogEntry(CommittedEntry{t1}));
   b.Data(o1, ObjectKind::kAtomic, Value::Int(11), t2);
-  b.Outcome(LogEntry(PreparedEntry{t2}));
+  b.Outcome(LogEntry(PreparedEntry{t2, {}}));
 
   VolatileHeap heap;
   Result<RecoveryResult> r = RecoverSimpleLog(b.Finish(), heap);
@@ -114,10 +114,10 @@ TEST(Figure3_8, MutexObjectsScenario) {
   LogBuilder b(/*chain=*/false);
   b.Data(o1, ObjectKind::kMutex, Value::Int(101), t1);
   b.Data(o2, ObjectKind::kMutex, Value::Int(201), t1);
-  b.Outcome(LogEntry(PreparedEntry{t1}));
+  b.Outcome(LogEntry(PreparedEntry{t1, {}}));
   b.Outcome(LogEntry(CommittedEntry{t1}));
   b.Data(o1, ObjectKind::kMutex, Value::Int(102), t2);
-  b.Outcome(LogEntry(PreparedEntry{t2}));
+  b.Outcome(LogEntry(PreparedEntry{t2, {}}));
   b.Outcome(LogEntry(AbortedEntry{t2}));
 
   VolatileHeap heap;
@@ -148,17 +148,17 @@ TEST(Figure3_9, NewlyAccessibleObjectsScenario) {
   LogBuilder b(/*chain=*/false);
   b.Outcome(LogEntry(BaseCommittedEntry{o1, Flat(Value::Int(10))}));
   b.Outcome(LogEntry(BaseCommittedEntry{o2, Flat(Value::Int(20))}));
-  b.Outcome(LogEntry(PreparedEntry{t1}));
+  b.Outcome(LogEntry(PreparedEntry{t1, {}}));
   b.Outcome(LogEntry(CommittedEntry{t1}));
   // T2 prepares: current of O1 (→O3), base of newly accessible O3, current
   // of O3.
   b.Data(o1, ObjectKind::kAtomic, Value::OfUid(o3), t2);
   b.Outcome(LogEntry(BaseCommittedEntry{o3, Flat(Value::Int(30))}));
   b.Data(o3, ObjectKind::kAtomic, Value::Int(33), t2);
-  b.Outcome(LogEntry(PreparedEntry{t2}));
+  b.Outcome(LogEntry(PreparedEntry{t2, {}}));
   // T3 prepares: current of O2 (→O3).
   b.Data(o2, ObjectKind::kAtomic, Value::OfUid(o3), t3);
-  b.Outcome(LogEntry(PreparedEntry{t3}));
+  b.Outcome(LogEntry(PreparedEntry{t3, {}}));
   b.Outcome(LogEntry(AbortedEntry{t2}));
   b.Outcome(LogEntry(CommittedEntry{t3}));
 
@@ -201,10 +201,10 @@ TEST(Figure3_10, CoordinatorLogScenario) {
   b.Outcome(LogEntry(BaseCommittedEntry{o1, Flat(Value::Int(10))}));
   b.Data(o1, ObjectKind::kAtomic, Value::Int(11), t1);
   b.Outcome(LogEntry(BaseCommittedEntry{o2, Flat(Value::Int(20))}));
-  b.Outcome(LogEntry(PreparedEntry{t1}));
+  b.Outcome(LogEntry(PreparedEntry{t1, {}}));
   b.Outcome(LogEntry(CommittedEntry{t1}));
   b.Data(o2, ObjectKind::kAtomic, Value::Int(21), t2);
-  b.Outcome(LogEntry(PreparedEntry{t2}));
+  b.Outcome(LogEntry(PreparedEntry{t2, {}}));
   b.Outcome(LogEntry(CommittingEntry{t2, gids}));
   b.Outcome(LogEntry(CommittedEntry{t2}));
   b.Outcome(LogEntry(DoneEntry{t2}));

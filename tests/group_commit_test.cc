@@ -29,7 +29,12 @@ TEST(FlushCoordinator, ConcurrentForceWritesAllDurableAndCoalesced) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kEntriesPerThread = 50;
 
-  StableLog log(std::make_unique<InMemoryStableMedium>());
+  // The coordinator counts under its log's scope.
+  const obs::Scope scope{.guardian = 11, .shard = 0};
+  const std::uint64_t forces_before = CounterValue("log.forces", scope);
+  const std::uint64_t requests_before = CounterValue("log.force.requests", scope);
+  const std::uint64_t coalesced_before = CounterValue("log.force.coalesced", scope);
+  StableLog log(std::make_unique<InMemoryStableMedium>(), ReadCache::Config(), scope);
   FlushCoordinatorConfig config;
   config.batch_window = std::chrono::microseconds(500);
   config.max_batch = kThreads;
@@ -79,14 +84,17 @@ TEST(FlushCoordinator, ConcurrentForceWritesAllDurableAndCoalesced) {
     }
   }
 
-  // Coalescing: far fewer physical forces than entries, and the stats see
+  // Coalescing: far fewer physical forces than entries, and the counts see
   // both the followers and the shared flushes.
-  LogStats stats = log.StatsSnapshot();
-  EXPECT_EQ(stats.entries_written, kThreads * kEntriesPerThread);
-  EXPECT_LT(stats.forces, stats.entries_written);
-  EXPECT_GT(stats.entries_per_force(), 2.0) << "forces=" << stats.forces;
-  EXPECT_EQ(stats.force_requests, kThreads * kEntriesPerThread);
-  EXPECT_GT(stats.coalesced_requests, std::uint64_t{0});
+  const std::uint64_t entries = log.entries_written();
+  const std::uint64_t forces = CounterValue("log.forces", scope) - forces_before;
+  EXPECT_EQ(entries, kThreads * kEntriesPerThread);
+  EXPECT_LT(forces, entries);
+  EXPECT_GT(static_cast<double>(entries) / static_cast<double>(forces), 2.0)
+      << "forces=" << forces;
+  EXPECT_EQ(CounterValue("log.force.requests", scope) - requests_before,
+            kThreads * kEntriesPerThread);
+  EXPECT_GT(CounterValue("log.force.coalesced", scope) - coalesced_before, std::uint64_t{0});
 }
 
 TEST(FlushCoordinator, ForceUpToDurableAddressReturnsImmediately) {
@@ -98,26 +106,32 @@ TEST(FlushCoordinator, ForceUpToDurableAddressReturnsImmediately) {
 
   Result<LogAddress> addr = coordinator.ForceWrite(LogEntry(MakeData(1)));
   ASSERT_TRUE(addr.ok());
-  std::uint64_t forces_before = log.StatsSnapshot().forces;
+  std::uint64_t forces_before = CounterValue("log.forces");
   // Already durable: no new physical force.
   EXPECT_TRUE(coordinator.ForceUpTo(addr.value()).ok());
   EXPECT_TRUE(coordinator.Force().ok());
-  EXPECT_EQ(log.StatsSnapshot().forces, forces_before);
+  EXPECT_EQ(CounterValue("log.forces"), forces_before);
 }
 
 TEST(FlushCoordinator, StagedWritersShareOneFlush) {
   // Deterministic single-thread shape: stage K entries, then one ForceUpTo
   // of the last covers all of them (§3.1).
-  StableLog log(std::make_unique<InMemoryStableMedium>());
+  const obs::Scope scope{.guardian = 12, .shard = 0};
+  const obs::Histogram* batch_entries = scope.GetHistogram("log.force.batch_entries");
+  const std::uint64_t forces_before = CounterValue("log.forces", scope);
+  const std::uint64_t batches_before = batch_entries->Count();
+  const std::uint64_t batched_before = batch_entries->Sum();
+  StableLog log(std::make_unique<InMemoryStableMedium>(), ReadCache::Config(), scope);
   FlushCoordinator coordinator(&log);
   std::vector<LogAddress> addrs;
   for (std::uint64_t i = 0; i < 5; ++i) {
     addrs.push_back(log.Write(LogEntry(MakeData(i))));
   }
   ASSERT_TRUE(coordinator.ForceUpTo(addrs.back()).ok());
-  LogStats stats = log.StatsSnapshot();
-  EXPECT_EQ(stats.forces, 1u);
-  EXPECT_EQ(stats.max_entries_per_force, 5u);
+  // One force, and it carried all five entries.
+  EXPECT_EQ(CounterValue("log.forces", scope) - forces_before, 1u);
+  EXPECT_EQ(batch_entries->Count() - batches_before, 1u);
+  EXPECT_EQ(batch_entries->Sum() - batched_before, 5u);
   for (LogAddress a : addrs) {
     EXPECT_LT(a.offset, log.durable_size());
   }
@@ -135,6 +149,15 @@ TEST(GroupCommit, ConcurrentWorkloadCommitsAreDurableAndCoalesced) {
   gc.batch_window = std::chrono::microseconds(300);
   gc.max_batch = kThreads;
   world_config.group_commit = gc;
+  // Guardian g's one log counts under {guardian=g, shard=0}.
+  auto scope = [](std::uint32_t g) { return obs::Scope{.guardian = g, .shard = 0}; };
+  std::vector<std::uint64_t> forces_before;
+  std::vector<std::uint64_t> coalesced_before;
+  for (std::uint32_t g = 0; g < world_config.guardian_count; ++g) {
+    forces_before.push_back(CounterValue("log.forces", scope(g)));
+    coalesced_before.push_back(CounterValue("log.force.coalesced", scope(g)));
+  }
+  const std::uint64_t total_forces_before = CounterValue("log.forces");
   SimWorld world(world_config);
 
   WorkloadConfig config;
@@ -152,11 +175,14 @@ TEST(GroupCommit, ConcurrentWorkloadCommitsAreDurableAndCoalesced) {
   std::uint64_t total_forces = 0;
   std::uint64_t total_entries = 0;
   for (std::uint32_t g = 0; g < world.guardian_count(); ++g) {
-    LogStats stats = world.guardian(g).recovery().log().StatsSnapshot();
-    total_forces += stats.forces;
-    total_entries += stats.entries_written;
-    EXPECT_GT(stats.coalesced_requests, std::uint64_t{0}) << "guardian " << g;
+    total_forces += CounterValue("log.forces", scope(g)) - forces_before[g];
+    total_entries += world.guardian(g).recovery().log().entries_written();
+    EXPECT_GT(CounterValue("log.force.coalesced", scope(g)) - coalesced_before[g],
+              std::uint64_t{0})
+        << "guardian " << g;
   }
+  // The labelled entries add up to the unlabelled total.
+  EXPECT_EQ(CounterValue("log.forces") - total_forces_before, total_forces);
   EXPECT_LT(total_forces, driver.stats().committed)
       << "group commit must need fewer physical forces than commits";
   EXPECT_GT(static_cast<double>(total_entries) / static_cast<double>(total_forces), 2.0);

@@ -67,13 +67,14 @@ TEST(GuardianProtocol, DuplicateCommitIsIdempotent) {
   ActionId aid = StartIncrement(world, GuardianId{1});
   ASSERT_TRUE(world.guardian(0).RequestCommit(aid).ok());
   world.Pump();
-  std::uint64_t forces = world.guardian(1).recovery().log().stats().forces;
+  const obs::Scope participant{.guardian = 1, .shard = 0};
+  std::uint64_t forces = CounterValue("log.forces", participant);
   // A stale duplicate commit arrives late.
   world.network().Send(Message{GuardianId{0}, GuardianId{1}, MessageType::kCommit, aid, false});
   world.Pump();
   EXPECT_EQ(ReadVar(world, GuardianId{1}, "x"), 1);
   // No extra committed record was forced.
-  EXPECT_EQ(world.guardian(1).recovery().log().stats().forces, forces);
+  EXPECT_EQ(CounterValue("log.forces", participant), forces);
 }
 
 TEST(GuardianProtocol, AbortAfterCommitPointIsRefused) {

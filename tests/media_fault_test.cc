@@ -8,6 +8,7 @@
 #include <sys/resource.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -347,6 +348,9 @@ TEST(ReplicatedGuardian, OnlineRepairHealsDecayWithoutRestart) {
   // With config.repair set, the incarnation runs a ReplicaRepairService: a
   // decayed page heals in the background — no crash, no Recover() — while
   // commits keep flowing.
+  // The harness is guardian 0; its shard's repair service counts there.
+  const obs::Scope shard0{.guardian = 0, .shard = 0};
+  const std::uint64_t passes_before = CounterValue("stable.repair.scans", shard0);
   DuplexedHarness h(ReplicatedNConfig(3, /*online_repair=*/true));
   ASSERT_NE(h.rs().repair_service(), nullptr);
   CommitValue(h, 1, 99);
@@ -358,7 +362,7 @@ TEST(ReplicatedGuardian, OnlineRepairHealsDecayWithoutRestart) {
   EXPECT_FALSE(store.disk(0).PageIsBad(1)) << "scrub never healed the page";
   CommitValue(h, 2, 100);
   EXPECT_EQ(ReadValue(h), 100);
-  EXPECT_GE(h.rs().repair_service()->StatsSnapshot().passes, 1u);
+  EXPECT_GE(CounterValue("stable.repair.scans", shard0) - passes_before, 1u);
 }
 
 TEST(FileLog, ReopenResumesDurableEntries) {
@@ -430,14 +434,9 @@ std::uint64_t FileSize(const std::string& path) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
-// Expects a backward walk of the log file at `path`, reopened and recovered,
-// to find exactly the committed sequences `count` down to 1, and the file to
-// hold nothing past the durable extent.
-void ExpectFileLogHolds(const std::string& path, std::uint64_t count) {
-  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
-  ASSERT_TRUE(medium.ok());
-  StableLog log(std::move(medium).value());
-  ASSERT_TRUE(log.RecoverAfterCrash().ok());
+// Expects a backward walk from the top of `log` to find exactly the
+// committed sequences `count` down to 1.
+void ExpectWalksBack(const StableLog& log, std::uint64_t count) {
   StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
   for (std::uint64_t i = count; i >= 1; --i) {
     auto next = cursor.Next();
@@ -448,6 +447,17 @@ void ExpectFileLogHolds(const std::string& path, std::uint64_t count) {
   auto end = cursor.Next();
   ASSERT_TRUE(end.ok()) << end.status().ToString();
   EXPECT_FALSE(end.value().has_value());
+}
+
+// Expects the log file at `path`, reopened and recovered, to walk back
+// exactly the committed sequences `count` down to 1, and the file to hold
+// nothing past the durable extent.
+void ExpectFileLogHolds(const std::string& path, std::uint64_t count) {
+  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+  ASSERT_TRUE(medium.ok());
+  StableLog log(std::move(medium).value());
+  ASSERT_TRUE(log.RecoverAfterCrash().ok());
+  ExpectWalksBack(log, count);
   EXPECT_EQ(FileSize(path), log.durable_size());
 }
 
@@ -530,6 +540,86 @@ std::vector<char> FileBytes(const std::string& path) {
     std::fclose(f);
   }
   return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+TEST(FileLog, TornForceAtEveryByteOffsetKeepsEveryAcknowledgedEntry) {
+  // Three entries forced one at a time are acknowledged; three more staged
+  // and forced in one append make the torn force. The force is torn at every
+  // byte offset k inside it, in two shapes: the file cut at k, and the file's
+  // length kept with every byte from k on zeroed. Each restart must find the
+  // last frame that ends at or before k, keep every acknowledged entry, force
+  // again, and keep those forces across one more restart.
+  const std::string path = testing::TempDir() + "/argus_torn_every_byte_test.log";
+  std::remove(path.c_str());
+  std::vector<LogAddress> addresses;   // entry i + 1's frame
+  std::vector<std::uint64_t> ends;     // where that frame ends
+  {
+    Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+    ASSERT_TRUE(medium.ok());
+    StableLog log(std::move(medium).value());
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      Result<LogAddress> forced = log.ForceWrite(LogEntry(CommittedEntry{Aid(i)}));
+      ASSERT_TRUE(forced.ok());
+      addresses.push_back(forced.value());
+      ends.push_back(log.durable_size());
+    }
+    for (std::uint64_t i = 4; i <= 6; ++i) {
+      addresses.push_back(log.Write(LogEntry(CommittedEntry{Aid(i)})));
+      ends.push_back(log.end_offset());
+    }
+    ASSERT_TRUE(log.Force().ok());
+  }
+  const std::vector<char> whole = FileBytes(path);
+  ASSERT_EQ(whole.size(), ends.back());
+  const std::uint64_t acknowledged = ends[2];
+
+  for (std::uint64_t k = acknowledged; k < whole.size(); ++k) {
+    for (const bool zero_filled : {false, true}) {
+      SCOPED_TRACE("torn at byte " + std::to_string(k) +
+                   (zero_filled ? ", zero-filled" : ", cut"));
+      std::vector<char> torn(whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(k));
+      // Zeroing a byte that was already zero changes nothing: the zero-filled
+      // file is torn from the first byte the zeroing changed.
+      std::uint64_t tear = k;
+      if (zero_filled) {
+        torn.resize(whole.size(), '\0');
+        while (tear < whole.size() && whole[tear] == '\0') {
+          ++tear;
+        }
+      }
+      WriteFileBytes(path, torn);
+      const std::uint64_t survivors = static_cast<std::uint64_t>(std::count_if(
+          ends.begin(), ends.end(), [tear](std::uint64_t end) { return end <= tear; }));
+      ASSERT_GE(survivors, 3u);
+      {
+        Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+        ASSERT_TRUE(medium.ok());
+        StableLog log(std::move(medium).value());
+        ASSERT_TRUE(log.RecoverAfterCrash().ok());
+        ASSERT_TRUE(log.GetTop().has_value());
+        EXPECT_EQ(*log.GetTop(), addresses[survivors - 1]);
+        ExpectWalksBack(log, survivors);
+        for (std::uint64_t i = survivors + 1; i <= survivors + 2; ++i) {
+          ASSERT_TRUE(log.ForceWrite(LogEntry(CommittedEntry{Aid(i)})).ok());
+        }
+      }
+      ExpectFileLogHolds(path, survivors + 2);
+      if (testing::Test::HasFailure()) {
+        break;
+      }
+    }
+    if (testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(FileLog, DamagedFrameBeforeWholeFramesIsReportedAndKept) {

@@ -2,10 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/tpc/network.h"
 
 namespace argus {
 namespace {
+
+// A network counts into the unlabelled tpc.net.* totals; a test reads one as
+// the growth since the counter object was made.
+class NetCount {
+ public:
+  explicit NetCount(const char* name)
+      : counter_(obs::GetCounter(name)), base_(counter_->Value()) {}
+  std::uint64_t operator()() const { return counter_->Value() - base_; }
+
+ private:
+  const obs::Counter* counter_;
+  std::uint64_t base_;
+};
 
 Message Msg(std::uint32_t from, std::uint32_t to, MessageType type = MessageType::kPrepare) {
   Message m;
@@ -32,38 +46,43 @@ TEST(SimNetwork, FifoDelivery) {
 
 TEST(SimNetwork, DropProbabilityOneDropsEverything) {
   SimNetwork net(1);
+  NetCount dropped("tpc.net.dropped");
+  NetCount sent("tpc.net.sent");
   net.set_drop_probability(1.0);
   for (int i = 0; i < 10; ++i) {
     net.Send(Msg(0, 1));
   }
   EXPECT_TRUE(net.idle());
-  EXPECT_EQ(net.stats().dropped, 10u);
-  EXPECT_EQ(net.stats().sent, 10u);
+  EXPECT_EQ(dropped(), 10u);
+  EXPECT_EQ(sent(), 10u);
 }
 
 TEST(SimNetwork, PartitionedSenderDrops) {
   SimNetwork net(1);
+  NetCount dropped("tpc.net.dropped");
   net.Partition(GuardianId{0});
   net.Send(Msg(0, 1));
   EXPECT_TRUE(net.idle());
-  EXPECT_EQ(net.stats().dropped, 1u);
+  EXPECT_EQ(dropped(), 1u);
 }
 
 TEST(SimNetwork, PartitionedReceiverDropsAtDeliveryTime) {
   SimNetwork net(1);
+  NetCount dropped("tpc.net.dropped");
   net.Send(Msg(0, 1));
   net.Partition(GuardianId{1});  // partition AFTER the send
   EXPECT_FALSE(net.NextDelivery().has_value());
-  EXPECT_EQ(net.stats().dropped, 1u);
+  EXPECT_EQ(dropped(), 1u);
 }
 
 TEST(SimNetwork, HealRestoresDelivery) {
   SimNetwork net(1);
+  NetCount delivered("tpc.net.delivered");
   net.Partition(GuardianId{1});
   net.Heal(GuardianId{1});
   net.Send(Msg(0, 1));
   EXPECT_TRUE(net.NextDelivery().has_value());
-  EXPECT_EQ(net.stats().delivered, 1u);
+  EXPECT_EQ(delivered(), 1u);
 }
 
 TEST(SimNetwork, DeterministicDropsAcrossRuns) {
@@ -92,17 +111,19 @@ TEST(SimNetwork, PartitionDropsEveryTwoPhaseMessageType) {
                            MessageType::kQueryReply}) {
     SCOPED_TRACE(MessageTypeName(type));
     SimNetwork net(1);
+    NetCount delivered("tpc.net.delivered");
+    NetCount dropped("tpc.net.dropped");
     net.Partition(GuardianId{1});
     net.Send(Msg(0, 1, type));  // toward the island
     net.Send(Msg(1, 0, type));  // from the island
     EXPECT_TRUE(net.idle());
-    EXPECT_EQ(net.stats().dropped, 2u);
+    EXPECT_EQ(dropped(), 2u);
     net.Heal(GuardianId{1});
     net.Send(Msg(0, 1, type));
     net.Send(Msg(1, 0, type));
     EXPECT_TRUE(net.NextDelivery().has_value());
     EXPECT_TRUE(net.NextDelivery().has_value());
-    EXPECT_EQ(net.stats().delivered, 2u);
+    EXPECT_EQ(delivered(), 2u);
   }
 }
 
@@ -111,16 +132,18 @@ TEST(SimNetwork, LoopbackIsExemptFromPartition) {
   // it isolates must still deliver its self-addressed messages (e.g. the
   // abort that releases its local locks).
   SimNetwork net(1);
+  NetCount dropped("tpc.net.dropped");
   net.Partition(GuardianId{0});
   net.Send(Msg(0, 0, MessageType::kAbort));
   auto m = net.NextDelivery();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, MessageType::kAbort);
-  EXPECT_EQ(net.stats().dropped, 0u);
+  EXPECT_EQ(dropped(), 0u);
 }
 
 TEST(SimNetwork, DirectedEdgePartitionCutsOneDirectionOnly) {
   SimNetwork net(1);
+  NetCount dropped("tpc.net.dropped");
   net.PartitionEdge(GuardianId{0}, GuardianId{1});
   net.Send(Msg(0, 1, MessageType::kPrepare));   // cut
   net.Send(Msg(1, 0, MessageType::kPrepareAck));  // reverse edge flows
@@ -128,7 +151,7 @@ TEST(SimNetwork, DirectedEdgePartitionCutsOneDirectionOnly) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, MessageType::kPrepareAck);
   EXPECT_FALSE(net.NextDelivery().has_value());
-  EXPECT_EQ(net.stats().dropped, 1u);
+  EXPECT_EQ(dropped(), 1u);
 
   net.HealEdge(GuardianId{0}, GuardianId{1});
   net.Send(Msg(0, 1, MessageType::kPrepare));
@@ -150,10 +173,11 @@ TEST(SimNetwork, EdgeDelayHoldsMessagesSoLaterTrafficOvertakes) {
   // A delay storm on 0→1 holds the prepare; the undelayed 2→1 commit sent
   // AFTER it is delivered FIRST — the reordering 2PC must tolerate.
   SimNetwork net(1);
+  NetCount delayed("tpc.net.delayed");
   net.SetEdgeDelay(GuardianId{0}, GuardianId{1}, 5, 5);
   net.Send(Msg(0, 1, MessageType::kPrepare));
   net.Send(Msg(2, 1, MessageType::kCommit));
-  EXPECT_EQ(net.stats().delayed, 1u);
+  EXPECT_EQ(delayed(), 1u);
   auto first = net.NextDelivery();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, MessageType::kCommit);
@@ -180,10 +204,11 @@ TEST(SimNetwork, ClearDelaysStopsTheStorm) {
 
 TEST(SimNetwork, EdgeDelayOverridesGlobalDelay) {
   SimNetwork net(1);
+  NetCount delayed("tpc.net.delayed");
   net.SetGlobalDelay(10, 10);
   net.SetEdgeDelay(GuardianId{0}, GuardianId{1}, 0, 0);  // exempt this edge
   net.Send(Msg(0, 1));
-  EXPECT_EQ(net.stats().delayed, 0u);
+  EXPECT_EQ(delayed(), 0u);
   EXPECT_TRUE(net.NextDelivery().has_value());
 }
 

@@ -524,7 +524,6 @@ void RunConcurrentWorkloadWithCheckpoints(CheckpointMode mode) {
   checkpoint.entries_since_checkpoint = 0;
   config.checkpoint = checkpoint;
   config.checkpoint_mode = mode;
-  config.checkpoint_poll_interval = std::chrono::milliseconds(1);
 
   WorkloadDriver driver(&world, config);
   ASSERT_TRUE(driver.Setup().ok());
@@ -536,7 +535,7 @@ void RunConcurrentWorkloadWithCheckpoints(CheckpointMode mode) {
       << "policy never fired; the test exercised nothing";
   // Forward progress as the registry sees it: every completed checkpoint
   // ticks checkpoint.count at the same site that records the phase
-  // histograms, so the services' stats and the process-wide metric agree
+  // histograms, so the policies' count and the process-wide metric agree
   // even with the 1 ms poll racing the min-gap fairness floor.
   EXPECT_GE(obs::GetCounter("checkpoint.count")->Value() - ckpt_before,
             driver.stats().checkpoints);
@@ -570,6 +569,69 @@ TEST(ConcurrentCheckpointWorkloadTest, RequiresGroupCommit) {
   Status s = driver.Run(10);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
+}
+
+// Nothing that decides what the system does may read a metric: with every
+// metric stopped, the entry trigger still fires, an online checkpoint's
+// catch-up still ends, and the concurrent driver still counts the checkpoints
+// its services took.
+TEST(ObsDisabled, NoBehaviourReadsAMetric) {
+  struct RestoreObs {
+    bool previous = obs::SetEnabled(false);
+    ~RestoreObs() { obs::SetEnabled(previous); }
+  } restore;
+
+  {
+    StorageHarness h(MemConfig(LogMode::kHybrid));
+    CheckpointPolicyConfig only_entries;
+    only_entries.log_growth_bytes = 0;
+    only_entries.entries_since_checkpoint = 8;
+    CheckpointPolicy policy(only_entries);
+    policy.Rearm(h.rs());
+    EXPECT_FALSE(policy.ShouldHousekeep(h.rs()));
+    for (std::uint64_t i = 1; i <= 4; ++i) {
+      ActionId aid = Aid(i);
+      RecoverableObject* obj = h.ctx(aid).CreateAtomic(h.heap(), Value::Int(0));
+      ASSERT_TRUE(h.BindStable(aid, "v" + std::to_string(i), obj).ok());
+      ASSERT_TRUE(h.PrepareAndCommit(aid).ok());
+    }
+    EXPECT_TRUE(policy.ShouldHousekeep(h.rs()));
+    Result<bool> ran = policy.MaybeHousekeep(h.rs());
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    EXPECT_TRUE(ran.value());
+    EXPECT_EQ(policy.checkpoints_taken(), 1u);
+    EXPECT_FALSE(policy.ShouldHousekeep(h.rs()));
+  }
+
+  {
+    StorageHarness h(GroupCommitConfig());
+    ActionId aid = Aid(1);
+    RecoverableObject* obj = h.ctx(aid).CreateAtomic(h.heap(), Value::Int(1));
+    ASSERT_TRUE(h.BindStable(aid, "x", obj).ok());
+    ASSERT_TRUE(h.PrepareAndCommit(aid).ok());
+    OnlineCheckpointer checkpointer(
+        &h.rs(), [](const std::function<void()>& fn) { fn(); }, CheckpointMode::kOnline);
+    ASSERT_TRUE(checkpointer.RunOnce(HousekeepingMethod::kSnapshot).ok());
+  }
+
+  SimWorldConfig world_config;
+  world_config.guardian_count = 2;
+  world_config.mode = LogMode::kHybrid;
+  world_config.seed = 73;
+  world_config.group_commit = FlushCoordinatorConfig{};
+  SimWorld world(world_config);
+  WorkloadConfig config;
+  config.seed = 73;
+  config.threads = 4;
+  CheckpointPolicyConfig checkpoint;
+  checkpoint.log_growth_bytes = 8 * 1024;
+  checkpoint.entries_since_checkpoint = 0;
+  config.checkpoint = checkpoint;
+  WorkloadDriver driver(&world, config);
+  ASSERT_TRUE(driver.Setup().ok());
+  Status s = driver.Run(600);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(driver.stats().checkpoints, 0u);
 }
 
 }  // namespace

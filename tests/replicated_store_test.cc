@@ -180,12 +180,20 @@ TEST(ReplicaRepairService, PassDrainsDirtyQueueAndHeals) {
 
   ReplicaRepairConfig config;
   config.scrub_pages_per_pass = 0;  // isolate the dirty-queue path
-  ReplicaRepairService service(&store, config);
+  // The service counts under its scope; healed copies are the store's
+  // (unlabelled) repaired and re-silvered pages.
+  const obs::Scope scope{.guardian = 20, .shard = 0};
+  const std::uint64_t passes_before = CounterValue("stable.repair.scans", scope);
+  const std::uint64_t drained_before = CounterValue("stable.repair.dirty_drained", scope);
+  const std::uint64_t copies_before =
+      CounterValue("stable.repair.pages_repaired") + CounterValue("stable.repair.resilver_pages");
+  ReplicaRepairService service(&store, config, scope);
   ASSERT_TRUE(service.RunPass().ok());
-  ReplicaRepairStats stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.passes, 1u);
-  EXPECT_EQ(stats.dirty_pages_drained, 1u);
-  EXPECT_EQ(stats.copies_written, 1u);
+  EXPECT_EQ(CounterValue("stable.repair.scans", scope) - passes_before, 1u);
+  EXPECT_EQ(CounterValue("stable.repair.dirty_drained", scope) - drained_before, 1u);
+  EXPECT_EQ(CounterValue("stable.repair.pages_repaired") +
+                CounterValue("stable.repair.resilver_pages") - copies_before,
+            1u);
   EXPECT_EQ(store.dirty_pages(), 0u);
   EXPECT_FALSE(store.disk(0).PageIsBad(1));
   ASSERT_TRUE(store.VerifyConverged().ok());
@@ -202,7 +210,9 @@ TEST(ReplicaRepairService, ResilverCompletesAcrossPasses) {
 
   ReplicaRepairConfig config;
   config.scrub_pages_per_pass = 16;  // four passes to cover the range
-  ReplicaRepairService service(&store, config);
+  const obs::Scope scope{.guardian = 21, .shard = 0};
+  const std::uint64_t resilvers_before = CounterValue("stable.repair.resilvers", scope);
+  ReplicaRepairService service(&store, config, scope);
   int passes = 0;
   while (store.resilver_pending() && passes < 16) {
     ASSERT_TRUE(service.RunPass().ok());
@@ -210,7 +220,7 @@ TEST(ReplicaRepairService, ResilverCompletesAcrossPasses) {
   }
   EXPECT_FALSE(store.resilver_pending());
   EXPECT_EQ(passes, 4);
-  EXPECT_EQ(service.StatsSnapshot().resilvers_completed, 1u);
+  EXPECT_EQ(CounterValue("stable.repair.resilvers", scope) - resilvers_before, 1u);
   // The attached replica now holds every page; the strict all-or-none
   // convergence check applies again.
   for (std::size_t p = 0; p < 64; ++p) {
@@ -232,9 +242,10 @@ TEST(ReplicaRepairService, BackgroundThreadHealsWhileWritesContinue) {
   store.SetReplicaFaultPlan(0, decay);
 
   ReplicaRepairConfig config;
-  config.poll_interval = std::chrono::milliseconds(1);
   config.scrub_pages_per_pass = 8;
-  ReplicaRepairService service(&store, config);
+  const obs::Scope scope{.guardian = 22, .shard = 0};
+  const std::uint64_t passes_before = CounterValue("stable.repair.scans", scope);
+  ReplicaRepairService service(&store, config, scope);
   service.Start();
 
   Rng rng(22);
@@ -251,12 +262,12 @@ TEST(ReplicaRepairService, BackgroundThreadHealsWhileWritesContinue) {
   // the repair thread ever wakes; wait for at least one pass so the "heals
   // while writes continue" claim is actually exercised.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (service.StatsSnapshot().passes == 0 &&
+  while (CounterValue("stable.repair.scans", scope) == passes_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   service.Stop();
-  EXPECT_GE(service.StatsSnapshot().passes, 1u);
+  EXPECT_GE(CounterValue("stable.repair.scans", scope) - passes_before, 1u);
 
   store.SetReplicaFaultPlan(0, DiskFaultPlan{});
   ASSERT_TRUE(store.ScrubRange(0, store.page_count()).ok());

@@ -112,6 +112,16 @@ TEST_P(ResidencyStormSeedSweep, EvictionStormMatchesAllResidentOracle) {
 TEST(ResidencyStorm, SerialStarvationBudgetEvictsAndFaults) {
   const std::uint64_t seed = 4711;
   SimWorld world(ResidencyWorld(seed, kStarvationBudget));
+  // Each guardian's manager counts under {guardian=g}.
+  auto counted = [&world](const char* name) {
+    std::uint64_t sum = 0;
+    for (std::uint32_t g = 0; g < world.guardian_count(); ++g) {
+      sum += CounterValue(name, obs::Scope{.guardian = g});
+    }
+    return sum;
+  };
+  const std::uint64_t evictions_before = counted("residency.evictions");
+  const std::uint64_t faults_before = counted("residency.faults");
   WorkloadConfig config;
   config.seed = seed;
   config.threads = 0;
@@ -121,16 +131,11 @@ TEST(ResidencyStorm, SerialStarvationBudgetEvictsAndFaults) {
   Status s = driver.Run(100);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
-  std::uint64_t evictions = 0;
-  std::uint64_t faults = 0;
   for (std::uint32_t g = 0; g < world.guardian_count(); ++g) {
-    ResidencyManager* rm = world.guardian(g).recovery().residency();
-    ASSERT_NE(rm, nullptr) << g;
-    evictions += rm->stats().evictions;
-    faults += rm->stats().faults;
+    ASSERT_NE(world.guardian(g).recovery().residency(), nullptr) << g;
   }
-  EXPECT_GT(evictions, 0u);
-  EXPECT_GT(faults, 0u);
+  EXPECT_GT(counted("residency.evictions") - evictions_before, 0u);
+  EXPECT_GT(counted("residency.faults") - faults_before, 0u);
 
   // The live snapshot surfaces per-guardian resident bytes for dashboards.
   std::vector<WorkloadDriver::LiveGuardianStats> live = driver.SnapshotLiveStats();

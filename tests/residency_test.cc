@@ -15,7 +15,6 @@
 #include "src/common/rng.h"
 #include "src/object/subaction.h"
 #include "src/obs/metrics.h"
-#include "src/recovery/debug.h"
 #include "src/residency/residency_manager.h"
 #include "src/residency/residency_service.h"
 #include "tests/test_support.h"
@@ -25,6 +24,11 @@ namespace {
 
 // A payload big enough that a handful of objects dwarfs a ~1KB budget.
 Value BigPayload(char fill, std::size_t n = 2048) { return Value::Str(std::string(n, fill)); }
+
+// A StorageHarness is guardian 0: its residency manager counts under
+// {guardian=0} and its one log and read cache under {guardian=0, shard=0}.
+const obs::Scope kGuardian{.guardian = 0};
+const obs::Scope kShard{.guardian = 0, .shard = 0};
 
 RecoverySystemConfig ResidencyConfigWith(std::uint64_t budget) {
   RecoverySystemConfig config = MemConfig(LogMode::kHybrid);
@@ -38,6 +42,9 @@ TEST(Residency, DisabledWhenBudgetIsZero) {
 }
 
 TEST(Residency, EvictAndFaultRoundTrip) {
+  const std::uint64_t evictions_before = CounterValue("residency.evictions", kGuardian);
+  const std::uint64_t faults_before = CounterValue("residency.faults", kGuardian);
+  const std::uint64_t batches_before = CounterValue("residency.fault_batches", kGuardian);
   StorageHarness h(ResidencyConfigWith(1024));
   ResidencyManager* rm = h.rs().residency();
   ASSERT_NE(rm, nullptr);
@@ -49,7 +56,7 @@ TEST(Residency, EvictAndFaultRoundTrip) {
 
   ASSERT_GT(rm->RunEvictionPass(), 0u);
   EXPECT_TRUE(obj->evicted());
-  EXPECT_GE(rm->stats().evictions, 1u);
+  EXPECT_GE(CounterValue("residency.evictions", kGuardian) - evictions_before, 1u);
   EXPECT_LT(rm->resident_bytes(), 2048u) << "the 2KB payload should be gone";
 
   // First touch through a bound context faults the value back in.
@@ -60,8 +67,8 @@ TEST(Residency, EvictAndFaultRoundTrip) {
   EXPECT_EQ(*v.value(), BigPayload('a'));
   EXPECT_FALSE(obj->evicted());
   EXPECT_EQ(v.value(), &obj->base_version()) << "the view is the faulted-in version itself";
-  EXPECT_GE(rm->stats().faults, 1u);
-  EXPECT_GE(rm->stats().fault_batches, 1u);
+  EXPECT_GE(CounterValue("residency.faults", kGuardian) - faults_before, 1u);
+  EXPECT_GE(CounterValue("residency.fault_batches", kGuardian) - batches_before, 1u);
   // The read pinned the object: a pass under pressure leaves the view intact.
   rm->RunEvictionPass();
   EXPECT_FALSE(obj->evicted());
@@ -83,10 +90,10 @@ TEST(Residency, LockedAndPinnedObjectsAreSkipped) {
   ActionId a2 = Aid(2);
   h.ctx(a2).BindResidency(rm);
   ASSERT_TRUE(h.ctx(a2).WriteObject(obj, BigPayload('c')).ok());
-  std::uint64_t skips_before = rm->stats().pinned_skips;
+  std::uint64_t skips_before = CounterValue("residency.pinned_skips", kGuardian);
   rm->RunEvictionPass();
   EXPECT_FALSE(obj->evicted());
-  EXPECT_GT(rm->stats().pinned_skips, skips_before);
+  EXPECT_GT(CounterValue("residency.pinned_skips", kGuardian), skips_before);
 
   // Abort releases lock and pin; the object becomes evictable again.
   h.ctx(a2).AbortVolatile(h.heap());
@@ -95,6 +102,7 @@ TEST(Residency, LockedAndPinnedObjectsAreSkipped) {
 }
 
 TEST(Residency, PassConvergesBelowHighWatermark) {
+  const std::uint64_t passes_before = CounterValue("residency.eviction_passes", kGuardian);
   StorageHarness h(ResidencyConfigWith(4096));
   ResidencyManager* rm = h.rs().residency();
   ASSERT_NE(rm, nullptr);
@@ -110,7 +118,7 @@ TEST(Residency, PassConvergesBelowHighWatermark) {
 
   ASSERT_GT(rm->RunEvictionPass(), 0u);
   EXPECT_LE(rm->resident_bytes(), rm->high_watermark_bytes());
-  EXPECT_GE(rm->stats().eviction_passes, 1u);
+  EXPECT_GE(CounterValue("residency.eviction_passes", kGuardian) - passes_before, 1u);
 
   // Every slot still reads back correctly through faults.
   ActionId a2 = Aid(2);
@@ -226,16 +234,16 @@ TEST(Residency, BatchFaultReadsEveryStubInOneSubmission) {
   }
   ASSERT_GT(stubbed, 1u) << "need several stubs to exercise batching";
 
-  std::uint64_t batches_before = rm->stats().fault_batches;
-  std::uint64_t faults_before = rm->stats().faults;
-  std::uint64_t reads_before = rm->stats().fault_reads;
+  std::uint64_t batches_before = CounterValue("residency.fault_batches", kGuardian);
+  std::uint64_t faults_before = CounterValue("residency.faults", kGuardian);
+  std::uint64_t reads_before = CounterValue("residency.fault_reads", kGuardian);
   ASSERT_TRUE(rm->MaterializeAll().ok());
 
   // Single shard: every stub comes back through ONE ReadMany submission, one
   // frame per object — no per-object round trips, no read amplification.
-  EXPECT_EQ(rm->stats().faults - faults_before, stubbed);
-  EXPECT_EQ(rm->stats().fault_batches - batches_before, 1u);
-  EXPECT_EQ(rm->stats().fault_reads - reads_before, stubbed);
+  EXPECT_EQ(CounterValue("residency.faults", kGuardian) - faults_before, stubbed);
+  EXPECT_EQ(CounterValue("residency.fault_batches", kGuardian) - batches_before, 1u);
+  EXPECT_EQ(CounterValue("residency.fault_reads", kGuardian) - reads_before, stubbed);
   for (RecoverableObject* obj : objs) {
     EXPECT_FALSE(obj->evicted());
   }
@@ -254,20 +262,22 @@ TEST(Residency, FaultPathTrafficShowsInSnapshotRollupOnly) {
   }
   ASSERT_TRUE(h.PrepareAndCommit(a1).ok());
   ASSERT_GT(rm->RunEvictionPass(), 0u);
+  auto cache_reads = [](const obs::Scope& scope) {
+    return CounterValue("stable.cache.hits", scope) + CounterValue("stable.cache.misses", scope);
+  };
+  const std::uint64_t shard_before = cache_reads(kShard);
+  const std::uint64_t total_before = cache_reads({});
+  const std::uint64_t batches_before = CounterValue("residency.fault_batches", kGuardian);
   ASSERT_TRUE(rm->MaterializeAll().ok());
 
-  // The raw stats() reference never folds the ReadCache's counters in; the
-  // log-pointer rollup overload snapshots each shard and must see the fault
-  // traffic. This is the gap DumpShardedLogStats exists to close.
-  StableLog& log = h.rs().log();
-  LogStats unmerged = log.stats();
-  LogStats merged = AggregateLogStats(std::vector<StableLog*>{&log});
-  EXPECT_EQ(unmerged.cache_hits + unmerged.cache_misses, 0u)
-      << "stats() merging cache counters would make the snapshot overload moot";
-  EXPECT_GT(merged.cache_hits + merged.cache_misses, 0u);
-  EXPECT_GE(merged.read_batches, 1u);
-  std::string dump = DumpShardedLogStats(std::vector<StableLog*>{&log});
-  EXPECT_NE(dump.find("rollup (1 shards)"), std::string::npos);
+  // The fault path's cache traffic shows in the shard's row of the registry
+  // snapshot, and the rollup (the unlabelled total) includes it.
+  const std::uint64_t shard_reads = cache_reads(kShard) - shard_before;
+  EXPECT_GT(shard_reads, 0u);
+  EXPECT_GE(cache_reads({}) - total_before, shard_reads);
+  EXPECT_GE(CounterValue("residency.fault_batches", kGuardian) - batches_before, 1u);
+  const std::string snapshot = obs::Registry::Global().ToJson();
+  EXPECT_NE(snapshot.find("\"" + kShard.Name("stable.cache.misses") + "\""), std::string::npos);
 }
 
 TEST(Residency, RecoveryPrimesStableAddressesForEviction) {
@@ -339,6 +349,10 @@ TEST(Residency, CheckpointMaterializesStubsAndSurvivesTheSwap) {
 }
 
 TEST(Residency, BackgroundServiceShedsPressure) {
+  const std::uint64_t evictions_before = CounterValue("residency.evictions", kGuardian);
+  auto evictions = [&] {
+    return CounterValue("residency.evictions", kGuardian) - evictions_before;
+  };
   StorageHarness h(ResidencyConfigWith(2048));
   ResidencyManager* rm = h.rs().residency();
   ASSERT_NE(rm, nullptr);
@@ -352,19 +366,16 @@ TEST(Residency, BackgroundServiceShedsPressure) {
   ASSERT_TRUE(h.PrepareAndCommit(a1).ok());
 
   std::mutex mu;
-  ResidencyService service(
-      rm,
-      [&mu](const std::function<void()>& fn) {
-        std::lock_guard<std::mutex> l(mu);
-        fn();
-      },
-      ResidencyServiceConfig{});
+  ResidencyService service(rm, [&mu](const std::function<void()>& fn) {
+    std::lock_guard<std::mutex> l(mu);
+    fn();
+  });
   service.Start();
-  for (int spins = 0; spins < 2000 && service.evictions() == 0; ++spins) {
+  for (int spins = 0; spins < 2000 && evictions() == 0; ++spins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   service.Stop();
-  EXPECT_GT(service.evictions(), 0u);
+  EXPECT_GT(evictions(), 0u);
   {
     std::lock_guard<std::mutex> l(mu);
     EXPECT_LE(rm->resident_bytes(), rm->high_watermark_bytes());
@@ -386,13 +397,12 @@ std::uint64_t RecountResidentBytes(const VolatileHeap& heap) {
   return total;
 }
 
-// The manager publishes its count three ways; after a pass or a fault batch
-// all three must equal the recount.
+// The manager publishes its count two ways; after a pass or a fault batch
+// both must equal the recount.
 void ExpectPublished(const ResidencyManager& rm, const VolatileHeap& heap,
                      const std::string& step) {
   const std::uint64_t want = RecountResidentBytes(heap);
   EXPECT_EQ(rm.resident_bytes(), want) << step;
-  EXPECT_EQ(rm.stats().resident_bytes, want) << step;
   EXPECT_EQ(obs::GetGauge("residency.resident_bytes")->Value(), static_cast<double>(want))
       << step;
 }

@@ -87,11 +87,11 @@ TEST(ShadowStore, CommitRewritesWholeMap) {
     ASSERT_TRUE(store.Prepare(t, {{Uid{i}, Bytes("x")}}).ok());
     ASSERT_TRUE(store.Commit(t).ok());
   }
-  std::uint64_t map_bytes_before = store.stats().map_bytes_written;
+  std::uint64_t map_bytes_before = CounterValue("shadow.map_bytes_written");
   ActionId t = Aid(1000);
   ASSERT_TRUE(store.Prepare(t, {{Uid{0}, Bytes("y")}}).ok());
   ASSERT_TRUE(store.Commit(t).ok());
-  std::uint64_t delta = store.stats().map_bytes_written - map_bytes_before;
+  std::uint64_t delta = CounterValue("shadow.map_bytes_written") - map_bytes_before;
   // The single-object commit rewrote a map of ~100 entries (16 B each).
   EXPECT_GT(delta, 100u * 16u);
 }

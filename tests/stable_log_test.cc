@@ -41,6 +41,7 @@ TEST(StableLog, WriteIsNotDurableUntilForce) {
 
 TEST(StableLog, ForceWriteFlushesOlderStagedEntries) {
   auto log = MakeMemLog();
+  const std::uint64_t forces_before = CounterValue("log.forces");
   LogAddress a = log->Write(Committed(1));
   LogAddress b = log->Write(Committed(2));
   Result<LogAddress> c = log->ForceWrite(Committed(3));
@@ -49,7 +50,7 @@ TEST(StableLog, ForceWriteFlushesOlderStagedEntries) {
   EXPECT_TRUE(log->Read(a).ok());
   EXPECT_TRUE(log->Read(b).ok());
   EXPECT_EQ(log->GetTop().value(), c.value());
-  EXPECT_EQ(log->stats().forces, 1u);
+  EXPECT_EQ(CounterValue("log.forces") - forces_before, 1u);
 }
 
 TEST(StableLog, ReadReturnsWrittenEntry) {
@@ -256,20 +257,32 @@ TEST(StableLog, MixedEntrySizesBackwardWalk) {
 }
 
 TEST(StableLog, StatsCountWritesAndForces) {
-  auto log = MakeMemLog();
+  // A scoped log counts into its labelled entries and into the unlabelled
+  // totals alike.
+  const obs::Scope scope{.guardian = 7, .shard = 1};
+  EXPECT_EQ(scope.Name("log.forces"), "log.forces{guardian=7,shard=1}");
+  const std::uint64_t staged_before = CounterValue("log.entries_staged", scope);
+  const std::uint64_t forces_before = CounterValue("log.forces", scope);
+  const std::uint64_t bytes_before = CounterValue("log.bytes_forced", scope);
+  const std::uint64_t total_forces_before = CounterValue("log.forces");
+  auto log = MakeMemLog(scope);
   log->Write(Committed(1));
   log->Write(Committed(2));
   ASSERT_TRUE(log->Force().ok());
   ASSERT_TRUE(log->ForceWrite(Committed(3)).ok());
-  EXPECT_EQ(log->stats().entries_written, 3u);
-  EXPECT_EQ(log->stats().forces, 2u);
-  EXPECT_GT(log->stats().bytes_forced, 0u);
+  EXPECT_EQ(log->entries_written(), 3u);
+  EXPECT_EQ(CounterValue("log.entries_staged", scope) - staged_before, 3u);
+  EXPECT_EQ(CounterValue("log.forces", scope) - forces_before, 2u);
+  EXPECT_EQ(CounterValue("log.forces") - total_forces_before, 2u);
+  EXPECT_GT(log->durable_size(), 0u);
+  EXPECT_EQ(CounterValue("log.bytes_forced", scope) - bytes_before, log->durable_size());
 }
 
 TEST(StableLog, EmptyForceIsANoop) {
   auto log = MakeMemLog();
+  const std::uint64_t forces_before = CounterValue("log.forces");
   ASSERT_TRUE(log->Force().ok());
-  EXPECT_EQ(log->stats().forces, 0u);
+  EXPECT_EQ(CounterValue("log.forces") - forces_before, 0u);
 }
 
 // ---- Shard map (sharded guardians route uid -> log shard through this) ----

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/object/action_context.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/recovery/recovery_system.h"
 #include "src/stable/stable_medium.h"
@@ -38,8 +39,16 @@ inline ActionId Aid(std::uint64_t sequence, std::uint32_t coordinator = 0) {
   return ActionId{GuardianId{coordinator}, sequence};
 }
 
-inline std::unique_ptr<StableLog> MakeMemLog() {
-  return std::make_unique<StableLog>(std::make_unique<InMemoryStableMedium>());
+inline std::unique_ptr<StableLog> MakeMemLog(const obs::Scope& scope = {}) {
+  return std::make_unique<StableLog>(std::make_unique<InMemoryStableMedium>(),
+                                     ReadCache::Config(), scope);
+}
+
+// The registry counter `name` as `scope` counts it: the labelled entry, or
+// the unlabelled process total for an unscoped Scope. Values are cumulative
+// for the process, so a test compares two reads around the work it checks.
+inline std::uint64_t CounterValue(std::string_view name, const obs::Scope& scope = {}) {
+  return scope.GetCounter(name)->Value();
 }
 
 // Entries a backward walk from the log's top finds, or the walk's error.

@@ -206,7 +206,8 @@ TEST(TwoPhase, CoordinatorIsAlsoParticipant) {
 TEST(TwoPhase, ReadOnlyActionCommitsVacuously) {
   SimWorld world(Config(1));
   SeedVar(world, GuardianId{0}, "x", 5);
-  std::uint64_t forces_before = world.guardian(0).recovery().log().stats().forces;
+  const obs::Scope guardian0{.guardian = 0, .shard = 0};
+  std::uint64_t forces_before = CounterValue("log.forces", guardian0);
   Result<Guardian::ActionFate> fate =
       world.RunTopAction(GuardianId{0}, [&](SimWorld& w, ActionId aid) -> Status {
         return w.RunAt(aid, GuardianId{0}, [&](Guardian& g, ActionContext& ctx) -> Status {
@@ -223,7 +224,7 @@ TEST(TwoPhase, ReadOnlyActionCommitsVacuously) {
   // A read-only participant still runs 2PC here but writes no data entries:
   // the single guardian is both participant (prepared + committed) and
   // coordinator (committing + done), so exactly 4 small forces.
-  std::uint64_t forces_after = world.guardian(0).recovery().log().stats().forces;
+  std::uint64_t forces_after = CounterValue("log.forces", guardian0);
   EXPECT_LE(forces_after - forces_before, 4u);
 }
 
@@ -254,8 +255,11 @@ TEST(TwoPhase, ParticipantForcesTwicePerCommittedAction) {
   // committing + done forces.
   SimWorld world(Config(2));
   SeedVar(world, GuardianId{1}, "x", 0);
-  std::uint64_t p_before = world.guardian(1).recovery().log().stats().forces;
-  std::uint64_t c_before = world.guardian(0).recovery().log().stats().forces;
+  // Each guardian's one log counts under {guardian=g, shard=0}.
+  const obs::Scope participant{.guardian = 1, .shard = 0};
+  const obs::Scope coordinator{.guardian = 0, .shard = 0};
+  std::uint64_t p_before = CounterValue("log.forces", participant);
+  std::uint64_t c_before = CounterValue("log.forces", coordinator);
   Result<Guardian::ActionFate> fate =
       world.RunTopAction(GuardianId{0}, [&](SimWorld& w, ActionId aid) -> Status {
         return w.RunAt(aid, GuardianId{1}, [&](Guardian& g, ActionContext& ctx) -> Status {
@@ -268,8 +272,8 @@ TEST(TwoPhase, ParticipantForcesTwicePerCommittedAction) {
       });
   ASSERT_TRUE(fate.ok());
   ASSERT_EQ(fate.value(), Guardian::ActionFate::kCommitted);
-  EXPECT_EQ(world.guardian(1).recovery().log().stats().forces - p_before, 2u);
-  EXPECT_EQ(world.guardian(0).recovery().log().stats().forces - c_before, 2u);
+  EXPECT_EQ(CounterValue("log.forces", participant) - p_before, 2u);
+  EXPECT_EQ(CounterValue("log.forces", coordinator) - c_before, 2u);
 }
 
 TEST(TwoPhase, WorksOnSimpleLogToo) {
