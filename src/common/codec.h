@@ -65,7 +65,6 @@ class ByteReader {
   Result<GuardianId> ReadGuardianId();
   Result<LogAddress> ReadLogAddress();
 
-  std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
 
  private:

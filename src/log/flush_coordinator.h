@@ -102,8 +102,6 @@ class FlushCoordinator {
   // whose address will be waited on.
   std::uint64_t log_epoch() const;
 
-  const FlushCoordinatorConfig& config() const { return config_; }
-
  private:
   // Waits until durable_size() exceeds `offset` — i.e. the frame starting at
   // `offset` has been appended to the medium. `epoch` of nullopt means "the

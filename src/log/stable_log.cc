@@ -54,12 +54,11 @@ StableLog::Metrics::Metrics(const obs::Scope& scope)
       entries_read(scope.GetCounter("log.entries_read")),
       batch_entries(scope.GetHistogram("log.force.batch_entries")) {}
 
-StableLog::StableLog(std::unique_ptr<StableMedium> medium, ReadCache::Config cache_config,
-                     obs::Scope scope)
+StableLog::StableLog(std::unique_ptr<StableMedium> medium, obs::Scope scope)
     : scope_(std::move(scope)),
       metrics_(scope_),
       medium_(std::move(medium)),
-      cache_(medium_.get(), cache_config, scope_) {
+      cache_(medium_.get(), scope_) {
   ARGUS_CHECK(medium_ != nullptr);
   needs_scan_ = medium_->durable_size() > 0;
 }

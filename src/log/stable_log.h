@@ -67,9 +67,7 @@ class StableLog {
   // Wraps `medium` without reading it (see the header comment). The log and
   // its read cache count into the registry under `scope` (a guardian's shard;
   // unscoped by default).
-  explicit StableLog(std::unique_ptr<StableMedium> medium,
-                     ReadCache::Config cache_config = ReadCache::Config(),
-                     obs::Scope scope = {});
+  explicit StableLog(std::unique_ptr<StableMedium> medium, obs::Scope scope = {});
 
   StableLog(const StableLog&) = delete;
   StableLog& operator=(const StableLog&) = delete;

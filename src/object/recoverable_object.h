@@ -104,7 +104,6 @@ class RecoverableObject {
   void set_stable_address(LogAddress addr) { stable_address_ = addr; }
   // Atomic only: frame holding the tentative current version. CommitAction
   // promotes it into stable_address_; AbortAction discards it.
-  LogAddress pending_stable_address() const { return pending_stable_address_; }
   void set_pending_stable_address(LogAddress addr) { pending_stable_address_ = addr; }
   // Checkpoint swap retires the old log; every address into it is wiped.
   void ClearStableAddresses() {

@@ -73,8 +73,6 @@ class SubactionScope {
   // created objects from the MOS. Mutex mutations stand (§2.4.2).
   void Abort();
 
-  bool open() const { return open_; }
-
  private:
   struct UndoRecord {
     RecoverableObject* object;

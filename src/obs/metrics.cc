@@ -241,17 +241,4 @@ std::string Registry::ToJson() const {
   return out;
 }
 
-void Registry::ResetAll() {
-  std::lock_guard<std::mutex> l(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-}
-
 }  // namespace argus::obs

@@ -168,10 +168,6 @@ class Registry {
   // histograms are included — a registered name is part of the contract.
   std::string ToJson() const;
 
-  // Zeroes every registered metric (handles stay valid). Benches call this
-  // between phases so per-phase snapshots do not bleed into each other.
-  void ResetAll();
-
  private:
   Registry() = default;
 

@@ -13,11 +13,8 @@ class Housekeeper {
               std::function<std::unique_ptr<StableMedium>()> medium_factory)
       : capture_(std::move(capture)), old_log_(old_log), stage2_next_(capture_.marker) {
     ARGUS_CHECK(old_log != nullptr && medium_factory != nullptr);
-    outcome_.new_log =
-        std::make_unique<StableLog>(medium_factory(), ReadCache::Config(), old_log->scope());
+    outcome_.new_log = std::make_unique<StableLog>(medium_factory(), old_log->scope());
   }
-
-  std::uint64_t marker() const { return capture_.marker; }
 
   // Stage 1 + the checkpoint tail. Reads only the capture and old-log frames
   // at pre-marker addresses, so it is safe against concurrent appends.
@@ -498,23 +495,6 @@ Status CheckpointBuilder::CatchUp() { return impl_->CatchUp(); }
 Result<HousekeepingOutcome> CheckpointBuilder::Finish(
     const std::function<bool(std::uint64_t)>& stage2_hook) {
   return impl_->Finish(stage2_hook);
-}
-
-std::uint64_t CheckpointBuilder::marker() const { return impl_->marker(); }
-
-Result<HousekeepingOutcome> RunHousekeeping(HousekeepingMethod method,
-                                            const HousekeepingInputs& inputs,
-                                            const std::function<void()>& between_stages) {
-  CheckpointCapture capture = CaptureCheckpoint(method, inputs);
-  CheckpointBuilder builder(std::move(capture), inputs.old_log, inputs.medium_factory);
-  Status s = builder.BuildStageOne();
-  if (!s.ok()) {
-    return s;
-  }
-  if (between_stages) {
-    between_stages();
-  }
-  return builder.Finish();
 }
 
 }  // namespace argus

@@ -42,8 +42,8 @@
 //      is O(activity since capture), not O(live set) — that is the whole
 //      point of the decomposition.
 //
-// RunHousekeeping runs all three phases back to back (the stop-the-world
-// form used by serial callers).
+// RecoverySystem::Housekeep runs all three phases back to back (the
+// stop-the-world form used by serial callers).
 
 #ifndef SRC_RECOVERY_HOUSEKEEPING_H_
 #define SRC_RECOVERY_HOUSEKEEPING_H_
@@ -151,19 +151,9 @@ class CheckpointBuilder {
   Result<HousekeepingOutcome> Finish(
       const std::function<bool(std::uint64_t)>& stage2_hook = {});
 
-  std::uint64_t marker() const;
-
  private:
   std::unique_ptr<internal::Housekeeper> impl_;
 };
-
-// Runs housekeeping stop-the-world. `between_stages` (may be empty) is
-// invoked after stage 1 with the old log still live — it models the guardian
-// activity that the thesis allows concurrently with the checkpoint; anything
-// it writes to the old log is picked up by stage 2.
-Result<HousekeepingOutcome> RunHousekeeping(HousekeepingMethod method,
-                                            const HousekeepingInputs& inputs,
-                                            const std::function<void()>& between_stages);
 
 }  // namespace argus
 

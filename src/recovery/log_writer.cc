@@ -17,16 +17,12 @@ struct WriterObs {
   obs::Counter* mt_reads;
   obs::Counter* mt_read_hits;
   obs::Gauge* mt_hit_rate;
-  obs::Counter* mt_read_batches;   // ReadMutexVersions calls
-  obs::Counter* mt_batched_reads;  // uids dereferenced through those calls
 
   static const WriterObs& Get() {
     static const WriterObs m{
         obs::GetCounter("recovery.mt_reads"),
         obs::GetCounter("recovery.mt_read_hits"),
         obs::GetGauge("recovery.mt_hit_rate"),
-        obs::GetCounter("recovery.mt_read_batches"),
-        obs::GetCounter("recovery.mt_batched_reads"),
     };
     return m;
   }
@@ -540,22 +536,6 @@ Status LogWriter::RewritePendingAfterLogSwap() {
   return Status::Ok();
 }
 
-std::vector<ActionId> LogWriter::ActionsWithPendingPairs() const {
-  std::lock_guard<std::mutex> l(mu_);
-  std::vector<ActionId> out;
-  for (const auto& [aid, pending] : pending_) {
-    if (!pending.pairs.empty()) {
-      out.push_back(aid);
-    }
-  }
-  return out;
-}
-
-void LogWriter::DropPendingPairs(ActionId aid) {
-  std::lock_guard<std::mutex> l(mu_);
-  pending_.erase(aid);
-}
-
 LogAddress LogWriter::last_outcome_address() const {
   std::lock_guard<std::mutex> l(mu_);
   return shards_[0].last_outcome;
@@ -593,43 +573,6 @@ Result<LogEntry> LogWriter::ReadMutexVersion(Uid uid) const {
     return view.status();
   }
   return DecodeEntry(view.value().payload());
-}
-
-std::vector<Result<LogEntry>> LogWriter::ReadMutexVersions(std::span<const Uid> uids) const {
-  std::vector<Result<LogEntry>> results(uids.size(),
-                                        Status::NotFound("no prepared mutex version"));
-  // One mu_ acquisition snapshots every address; the reads themselves run
-  // outside mu_ (same discipline as ReadMutexVersion) grouped per shard so
-  // each shard's batch becomes one ReadMany scatter.
-  std::vector<std::vector<LogAddress>> shard_addresses(shards_.size());
-  std::vector<std::vector<std::size_t>> shard_slots(shards_.size());
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    for (std::size_t i = 0; i < uids.size(); ++i) {
-      auto it = mt_.find(uids[i]);
-      if (it == mt_.end()) {
-        results[i] = Status::NotFound("no prepared mutex version for " + to_string(uids[i]));
-        continue;
-      }
-      std::uint32_t shard = router_.ShardOf(uids[i]);
-      shard_addresses[shard].push_back(it->second);
-      shard_slots[shard].push_back(i);
-    }
-  }
-  const WriterObs& o = WriterObs::Get();
-  o.mt_read_batches->Increment();
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (shard_addresses[shard].empty()) {
-      continue;
-    }
-    o.mt_batched_reads->Add(shard_addresses[shard].size());
-    std::vector<Result<LogEntry>> got = shards_[shard].log->ReadMany(
-        std::span<const LogAddress>(shard_addresses[shard].data(), shard_addresses[shard].size()));
-    for (std::size_t j = 0; j < got.size(); ++j) {
-      results[shard_slots[shard][j]] = std::move(got[j]);
-    }
-  }
-  return results;
 }
 
 }  // namespace argus

@@ -46,7 +46,6 @@
 
 #include <map>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "src/log/flush_coordinator.h"
@@ -89,8 +88,6 @@ class LogWriter {
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
-
-  LogMode mode() const { return mode_; }
 
   // Routes force waits through one coordinator per shard (group commit)
   // instead of forcing the logs directly. The coordinators must outlive this
@@ -171,13 +168,6 @@ class LogWriter {
   // mu_, the read runs outside it). NotFound when no prepared version exists.
   Result<LogEntry> ReadMutexVersion(Uid uid) const;
 
-  // Batched steady-state dereference: snapshots every uid's MT address under
-  // one mu_ acquisition, groups the addresses by owning shard, and hands each
-  // shard's group to StableLog::ReadMany — on a batched medium the whole
-  // group is one scatter submission instead of N serial frame reads. Results
-  // come back in input order; a uid with no prepared version yields NotFound
-  // in its slot without disturbing the rest of the batch.
-  std::vector<Result<LogEntry>> ReadMutexVersions(std::span<const Uid> uids) const;
   // Coordinators between their committing and done records. The snapshot
   // housekeeper re-emits these (the compactor finds them on the old chain).
   const std::map<ActionId, std::vector<GuardianId>>& open_coordinators() const {
@@ -190,12 +180,6 @@ class LogWriter {
   void RestoreState(AccessibilitySet as, PreparedActionsTable pat, MutexTable mt,
                     std::vector<LogAddress> chain_heads);
   void RebindLog(std::uint32_t shard, StableLog* log);
-
-  // Early-prepared-but-unprepared actions (pairs not yet covered by a
-  // prepared entry). Housekeeping uses this to rewrite their data entries
-  // into the new log.
-  std::vector<ActionId> ActionsWithPendingPairs() const;
-  void DropPendingPairs(ActionId aid);
 
   // After a log swap, pending pairs point into the discarded old log.
   // Rewrites every pending action's data entries into the (new) bound log —

@@ -63,6 +63,8 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
                                GuardianId guardian)
     : config_(std::move(config)),
       guardian_(guardian),
+      in_doubt_actions_(
+          obs::Scope{.guardian = guardian.value}.GetCounter("recovery.in_doubt_actions")),
       heap_(heap),
       router_(ShardMapRecord{
           .num_shards = config_.log_shards, .salt = config_.shard_salt, .overrides = {}}) {
@@ -79,9 +81,8 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
     ARGUS_CHECK_MSG(s.ok(), "shard map creation write failed");
   }
   for (std::uint32_t i = 0; i < config_.log_shards; ++i) {
-    logs_.push_back(
-        std::make_unique<StableLog>(config_.medium_factory(), ReadCache::Config(),
-                                    obs::Scope{.guardian = guardian_.value, .shard = i}));
+    logs_.push_back(std::make_unique<StableLog>(
+        config_.medium_factory(), obs::Scope{.guardian = guardian_.value, .shard = i}));
   }
   InitWriterAndCoordinators();
   // A fresh guardian durably records its (empty) stable-variables root so
@@ -107,6 +108,8 @@ RecoverySystem::RecoverySystem(RecoverySystemConfig config, VolatileHeap* heap,
                                SurvivingState surviving, GuardianId guardian)
     : config_(std::move(config)),
       guardian_(guardian),
+      in_doubt_actions_(
+          obs::Scope{.guardian = guardian.value}.GetCounter("recovery.in_doubt_actions")),
       heap_(heap),
       logs_(std::move(surviving.logs)),
       shard_map_(std::move(surviving.shard_map)),
@@ -202,7 +205,7 @@ Result<RecoveryInfo> RecoverySystem::Recover() {
       ++info.in_doubt_actions;
     }
   }
-  obs::GetCounter("recovery.in_doubt_actions")->Add(info.in_doubt_actions);
+  in_doubt_actions_->Add(info.in_doubt_actions);
   return info;
 }
 

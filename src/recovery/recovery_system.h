@@ -9,8 +9,9 @@
 //
 // Accounting: the instance counts into the metrics registry under its
 // guardian's id. Each shard's log, read cache, flush coordinator and repair
-// service count under obs::Scope{guardian, shard}; the residency manager and
-// the online checkpointer under obs::Scope{guardian}.
+// service count under obs::Scope{guardian, shard}; the residency manager, the
+// online checkpointer and Recover()'s recovery.in_doubt_actions under
+// obs::Scope{guardian}.
 //
 // Ownership across crashes: the StableLog(s) and the shard map survive; the
 // heap and the RecoverySystem are volatile. A restart takes the surviving
@@ -36,6 +37,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/recovery/housekeeping.h"
 #include "src/recovery/log_writer.h"
 #include "src/recovery/recovery_algorithms.h"
@@ -147,21 +149,17 @@ class RecoverySystem {
   Result<StagedOutcome> StageCommitSharded(ActionId aid) {
     return writer_->StageCommitSharded(aid);
   }
-  Result<StagedOutcome> StageAbortSharded(ActionId aid) {
-    return writer_->StageAbortSharded(aid);
-  }
   Status WaitDurable(const StagedOutcome& staged) { return writer_->WaitDurable(staged); }
 
   // One-log forms of the calls above: the address names a frame of the one
-  // log. WaitDurable(address, epoch) is for callers racing an online log
-  // swap: read durability_epoch() in the same critical section as the Stage*
-  // call, wait outside it (see LogWriter::WaitDurable).
+  // log. Read durability_epoch() in the same critical section as the Stage*
+  // call and pass it to WaitDurable, which runs outside it: a log swap that
+  // lands in between is then detected (see LogWriter::WaitDurable).
   Result<LogAddress> StagePrepare(ActionId aid, const ModifiedObjectsSet& mos);
   Result<LogAddress> StageCommit(ActionId aid);
   // nullopt when nothing was staged (the action never prepared, §2.2.3).
   Result<std::optional<LogAddress>> StageAbort(ActionId aid);
   Status WaitDurable(LogAddress address, std::uint64_t epoch);
-  Status WaitDurable(LogAddress address) { return WaitDurable(address, durability_epoch()); }
   // Shard 0's coordinator log generation (0 without group commit).
   std::uint64_t durability_epoch() const {
     return coordinators_.empty() ? 0 : coordinators_[0]->log_epoch();
@@ -221,14 +219,9 @@ class RecoverySystem {
   std::uint32_t shard_count() const { return static_cast<std::uint32_t>(logs_.size()); }
   StableLog& shard_log(std::uint32_t shard) { return *logs_[shard]; }
   LogWriter& writer() { return *writer_; }
-  VolatileHeap& heap() { return *heap_; }
-  LogMode mode() const { return config_.mode; }
   GuardianId guardian() const { return guardian_; }
-  // Null when group commit is not configured. The no-arg form is shard 0.
+  // Shard 0's coordinator; null when group commit is not configured.
   FlushCoordinator* coordinator() { return coordinators_.empty() ? nullptr : coordinators_[0].get(); }
-  FlushCoordinator* coordinator(std::uint32_t shard) {
-    return shard < coordinators_.size() ? coordinators_[shard].get() : nullptr;
-  }
   // Coherent crash: fail every shard's force queue at once.
   void CrashCoordinators();
   // The background repair service scrubbing shard `shard`'s medium; null when
@@ -257,6 +250,7 @@ class RecoverySystem {
 
   RecoverySystemConfig config_;
   GuardianId guardian_;
+  obs::Counter* in_doubt_actions_;  // prepared, undecided actions Recover() found
   VolatileHeap* heap_;
   std::vector<std::unique_ptr<StableLog>> logs_;
   // The previous log, kept alive for one checkpoint generation: epoch-checked

@@ -46,11 +46,6 @@ struct ResidencyConfig {
   // 0 disables residency entirely: nothing is ever evicted (the paper's
   // all-resident behavior).
   std::uint64_t mem_budget_bytes = 0;
-  // An eviction pass starts demoting when resident bytes exceed
-  // high_watermark * budget and stops once they drop below low_watermark *
-  // budget (hysteresis keeps passes from thrashing at the boundary).
-  double high_watermark = 0.90;
-  double low_watermark = 0.70;
   // Cap on demotions per pass; 0 = until the low watermark is reached.
   std::uint64_t max_evictions_per_pass = 0;
 };
@@ -63,6 +58,12 @@ Result<Value> DecodeStubPayload(const LogEntry& entry, Uid expected);
 
 class ResidencyManager : public ResidencyPager {
  public:
+  // An eviction pass starts demoting when resident bytes exceed
+  // kHighWatermark * budget and stops once they drop below kLowWatermark *
+  // budget (hysteresis keeps passes from thrashing at the boundary).
+  static constexpr double kHighWatermark = 0.90;
+  static constexpr double kLowWatermark = 0.70;
+
   // `logs[shard]` must be the guardian's shard logs in `router` order; they
   // must outlive the manager (RebindLog re-points a shard after a checkpoint
   // swap). The manager counts under `scope` (its guardian).
@@ -94,11 +95,11 @@ class ResidencyManager : public ResidencyPager {
   }
   std::uint64_t high_watermark_bytes() const {
     return static_cast<std::uint64_t>(static_cast<double>(config_.mem_budget_bytes) *
-                                      config_.high_watermark);
+                                      kHighWatermark);
   }
   std::uint64_t low_watermark_bytes() const {
     return static_cast<std::uint64_t>(static_cast<double>(config_.mem_budget_bytes) *
-                                      config_.low_watermark);
+                                      kLowWatermark);
   }
   bool enabled() const { return config_.mem_budget_bytes > 0; }
   const ResidencyConfig& config() const { return config_; }

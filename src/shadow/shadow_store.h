@@ -61,7 +61,6 @@ class ShadowStore {
   std::vector<ActionId> InDoubtActions() const;
 
   std::size_t object_count() const { return map_.size(); }
-  std::uint64_t bytes_on_medium() const { return medium_->durable_size(); }
 
  private:
   struct Intent {

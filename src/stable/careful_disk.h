@@ -34,8 +34,6 @@ class CarefulDisk {
   // (the caller machine is gone; recovery will observe a possibly-bad page).
   Status CarefulWrite(std::size_t page_index, std::span<const std::byte> data);
 
-  SimulatedDisk* disk() { return disk_; }
-
  private:
   SimulatedDisk* disk_;
   int max_retries_;

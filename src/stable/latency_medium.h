@@ -20,17 +20,10 @@ namespace argus {
 
 class LatencyStableMedium final : public StableMedium {
  public:
-  LatencyStableMedium(std::unique_ptr<StableMedium> inner,
-                      std::chrono::nanoseconds read_latency,
-                      std::chrono::nanoseconds append_latency = std::chrono::nanoseconds{0})
-      : inner_(std::move(inner)), read_latency_(read_latency), append_latency_(append_latency) {}
+  LatencyStableMedium(std::unique_ptr<StableMedium> inner, std::chrono::nanoseconds read_latency)
+      : inner_(std::move(inner)), read_latency_(read_latency) {}
 
-  Status Append(std::span<const std::byte> data) override {
-    if (append_latency_.count() > 0) {
-      std::this_thread::sleep_for(append_latency_);
-    }
-    return inner_->Append(data);
-  }
+  Status Append(std::span<const std::byte> data) override { return inner_->Append(data); }
 
   Result<std::vector<std::byte>> Read(std::uint64_t offset, std::uint64_t len) override {
     if (read_latency_.count() > 0) {
@@ -63,12 +56,9 @@ class LatencyStableMedium final : public StableMedium {
     return inner_->physical_bytes_written();
   }
 
-  StableMedium& inner() { return *inner_; }
-
  private:
   std::unique_ptr<StableMedium> inner_;
   std::chrono::nanoseconds read_latency_;
-  std::chrono::nanoseconds append_latency_;
 };
 
 }  // namespace argus

@@ -22,11 +22,14 @@ void UpdateHitRate() {
   }
 }
 
+// Every log's cache has the default geometry.
+constexpr ReadCache::Config kConfig{};
+
 }  // namespace
 
-ReadCache::ReadCache(StableMedium* medium, Config config, const obs::Scope& scope)
+ReadCache::ReadCache(StableMedium* medium, const obs::Scope& scope)
     : medium_(medium),
-      config_(config),
+      enabled_(kConfig.enabled),
       hits_(scope.GetCounter("stable.cache.hits")),
       misses_(scope.GetCounter("stable.cache.misses")),
       bytes_from_medium_(scope.GetCounter("stable.cache.bytes_from_medium")),
@@ -41,7 +44,7 @@ Result<ReadCache::View> ReadCache::Read(std::uint64_t offset, std::uint64_t len,
   if (len == 0) {
     return View();
   }
-  if (!config_.enabled) {
+  if (!enabled_) {
     misses_->Increment();
     bytes_from_medium_->Add(len);
     std::vector<std::byte> raw(len);
@@ -62,7 +65,7 @@ Result<ReadCache::View> ReadCache::ReadProbe(std::uint64_t offset, std::uint64_t
     return Status::NotFound("read past durable extent");
   }
   std::lock_guard<std::mutex> l(mu_);
-  if (!config_.enabled) {
+  if (!enabled_) {
     misses_->Increment();
     bytes_from_medium_->Add(min_len);
     std::vector<std::byte> raw(min_len);
@@ -75,7 +78,7 @@ Result<ReadCache::View> ReadCache::ReadProbe(std::uint64_t offset, std::uint64_t
   std::uint64_t len = std::min(max_len, durable_limit - offset);
   // Stay within one block when that still covers min_len: the view keeps a
   // stable single-block pin, which is what MarkValidated can memo.
-  std::uint64_t block_end = (offset / config_.block_size + 1) * config_.block_size;
+  std::uint64_t block_end = (offset / kConfig.block_size + 1) * kConfig.block_size;
   if (block_end - offset >= min_len) {
     len = std::min(len, block_end - offset);
   }
@@ -88,7 +91,7 @@ Result<ReadCache::View> ReadCache::ReadProbe(std::uint64_t offset, std::uint64_t
 
 Result<ReadCache::View> ReadCache::ReadRangeLocked(std::uint64_t offset, std::uint64_t len,
                                                    std::uint64_t durable_limit) {
-  const std::uint64_t bs = config_.block_size;
+  const std::uint64_t bs = kConfig.block_size;
   const std::uint64_t first = offset / bs;
   const std::uint64_t last = (offset + len - 1) / bs;
 
@@ -159,14 +162,14 @@ Result<ReadCache::View> ReadCache::ReadRangeLocked(std::uint64_t offset, std::ui
 Status ReadCache::FillRangeLocked(std::uint64_t first_block, std::uint64_t last_block,
                                   std::uint64_t durable_limit, std::uint64_t demand_first,
                                   std::uint64_t demand_last) {
-  const std::uint64_t bs = config_.block_size;
-  const std::uint64_t ra = config_.readahead_blocks;
+  const std::uint64_t bs = kConfig.block_size;
+  const std::uint64_t ra = kConfig.readahead_blocks;
 
   // Extend the fill in the direction the scan is moving: a backward chain
   // walk touches descending adjacent blocks, a forward crash scan ascending
   // ones. Read-ahead only triggers on adjacency so random access pays
   // nothing.
-  if (config_.enabled && ra > 0 && have_last_fill_) {
+  if (enabled_ && have_last_fill_) {
     if (last_block + 1 == last_fill_first_) {
       first_block = (first_block > ra) ? first_block - ra : 0;
     } else if (last_fill_last_ + 1 == first_block) {
@@ -232,7 +235,7 @@ Status ReadCache::FillRangeLocked(std::uint64_t first_block, std::uint64_t last_
   have_last_fill_ = true;
   last_fill_first_ = first_block;
   last_fill_last_ = last_block;
-  while (blocks_.size() > config_.max_blocks) {
+  while (blocks_.size() > kConfig.max_blocks) {
     EvictLocked();
   }
   return Status::Ok();
@@ -255,7 +258,7 @@ bool ReadCache::IsValidated(std::uint64_t frame_offset) const {
 }
 
 bool ReadCache::IsValidatedLocked(std::uint64_t frame_offset) const {
-  auto it = blocks_.find(frame_offset / config_.block_size);
+  auto it = blocks_.find(frame_offset / kConfig.block_size);
   if (it == blocks_.end()) {
     return false;
   }
@@ -267,12 +270,12 @@ void ReadCache::MarkValidated(std::uint64_t frame_offset, std::uint64_t frame_le
                               const View& view) {
   (void)frame_len;  // the memo is per-block; a memoized frame never spans blocks
   std::lock_guard<std::mutex> l(mu_);
-  if (!config_.enabled || view.pin_ == nullptr) {
+  if (!enabled_ || view.pin_ == nullptr) {
     return;  // stitched or pass-through view: no stable block identity to memo
   }
   // Only memo if the validated bytes are still the cached bytes — the block
   // may have been refilled between the read and this call.
-  auto it = blocks_.find(frame_offset / config_.block_size);
+  auto it = blocks_.find(frame_offset / kConfig.block_size);
   if (it == blocks_.end() || it->second.data != view.pin_) {
     return;
   }
@@ -301,15 +304,10 @@ void ReadCache::EvictLocked() {
 
 void ReadCache::SetEnabled(bool enabled) {
   std::lock_guard<std::mutex> l(mu_);
-  if (config_.enabled != enabled) {
-    config_.enabled = enabled;
+  if (enabled_ != enabled) {
+    enabled_ = enabled;
     ClearLocked();
   }
-}
-
-bool ReadCache::enabled() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return config_.enabled;
 }
 
 void ReadCache::Clear() {

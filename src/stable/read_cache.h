@@ -49,6 +49,8 @@ namespace argus {
 
 class ReadCache {
  public:
+  // The fixed geometry of every cache, named so that a caller can report
+  // it. SetEnabled turns a cache off.
   struct Config {
     bool enabled = true;
     std::uint64_t block_size = 4096;
@@ -86,7 +88,7 @@ class ReadCache {
   // Counts hits (reads served entirely from cached blocks), misses (reads
   // that filled at least one block), bytes fetched from the medium (read-ahead
   // included) and read-ahead blocks under `scope` (its log's).
-  ReadCache(StableMedium* medium, Config config, const obs::Scope& scope);
+  ReadCache(StableMedium* medium, const obs::Scope& scope);
 
   // Reads [offset, offset+len) of the medium, which must lie within
   // `durable_limit` (the caller's snapshot of the durable extent). Fills
@@ -125,7 +127,6 @@ class ReadCache {
   // Toggling drops all cached blocks and memo entries; `false` degrades Read
   // to a pass-through (used by benchmarks to measure the uncached path).
   void SetEnabled(bool enabled);
-  bool enabled() const;
 
   // Drops all cached blocks and memo entries. Outstanding views stay valid.
   void Clear();
@@ -151,7 +152,7 @@ class ReadCache {
   void ClearLocked();
 
   StableMedium* medium_;
-  Config config_;
+  bool enabled_;  // guarded by mu_
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* bytes_from_medium_;

@@ -312,11 +312,6 @@ Result<std::size_t> ReplicatedStore::ScrubRange(std::size_t begin, std::size_t e
   return healed;
 }
 
-void ReplicatedStore::MarkDirty(std::size_t page_index) {
-  std::lock_guard<std::mutex> lock(mu_);
-  dirty_.insert(page_index);
-}
-
 std::vector<std::size_t> ReplicatedStore::TakeDirtyPages() {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::size_t> out(dirty_.begin(), dirty_.end());

@@ -94,7 +94,6 @@ class ReplicatedStore {
 
   // ---- Dirty-page queue (read path -> repair loop) ----
 
-  void MarkDirty(std::size_t page_index);
   std::vector<std::size_t> TakeDirtyPages();
   std::size_t dirty_pages() const;
 

@@ -83,8 +83,7 @@ Status SimulatedDisk::WritePage(std::size_t page_index, std::span<const std::byt
   if (data.size() != kDiskPageSize) {
     return Status::InvalidArgument("partial page write");
   }
-  bool torn = (fault_plan_.tear_write_at >= 0 && writes_since_plan_ == fault_plan_.tear_write_at) ||
-              rng_.NextBool(fault_plan_.tear_probability);
+  bool torn = fault_plan_.tear_write_at >= 0 && writes_since_plan_ == fault_plan_.tear_write_at;
   ++writes_since_plan_;
   ++writes_;
   DiskObs::Get().writes->Increment();

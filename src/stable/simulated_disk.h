@@ -39,8 +39,6 @@ struct DiskFaultPlan {
   // If >= 0: the i-th write (0-based, counting from plan installation) is torn:
   // only a prefix lands and the CRC is garbage; the write returns kUnavailable.
   std::int64_t tear_write_at = -1;
-  // Probability that any given write is torn.
-  double tear_probability = 0.0;
   // Probability that a page decays (CRC becomes bad) when it is read.
   double decay_on_read_probability = 0.0;
   // Probability that a read transiently fails (returns kIoError) but the page
@@ -79,7 +77,6 @@ class SimulatedDisk {
     fault_plan_ = plan;
     writes_since_plan_ = 0;
   }
-  const DiskFaultPlan& fault_plan() const { return fault_plan_; }
 
   // Forcibly corrupts a page (test hook for decay).
   void CorruptPage(std::size_t page_index);

@@ -78,11 +78,6 @@ std::uint64_t CrashController::crashes() const {
   return crashes_;
 }
 
-std::uint64_t CrashController::events() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return events_;
-}
-
 Status CrashController::ParkLocked(std::unique_lock<std::mutex>& l) {
   const std::uint64_t gen = generation_;
   ++parked_;
@@ -113,9 +108,7 @@ Status CrashController::ParkLocked(std::unique_lock<std::mutex>& l) {
   ++generation_;
   parked_ = 0;
   if (s.ok()) {
-    if (is_event) {
-      ++events_;
-    } else {
+    if (!is_event) {
       ++crashes_;
     }
     armed_.store(false, std::memory_order_release);

@@ -86,9 +86,6 @@ class CrashController {
   Status RequestEvent(std::function<Status()> event,
                       const std::function<void()>& on_requested = {});
 
-  // Completed RequestEvent barriers so far (full crashes counted separately).
-  std::uint64_t events() const;
-
   // The calling worker is leaving the action loop for good; the barrier stops
   // counting it. A pending crash proceeds once the remaining workers park.
   void Deregister();
@@ -114,7 +111,6 @@ class CrashController {
   bool executing_ = false;  // an executor is inside crash_world
   std::uint64_t generation_ = 0;  // bumped when a crash completes
   std::uint64_t crashes_ = 0;
-  std::uint64_t events_ = 0;
   Status sticky_error_ = Status::Ok();
   std::function<Status()> crash_world_;
   std::function<void()> on_crash_requested_;

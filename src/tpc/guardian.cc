@@ -173,19 +173,6 @@ void Guardian::AbortTopAction(ActionId aid) {
   }
 }
 
-void Guardian::AbortLocal(ActionId aid) {
-  ARGUS_CHECK(!crashed_);
-  auto it = contexts_.find(aid);
-  if (it != contexts_.end()) {
-    // rs.Abort writes an aborted entry only if the action had prepared.
-    Status s = recovery_->Abort(aid);
-    ARGUS_CHECK_MSG(s.ok(), "abort log write failed");
-    it->second.AbortVolatile(*heap_);
-    contexts_.erase(it);
-  }
-  local_outcomes_[aid] = ParticipantState::kAborted;
-}
-
 void Guardian::RequeryOutstanding() {
   ARGUS_CHECK(!crashed_);
   for (const auto& [aid, state] : local_outcomes_) {

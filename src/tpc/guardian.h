@@ -103,9 +103,6 @@ class Guardian {
   // reason PumpWithTime keeps ticking an otherwise idle network.
   bool HasTimeoutWork() const;
 
-  // Participant/local: abort an action that has not prepared here.
-  void AbortLocal(ActionId aid);
-
   void HandleMessage(const Message& message);
 
   enum class ActionFate { kUnknown, kInProgress, kCommitted, kAborted };
@@ -125,12 +122,19 @@ class Guardian {
   }
 
   // Attaches an automatic checkpoint policy (§2.3 item 7: the Argus system
-  // decides when "enough old information has accumulated").
+  // decides when "enough old information has accumulated"), armed against
+  // the log as it stands. Restart re-arms it against the new incarnation.
   void ConfigureMaintenance(const CheckpointPolicyConfig& config);
 
   // Runs due maintenance; returns true if a checkpoint was taken. Call it
-  // from the application's idle loop (the workload driver does).
+  // from the application's idle loop (the serial workload driver does so
+  // after every action).
   Result<bool> MaintenanceTick();
+
+  // The attached policy (nullptr without one), for a caller that runs the
+  // checkpoints itself: the concurrent workload driver hands it to a
+  // CheckpointService.
+  CheckpointPolicy* maintenance() { return maintenance_ ? &*maintenance_ : nullptr; }
 
   // Messages dropped because this guardian was down.
   std::uint64_t messages_dropped_while_crashed() const { return dropped_while_crashed_; }

@@ -98,9 +98,6 @@ class SimNetwork {
   // [min_delay, max_delay] ticks. Overrides the global delay range.
   void SetEdgeDelay(GuardianId from, GuardianId to, std::uint64_t min_delay,
                     std::uint64_t max_delay);
-  void ClearEdgeDelay(GuardianId from, GuardianId to) {
-    edge_delays_.erase(EdgeKey(from, to));
-  }
   // Delay applied to every edge without a per-edge override.
   void SetGlobalDelay(std::uint64_t min_delay, std::uint64_t max_delay) {
     global_delay_ = DelayRange{min_delay, max_delay};

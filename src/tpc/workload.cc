@@ -13,6 +13,9 @@ namespace argus {
 
 namespace {
 
+// Objects a concurrent action writes on its guardian.
+constexpr std::size_t kConcurrentWritesPerAction = 2;
+
 struct WorkloadObs {
   obs::Counter* attempted;
   obs::Counter* committed;
@@ -50,9 +53,8 @@ WorkloadDriver::WorkloadDriver(SimWorld* world, WorkloadConfig config)
     live_resident_bytes_[g].store(0, std::memory_order_relaxed);
   }
   if (config_.checkpoint.has_value()) {
-    policies_.reserve(world->guardian_count());
-    for (std::size_t i = 0; i < world->guardian_count(); ++i) {
-      policies_.emplace_back(*config_.checkpoint);
+    for (std::uint32_t g = 0; g < world->guardian_count(); ++g) {
+      world->guardian(g).ConfigureMaintenance(*config_.checkpoint);
     }
   }
 }
@@ -224,16 +226,11 @@ Status WorkloadDriver::RunOneAction() {
     WorkloadObs::Get().aborted->Increment();
   }
 
-  // Per-guardian checkpoint policies.
-  if (!policies_.empty()) {
-    for (std::uint32_t g = 0; g < world_->guardian_count(); ++g) {
-      if (world_->guardian(g).crashed()) {
-        continue;
-      }
-      Result<bool> ran = policies_[g].MaybeHousekeep(world_->guardian(g).recovery());
-      if (!ran.ok()) {
-        return ran.status();
-      }
+  // Per-guardian checkpoint policies (a crashed guardian skips its tick).
+  for (std::uint32_t g = 0; g < world_->guardian_count(); ++g) {
+    Result<bool> ran = world_->guardian(g).MaintenanceTick();
+    if (!ran.ok()) {
+      return ran.status();
     }
   }
   // Serial residency: every guardian with a memory budget sheds pressure
@@ -274,8 +271,10 @@ Status WorkloadDriver::Run(std::size_t actions) {
     }
   }
   stats_.checkpoints = 0;
-  for (const CheckpointPolicy& policy : policies_) {
-    stats_.checkpoints += policy.checkpoints_taken();
+  for (std::uint32_t g = 0; g < world_->guardian_count(); ++g) {
+    if (const CheckpointPolicy* policy = world_->guardian(g).maintenance()) {
+      stats_.checkpoints += policy->checkpoints_taken();
+    }
   }
   return s;
 }
@@ -328,7 +327,7 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
   std::unique_lock<std::mutex> l(guardian_mutex);
   RecoverySystem& rs = guard.recovery();
   std::vector<std::pair<std::size_t, std::int64_t>> staged;
-  for (std::size_t w = 0; w < config_.writes_per_participant; ++w) {
+  for (std::size_t w = 0; w < kConcurrentWritesPerAction; ++w) {
     std::size_t slot = rng.NextBelow(config_.objects_per_guardian);
     // Unique values: the reconciler names the journal record that produced a
     // recovered slot by the value the slot holds.
@@ -540,8 +539,10 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
       std::lock_guard<std::mutex> l(guardian_mutexes[g]);
       fn();
     };
-    services[g].service = std::make_unique<CheckpointService>(
-        &world_->guardian(g).recovery(), &policies_[g], exclusive, config_.checkpoint_mode);
+    services[g].service =
+        std::make_unique<CheckpointService>(&world_->guardian(g).recovery(),
+                                            world_->guardian(g).maintenance(), exclusive,
+                                            config_.checkpoint_mode);
     services[g].service->Start();
   };
   // Stops a service and classifies its terminal error: standing down for a
@@ -660,11 +661,9 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
         return s;
       }
     }
-    // 7. Resume maintenance against the fresh incarnations.
+    // 7. Resume maintenance against the fresh incarnations (Restart re-armed
+    //    each guardian's policy).
     for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (!policies_.empty()) {
-        policies_[g].Rearm(world_->guardian(g).recovery());
-      }
       if (!services.empty()) {
         install_crash_hook(g);
         start_service(g);
@@ -785,9 +784,6 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     }
     // Resume maintenance on the fresh victim incarnations.
     for (std::uint32_t v : outage_victims_) {
-      if (!policies_.empty()) {
-        policies_[v].Rearm(world_->guardian(v).recovery());
-      }
       if (!services.empty()) {
         install_crash_hook(v);
         start_service(v);

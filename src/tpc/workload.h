@@ -35,7 +35,6 @@ struct WorkloadConfig {
   std::uint64_t seed = 1;
   std::size_t objects_per_guardian = 8;
   std::size_t max_participants = 2;      // guardians touched per action
-  std::size_t writes_per_participant = 2;
   double abort_probability = 0.05;       // client-requested aborts
   double early_prepare_probability = 0.0;
   // Per-action chance of a crash. Serial driver: one guardian crashes
@@ -52,10 +51,12 @@ struct WorkloadConfig {
   // N=2 this is the historical "disk A decays, B stays healthy". Requires a
   // replicated medium (kDuplexed/kReplicated) and crash_probability > 0.
   std::optional<DiskFaultPlan> recovery_faults;
-  // If set, each guardian housekeeps when its policy fires. In the serial
-  // driver the policy runs inline between actions (stop-the-world); in the
-  // concurrent driver a per-guardian CheckpointService thread runs it
-  // according to `checkpoint_mode`, racing the worker threads.
+  // If set, the driver attaches this policy to every guardian
+  // (Guardian::ConfigureMaintenance) and each guardian housekeeps when its
+  // policy fires. The serial driver ticks the policies inline between
+  // actions (stop-the-world); the concurrent driver hands each guardian's
+  // policy to a CheckpointService thread that runs it according to
+  // `checkpoint_mode`, racing the worker threads.
   std::optional<CheckpointPolicyConfig> checkpoint;
   // How the concurrent driver's checkpoint service pauses writers: kOnline
   // pauses only for capture and the swap barrier; kStopTheWorld holds the
@@ -231,7 +232,6 @@ class WorkloadDriver {
   WorkloadStats stats_;
   // model_[guardian][slot] = committed value
   std::vector<std::map<std::size_t, std::int64_t>> model_;
-  std::vector<CheckpointPolicy> policies_;
   // Per-guardian journal of volatile commits since the last reconciliation
   // point (deque: stable element addresses while workers append).
   std::vector<std::deque<CommittedRecord>> journal_;

@@ -76,7 +76,8 @@ struct Machine {
   std::map<std::string, std::int64_t> mutex_writes;
   LogAddress prepare_address = LogAddress::Null();
   LogAddress outcome_address = LogAddress::Null();
-  bool committed = false;  // valid in kOutcomeStaged/kDone
+  std::uint64_t stage_epoch = 0;  // durability epoch at outcome-stage time
+  bool committed = false;         // valid in kOutcomeStaged/kDone
 };
 
 TEST_P(ConcurrentRecoveryTest, RecoveredStateEqualsSerialOracleOfDurablePrefix) {
@@ -208,6 +209,7 @@ TEST_P(ConcurrentRecoveryTest, RecoveredStateEqualsSerialOracleOfDurablePrefix) 
           h.ctx(m.aid).CommitVolatile(h.heap());
           commit_order.push_back(m);
         }
+        m.stage_epoch = h.rs().durability_epoch();
         all[m.aid] = m;
         m.phase = Machine::Phase::kOutcomeStaged;
         break;
@@ -216,7 +218,7 @@ TEST_P(ConcurrentRecoveryTest, RecoveredStateEqualsSerialOracleOfDurablePrefix) 
         // Sometimes the force happens (covering every older staged entry);
         // sometimes the action finishes "in the window" and the crash decides.
         if (rng.NextBool(0.7)) {
-          ASSERT_TRUE(h.rs().WaitDurable(m.outcome_address).ok());
+          ASSERT_TRUE(h.rs().WaitDurable(m.outcome_address, m.stage_epoch).ok());
         }
         m.phase = Machine::Phase::kDone;
         if (started < kActionBudget) {

@@ -34,7 +34,7 @@ TEST(FlushCoordinator, ConcurrentForceWritesAllDurableAndCoalesced) {
   const std::uint64_t forces_before = CounterValue("log.forces", scope);
   const std::uint64_t requests_before = CounterValue("log.force.requests", scope);
   const std::uint64_t coalesced_before = CounterValue("log.force.coalesced", scope);
-  StableLog log(std::make_unique<InMemoryStableMedium>(), ReadCache::Config(), scope);
+  StableLog log(std::make_unique<InMemoryStableMedium>(), scope);
   FlushCoordinatorConfig config;
   config.batch_window = std::chrono::microseconds(500);
   config.max_batch = kThreads;
@@ -121,7 +121,7 @@ TEST(FlushCoordinator, StagedWritersShareOneFlush) {
   const std::uint64_t forces_before = CounterValue("log.forces", scope);
   const std::uint64_t batches_before = batch_entries->Count();
   const std::uint64_t batched_before = batch_entries->Sum();
-  StableLog log(std::make_unique<InMemoryStableMedium>(), ReadCache::Config(), scope);
+  StableLog log(std::make_unique<InMemoryStableMedium>(), scope);
   FlushCoordinator coordinator(&log);
   std::vector<LogAddress> addrs;
   for (std::uint64_t i = 0; i < 5; ++i) {

@@ -264,6 +264,29 @@ TEST(GuardianProtocol, CoordinatorCrashAfterCommitPointResolvesAsCommit) {
   EXPECT_EQ(ReadVar(world, GuardianId{1}, "x"), 1);
 }
 
+TEST(GuardianProtocol, RestartCountsInDoubtActionsUnderItsGuardian) {
+  // Participant 1 prepares; the coordinator dies before deciding and stays
+  // down, so guardian 1 restarts holding one prepared, undecided action.
+  SimWorld world(MakeConfig(2, 41));
+  SeedVar(world, GuardianId{1}, "x", 0);
+  const obs::Scope scope{.guardian = 1};
+  const std::uint64_t labelled_before = CounterValue("recovery.in_doubt_actions", scope);
+  const std::uint64_t total_before = CounterValue("recovery.in_doubt_actions");
+  ActionId aid = StartIncrement(world, GuardianId{1});
+  ASSERT_TRUE(world.guardian(0).RequestCommit(aid).ok());
+  world.Step();  // prepare delivered: participant 1 is prepared, in doubt
+  ASSERT_EQ(world.guardian(1).FateOf(aid), Guardian::ActionFate::kInProgress);
+  world.guardian(0).Crash();
+  world.guardian(1).Crash();
+
+  Result<RecoveryInfo> info = world.guardian(1).Restart();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().in_doubt_actions, 1u);
+  EXPECT_EQ(CounterValue("recovery.in_doubt_actions", scope) - labelled_before, 1u);
+  // The unlabelled entry stays the process total.
+  EXPECT_EQ(CounterValue("recovery.in_doubt_actions") - total_before, 1u);
+}
+
 TEST(GuardianProtocol, QueryWhileCoordinatorUndecidedGetsNoVerdict) {
   // While the coordinator is still collecting acks (kPreparing) the outcome
   // is genuinely open, so a query must not conjure a verdict either way: the

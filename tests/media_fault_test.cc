@@ -622,6 +622,136 @@ TEST(FileLog, TornForceAtEveryByteOffsetKeepsEveryAcknowledgedEntry) {
   std::remove(path.c_str());
 }
 
+// Reopens the log file at `path` and runs its restart scan; nullptr (with a
+// test failure) if either step fails.
+std::unique_ptr<StableLog> ReopenFileLog(const std::string& path) {
+  Result<std::unique_ptr<FileStableMedium>> medium = FileStableMedium::Open(path);
+  EXPECT_TRUE(medium.ok()) << medium.status().ToString();
+  if (!medium.ok()) {
+    return nullptr;
+  }
+  auto log = std::make_unique<StableLog>(std::move(medium).value());
+  Status scan = log->RecoverAfterCrash();
+  EXPECT_TRUE(scan.ok()) << scan.ToString();
+  return scan.ok() ? std::move(log) : nullptr;
+}
+
+// Expects a backward walk from the top of `log` to find exactly the data
+// entries `payloads` (entry i + 1 carries payloads[i] and action sequence
+// i + 1), each at its recorded address.
+void ExpectPayloadsWalkBack(const StableLog& log, const std::vector<LogAddress>& addresses,
+                            const std::vector<std::vector<std::byte>>& payloads) {
+  StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
+  for (std::size_t i = payloads.size(); i >= 1; --i) {
+    auto next = cursor.Next();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(next.value().has_value()) << "acknowledged entry " << i << " lost";
+    EXPECT_EQ(next.value()->first, addresses[i - 1]);
+    const auto* data = std::get_if<DataEntry>(&next.value()->second);
+    ASSERT_NE(data, nullptr) << "entry " << i;
+    EXPECT_EQ(data->aid.sequence, i);
+    EXPECT_EQ(data->value, payloads[i - 1]) << "entry " << i;
+  }
+  auto end = cursor.Next();
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_FALSE(end.value().has_value());
+}
+
+TEST(FileLog, TornForcesRoundAfterRoundKeepEveryAcknowledgedEntry) {
+  // One file per seed, torn again in every round. A round forces data
+  // entries of random size one at a time (acknowledged), then forces a few
+  // more in one append and tears that append at a random byte: the file is
+  // either cut there or keeps its length with every byte from there on
+  // zeroed. Each reopen must scan Ok, find the last frame that ends at or
+  // before the tear, and walk back every acknowledged entry; the next round
+  // forces on the log that scan cut. A final clean restart keeps every
+  // acknowledged entry, and the file holds nothing past the durable size.
+  constexpr std::uint64_t kSeeds = 24;
+  constexpr int kRounds = 8;
+  const std::string path = testing::TempDir() + "/argus_torn_rounds_test.log";
+  for (std::uint64_t seed = 1; seed <= kSeeds && !testing::Test::HasFailure(); ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919 + 11);
+    auto random_payload = [&rng] {
+      std::vector<std::byte> payload(rng.NextBelow(700));
+      for (std::byte& b : payload) {
+        b = static_cast<std::byte>(rng.NextBelow(256));
+      }
+      return payload;
+    };
+    std::remove(path.c_str());
+    std::vector<LogAddress> addresses;              // of every surviving entry
+    std::vector<std::vector<std::byte>> payloads;  // entry i + 1's payload
+    std::unique_ptr<StableLog> log = ReopenFileLog(path);
+    ASSERT_NE(log, nullptr);
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::uint64_t acknowledged_forces = 1 + rng.NextBelow(3);
+      for (std::uint64_t i = 0; i < acknowledged_forces; ++i) {
+        payloads.push_back(random_payload());
+        Result<LogAddress> forced = log->ForceWrite(
+            LogEntry(DataEntry{Uid::Invalid(), ObjectKind::kAtomic, Aid(payloads.size()),
+                               payloads.back()}));
+        ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+        addresses.push_back(forced.value());
+      }
+      const std::uint64_t acknowledged = log->durable_size();
+      std::vector<LogAddress> batch_addresses;
+      std::vector<std::vector<std::byte>> batch_payloads;
+      std::vector<std::uint64_t> batch_ends;
+      const std::uint64_t batch = 2 + rng.NextBelow(3);
+      for (std::uint64_t i = 0; i < batch; ++i) {
+        batch_payloads.push_back(random_payload());
+        batch_addresses.push_back(log->Write(LogEntry(
+            DataEntry{Uid::Invalid(), ObjectKind::kAtomic,
+                      Aid(payloads.size() + batch_payloads.size()), batch_payloads.back()})));
+        batch_ends.push_back(log->end_offset());
+      }
+      ASSERT_TRUE(log->Force().ok());
+      log.reset();
+
+      const std::vector<char> whole = FileBytes(path);
+      ASSERT_EQ(whole.size(), batch_ends.back());
+      const std::uint64_t k = acknowledged + rng.NextBelow(whole.size() - acknowledged);
+      const bool zero_filled = rng.NextBool(0.5);
+      SCOPED_TRACE("torn at byte " + std::to_string(k) +
+                   (zero_filled ? ", zero-filled" : ", cut"));
+      std::vector<char> torn(whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(k));
+      // Zeroing a byte that was already zero changes nothing: the zero-filled
+      // file is torn from the first byte the zeroing changed.
+      std::uint64_t tear = k;
+      if (zero_filled) {
+        torn.resize(whole.size(), '\0');
+        while (tear < whole.size() && whole[tear] == '\0') {
+          ++tear;
+        }
+      }
+      WriteFileBytes(path, torn);
+      const std::size_t survivors = static_cast<std::size_t>(std::count_if(
+          batch_ends.begin(), batch_ends.end(), [tear](std::uint64_t end) { return end <= tear; }));
+      addresses.insert(addresses.end(), batch_addresses.begin(),
+                       batch_addresses.begin() + static_cast<std::ptrdiff_t>(survivors));
+      payloads.insert(payloads.end(), batch_payloads.begin(),
+                      batch_payloads.begin() + static_cast<std::ptrdiff_t>(survivors));
+
+      log = ReopenFileLog(path);
+      ASSERT_NE(log, nullptr);
+      ASSERT_TRUE(log->GetTop().has_value());
+      EXPECT_EQ(*log->GetTop(), addresses.back());
+      ExpectPayloadsWalkBack(*log, addresses, payloads);
+      if (testing::Test::HasFailure()) {
+        break;
+      }
+    }
+    log.reset();
+    std::unique_ptr<StableLog> clean = ReopenFileLog(path);
+    ASSERT_NE(clean, nullptr);
+    ExpectPayloadsWalkBack(*clean, addresses, payloads);
+    EXPECT_EQ(FileSize(path), clean->durable_size());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(FileLog, DamagedFrameBeforeWholeFramesIsReportedAndKept) {
   // A bad frame followed by whole frames is damage, not a torn force: the
   // restart must fail and leave every byte, acknowledged frames included.

@@ -40,8 +40,7 @@ inline ActionId Aid(std::uint64_t sequence, std::uint32_t coordinator = 0) {
 }
 
 inline std::unique_ptr<StableLog> MakeMemLog(const obs::Scope& scope = {}) {
-  return std::make_unique<StableLog>(std::make_unique<InMemoryStableMedium>(),
-                                     ReadCache::Config(), scope);
+  return std::make_unique<StableLog>(std::make_unique<InMemoryStableMedium>(), scope);
 }
 
 // The registry counter `name` as `scope` counts it: the labelled entry, or
