@@ -8,7 +8,8 @@
 //   2. How long does re-silvering a blank replacement replica take as N
 //      grows, and do writes keep flowing while it runs? (BM_OnlineResilver:
 //      the measured region is exactly the resilver, with a mutator thread
-//      committing throughout; its write count is exported as a counter.)
+//      committing throughout; its writes inside that region are exported as
+//      a counter.)
 //   3. What does the always-on repair service cost the full stack when
 //      nothing is broken? (BM_WorkloadWithRepair, service on/off.)
 
@@ -143,19 +144,21 @@ void BM_OnlineResilver(benchmark::State& state) {
     state.ResumeTiming();
 
     store.ReplaceReplica(0, 4242);
-    // Baseline after the swap: the replacement disk starts with a zeroed
-    // write counter, so a pre-swap snapshot would double-count the old
-    // replica's history (and underflow the delta).
-    const std::uint64_t before = store.physical_writes();
+    // The counted window opens after the swap: the replacement disk starts
+    // with a zeroed write counter, so a pre-swap snapshot would double-count
+    // the old replica's history (and underflow the delta).
+    const std::uint64_t writes_before = store.physical_writes();
+    const std::uint64_t mutator_before = mutator_writes.load();
     while (store.resilver_pending()) {
       ARGUS_CHECK(service.RunPass().ok());
     }
+    // ...and closes when the re-silver completes, before the mutator stops.
+    writes_during += mutator_writes.load() - mutator_before;
+    resilver_copies += store.physical_writes() - writes_before;
 
     state.PauseTiming();
     stop = true;
     mutator.join();
-    writes_during += mutator_writes.load();
-    resilver_copies += store.physical_writes() - before;
     ARGUS_CHECK(store.ScrubRange(0, store.page_count()).ok());
     ARGUS_CHECK(store.VerifyConverged().ok());
     state.ResumeTiming();

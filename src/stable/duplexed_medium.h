@@ -7,7 +7,6 @@
 #ifndef SRC_STABLE_DUPLEXED_MEDIUM_H_
 #define SRC_STABLE_DUPLEXED_MEDIUM_H_
 
-#include "src/stable/duplexed_store.h"
 #include "src/stable/replicated_medium.h"
 
 namespace argus {

@@ -5,28 +5,8 @@
 #include <cstring>
 
 #include "src/common/codec.h"
-#include "src/obs/metrics.h"
 
 namespace argus {
-
-namespace {
-
-// Batch-shape ledger for the replicated backend: batched_bytes / read_batches
-// is the mean scatter width the cache achieves over careful-storage pages.
-struct ReplicatedMediumObs {
-  obs::Counter* read_batches;
-  obs::Counter* batched_bytes;
-
-  static const ReplicatedMediumObs& Get() {
-    static const ReplicatedMediumObs m{
-        obs::GetCounter("stable.replicated.read_batches"),
-        obs::GetCounter("stable.replicated.batched_bytes"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
 
 ReplicatedStableMedium::ReplicatedStableMedium(std::uint32_t replicas, std::uint64_t seed)
     : store_(16, replicas, seed) {
@@ -151,24 +131,6 @@ Status ReplicatedStableMedium::ReadInto(std::uint64_t offset, std::span<std::byt
     got += chunk;
   }
   return Status::Ok();
-}
-
-Status ReplicatedStableMedium::SubmitReads(std::span<ReadRequest> requests) {
-  // Careful storage has no scatter primitive: each segment runs the full
-  // quorum careful-read protocol (replica 0, then the rest on checksum
-  // failure) on its own, so one decayed page degrades exactly one segment —
-  // never the batch. The attempt-all loop matches the base-class contract;
-  // the counters make the batch shape visible to benches.
-  ReplicatedMediumObs::Get().read_batches->Increment();
-  Status first = Status::Ok();
-  for (ReadRequest& request : requests) {
-    ReplicatedMediumObs::Get().batched_bytes->Add(request.out.size());
-    request.status = ReadInto(request.offset, request.out);
-    if (!request.status.ok() && first.ok()) {
-      first = request.status;
-    }
-  }
-  return first;
 }
 
 Status ReplicatedStableMedium::RecoverAfterCrash() {

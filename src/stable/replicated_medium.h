@@ -32,7 +32,6 @@ class ReplicatedStableMedium : public StableMedium {
   Status Append(std::span<const std::byte> data) override;
   Result<std::vector<std::byte>> Read(std::uint64_t offset, std::uint64_t len) override;
   Status ReadInto(std::uint64_t offset, std::span<std::byte> out) override;
-  Status SubmitReads(std::span<ReadRequest> requests) override;
   std::uint64_t durable_size() const override { return durable_length_; }
   Status RecoverAfterCrash() override;
   std::uint64_t physical_bytes_written() const override {

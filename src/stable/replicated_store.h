@@ -14,7 +14,8 @@
 //  - Repair() is the crash-time pass the duplexed store always had: heal
 //    corrupt or diverged replicas from the newest intact copy, report a page
 //    lost on every replica as corruption. Its N=2 behaviour is operation-for-
-//    operation identical to the historical DuplexedStore::Repair.
+//    operation identical to the historical duplexed store's Repair
+//    (tests/replicated_store_test.cc keeps a transcription of it).
 //  - RepairPage()/ScrubRange() are the online pass (RADON-style repairable
 //    atomic object): same healing, page-granular locking so commits interleave
 //    between pages, and additionally fills replicas that never received a page

@@ -10,8 +10,8 @@
 //  - InMemoryStableMedium: a byte vector; "durable" within the simulation
 //    (survives Guardian::Crash, which only discards volatile state). Fast path
 //    for tests and algorithm benchmarks.
-//  - DuplexedStableMedium: bytes striped over a DuplexedStore with an
-//    atomically updated superblock holding the durable length. Gives the
+//  - DuplexedStableMedium: bytes striped over a two-replica ReplicatedStore
+//    with an atomically updated superblock holding the durable length. Gives the
 //    realistic 2x write amplification of §1.1 and survives torn writes.
 //  - FileStableMedium: a real file with fdatasync; the "straightforward
 //    file-backed log" deployment path. Its appends are not atomic: a crash

@@ -2,13 +2,8 @@
 
 namespace argus {
 
-CrashController::CrashController(std::size_t workers, std::function<Status()> crash_world,
-                                 std::function<void()> on_crash_requested)
-    : registered_(workers),
-      crash_world_(std::move(crash_world)),
-      on_crash_requested_(std::move(on_crash_requested)) {
+CrashController::CrashController(std::size_t workers) : registered_(workers) {
   ARGUS_CHECK(workers > 0);
-  ARGUS_CHECK(crash_world_ != nullptr);
 }
 
 Status CrashController::Poll() {
@@ -17,28 +12,9 @@ Status CrashController::Poll() {
   }
   std::unique_lock<std::mutex> l(mu_);
   if (!pending_) {
-    // armed_ without a pending crash means a prior crash_world failed; the
-    // storm is over and every caller gets the sticky error.
+    // armed_ without a pending event means a prior event failed; the storm
+    // is over and every caller gets the sticky error.
     return sticky_error_;
-  }
-  return ParkLocked(l);
-}
-
-Status CrashController::RequestCrash() {
-  std::unique_lock<std::mutex> l(mu_);
-  if (!sticky_error_.ok()) {
-    return sticky_error_;
-  }
-  if (!pending_) {
-    pending_ = true;
-    armed_.store(true, std::memory_order_release);
-    if (on_crash_requested_) {
-      // Wake threads blocked inside WaitDurable (they park via the kCrashed
-      // return path). Runs under mu_; the callback only flips flags and
-      // notifies other condvars, it never waits on a worker.
-      on_crash_requested_();
-    }
-    cv_.notify_all();
   }
   return ParkLocked(l);
 }
@@ -52,15 +28,18 @@ Status CrashController::RequestEvent(std::function<Status()> event,
   }
   if (!pending_) {
     pending_ = true;
-    pending_event_ = std::move(event);
+    event_ = std::move(event);
     armed_.store(true, std::memory_order_release);
     if (on_requested) {
+      // Wake threads blocked inside WaitDurable (they park via the kCrashed
+      // return path). Runs under mu_; the callback only flips flags and
+      // notifies other condvars, it never waits on a worker.
       on_requested();
     }
     cv_.notify_all();
   }
-  // else: a crash/event is already in flight; `event` is dropped and this
-  // thread parks through the pending one like any Poll() caller.
+  // else: an event is already in flight; `event` is dropped and this thread
+  // parks through the pending one like any Poll() caller.
   return ParkLocked(l);
 }
 
@@ -68,14 +47,9 @@ void CrashController::Deregister() {
   std::lock_guard<std::mutex> l(mu_);
   ARGUS_CHECK(registered_ > 0);
   --registered_;
-  // A pending crash may have been waiting for this thread to park; with it
+  // A pending event may have been waiting for this thread to park; with it
   // gone the barrier may now be complete for the remaining parked workers.
   cv_.notify_all();
-}
-
-std::uint64_t CrashController::crashes() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return crashes_;
 }
 
 Status CrashController::ParkLocked(std::unique_lock<std::mutex>& l) {
@@ -84,10 +58,10 @@ Status CrashController::ParkLocked(std::unique_lock<std::mutex>& l) {
   cv_.notify_all();  // the barrier may be complete now
   for (;;) {
     if (generation_ != gen) {
-      // Another thread executed the crash. parked_ was reset wholesale when
+      // Another thread executed the event. parked_ was reset wholesale when
       // the generation turned over (NOT decremented per-thread on exit): a
       // stale waiter that has not yet woken must not be counted as parked for
-      // the *next* crash, or a new barrier could complete while it is about
+      // the *next* event, or a new barrier could complete while it is about
       // to resume traffic — racing the next executor.
       return sticky_error_;
     }
@@ -97,20 +71,16 @@ Status CrashController::ParkLocked(std::unique_lock<std::mutex>& l) {
     cv_.wait(l);
   }
   executing_ = true;
-  const bool is_event = pending_event_ != nullptr;
-  std::function<Status()> todo = is_event ? std::move(pending_event_) : crash_world_;
-  pending_event_ = nullptr;
+  std::function<Status()> event = std::move(event_);
+  event_ = nullptr;
   l.unlock();
-  Status s = todo();
+  Status s = event();
   l.lock();
   executing_ = false;
   pending_ = false;
   ++generation_;
   parked_ = 0;
   if (s.ok()) {
-    if (!is_event) {
-      ++crashes_;
-    }
     armed_.store(false, std::memory_order_release);
   } else {
     // Leave armed_ set so Poll's fast path keeps routing into the slow path,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <set>
 #include <thread>
 
@@ -43,15 +44,7 @@ WorkloadDriver::WorkloadDriver(SimWorld* world, WorkloadConfig config)
     : world_(world), config_(config), rng_(config.seed) {
   ARGUS_CHECK(world != nullptr);
   model_.resize(world->guardian_count());
-  live_committed_ = std::make_unique<std::atomic<std::uint64_t>[]>(world->guardian_count());
-  live_crashed_ = std::make_unique<std::atomic<bool>[]>(world->guardian_count());
-  live_resident_bytes_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(world->guardian_count());
-  for (std::size_t g = 0; g < world->guardian_count(); ++g) {
-    live_committed_[g].store(0, std::memory_order_relaxed);
-    live_crashed_[g].store(false, std::memory_order_relaxed);
-    live_resident_bytes_[g].store(0, std::memory_order_relaxed);
-  }
+  live_ = std::vector<LiveGuardian>(world->guardian_count());
   if (config_.checkpoint.has_value()) {
     for (std::uint32_t g = 0; g < world->guardian_count(); ++g) {
       world->guardian(g).ConfigureMaintenance(*config_.checkpoint);
@@ -62,11 +55,22 @@ WorkloadDriver::WorkloadDriver(SimWorld* world, WorkloadConfig config)
 std::vector<WorkloadDriver::LiveGuardianStats> WorkloadDriver::SnapshotLiveStats() const {
   std::vector<LiveGuardianStats> out(world_->guardian_count());
   for (std::size_t g = 0; g < out.size(); ++g) {
-    out[g].committed = live_committed_[g].load(std::memory_order_relaxed);
-    out[g].crashed = live_crashed_[g].load(std::memory_order_relaxed);
-    out[g].resident_bytes = live_resident_bytes_[g].load(std::memory_order_relaxed);
+    out[g].committed = live_[g].committed.load(std::memory_order_relaxed);
+    out[g].crashed = live_[g].crashed.load(std::memory_order_relaxed);
+    out[g].resident_bytes = live_[g].resident_bytes.load(std::memory_order_relaxed);
   }
   return out;
+}
+
+std::vector<std::uint32_t> WorkloadDriver::LiveGuardians() const {
+  std::vector<std::uint32_t> up;
+  up.reserve(live_.size());
+  for (std::uint32_t g = 0; g < live_.size(); ++g) {
+    if (!live_[g].crashed.load(std::memory_order_relaxed)) {
+      up.push_back(g);
+    }
+  }
+  return up;
 }
 
 std::vector<std::uint32_t> WorkloadDriver::PickVictims(Rng& rng) const {
@@ -219,7 +223,7 @@ Status WorkloadDriver::RunOneAction() {
       touched.insert(g);
     }
     for (std::uint32_t g : touched) {
-      live_committed_[g].fetch_add(1, std::memory_order_relaxed);
+      live_[g].committed.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
     ++stats_.aborted;
@@ -243,7 +247,7 @@ Status WorkloadDriver::RunOneAction() {
     ResidencyManager* rm = world_->guardian(g).recovery().residency();
     if (rm != nullptr) {
       rm->RunEvictionPass();
-      live_resident_bytes_[g].store(rm->resident_bytes(), std::memory_order_relaxed);
+      live_[g].resident_bytes.store(rm->resident_bytes(), std::memory_order_relaxed);
     }
   }
   return Status::Ok();
@@ -287,13 +291,7 @@ Status WorkloadDriver::RunOneConcurrentAction(Rng& rng,
   // Pick among the guardians that are up: during a partial-world outage the
   // victims' volatile side (heap, recovery system) is gone, and traffic must
   // flow to the survivors — that flow is the liveness property under test.
-  std::vector<std::uint32_t> alive;
-  alive.reserve(world_->guardian_count());
-  for (std::uint32_t i = 0; i < world_->guardian_count(); ++i) {
-    if (!live_crashed_[i].load(std::memory_order_relaxed)) {
-      alive.push_back(i);
-    }
-  }
+  std::vector<std::uint32_t> alive = LiveGuardians();
   if (alive.empty()) {
     return Status::Ok();  // everyone is down right now; skip the slot
   }
@@ -316,7 +314,7 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
     ctx.BindResidency(residency);
     // Live gauge sample; the atomic read needs no lock, and sampling once per
     // action keeps SnapshotLiveStats at most one action stale.
-    live_resident_bytes_[g].store(residency->resident_bytes(), std::memory_order_relaxed);
+    live_[g].resident_bytes.store(residency->resident_bytes(), std::memory_order_relaxed);
   }
   bool request_abort = rng.NextBool(config_.abort_probability);
   const auto action_start = std::chrono::steady_clock::now();
@@ -415,7 +413,7 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
   }
   ++local.committed;
   WorkloadObs::Get().committed->Increment();
-  live_committed_[g].fetch_add(1, std::memory_order_relaxed);
+  live_[g].committed.fetch_add(1, std::memory_order_relaxed);
   live_total_committed_.fetch_add(1, std::memory_order_relaxed);
   l.unlock();
 
@@ -476,237 +474,203 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     }
   }
 
-  // One checkpoint service per guardian: its exclusive section is the same
-  // per-guardian mutex the workers stage under, so capture and swap see a
-  // quiescent heap/writer while stage 1 builds against live traffic. Services
-  // are torn down and rebuilt around every coherent crash (their
-  // RecoverySystem pointer dies with the incarnation), so each gets a slot
-  // with an `abandoned` marker its crash hook sets when it stands down.
-  struct ServiceSlot {
-    std::unique_ptr<CheckpointService> service;
-    std::shared_ptr<std::atomic<bool>> abandoned = std::make_shared<std::atomic<bool>>(false);
+  // Each guardian's background services: a CheckpointService when a policy is
+  // configured and a ResidencyService when it has a memory budget, both
+  // sharing the staging mutex the workers use as their exclusive section.
+  // They hold pointers into one incarnation, so take-down stops them and
+  // bring-up starts them on the next.
+  struct GuardianServices {
+    std::unique_ptr<CheckpointService> checkpoint;
+    std::unique_ptr<ResidencyService> residency;
+    // Set by the request of an event that takes this guardian down.
+    std::atomic<bool> going_down{false};
+    // Set by the swap hook when it abandons a checkpoint.
+    std::atomic<bool> stood_down{false};
   };
-  std::vector<ServiceSlot> services(config_.checkpoint.has_value() ? guardian_count : 0);
+  std::vector<GuardianServices> services(guardian_count);
 
-  // Background eviction: one ResidencyService per guardian with a memory
-  // budget, sharing the guardian's staging mutex as its exclusive section. A
-  // service holds a raw ResidencyManager pointer that dies with the
-  // guardian's recovery system, so every crash event stops the affected
-  // services first and restarts them on the fresh incarnation.
-  std::vector<std::unique_ptr<ResidencyService>> residency_services(guardian_count);
-  auto start_residency = [&](std::uint32_t g) {
-    ResidencyManager* rm = world_->guardian(g).recovery().residency();
-    if (rm == nullptr) {
-      return;
-    }
+  auto start_services = [&](std::uint32_t g) {
+    Guardian& guard = world_->guardian(g);
+    GuardianServices& svc = services[g];
     auto exclusive = [&guardian_mutexes, g](const std::function<void()>& fn) {
       std::lock_guard<std::mutex> l(guardian_mutexes[g]);
       fn();
     };
-    residency_services[g] = std::make_unique<ResidencyService>(rm, exclusive);
-    residency_services[g]->Start();
-  };
-  auto stop_residency = [&](std::uint32_t g) {
-    if (residency_services[g] == nullptr) {
-      return;
+    if (config_.checkpoint.has_value()) {
+      // A mid-flight checkpoint abandons itself at its next boundary once its
+      // own guardian is going down — except past the swap, where backing out
+      // would lose the pending-pair rewrite; those last steps are quick and
+      // touch no worker.
+      guard.recovery().SetSwapCrashHook([&svc](const char* step, std::uint64_t) {
+        if (!svc.going_down.load(std::memory_order_acquire) ||
+            std::strcmp(step, "swapped") == 0 || std::strcmp(step, "rewritten") == 0) {
+          return true;
+        }
+        svc.stood_down.store(true, std::memory_order_relaxed);
+        return false;
+      });
+      svc.checkpoint = std::make_unique<CheckpointService>(
+          &guard.recovery(), guard.maintenance(), exclusive, config_.checkpoint_mode);
+      svc.checkpoint->Start();
     }
-    residency_services[g]->Stop();
-    residency_services[g].reset();
+    if (ResidencyManager* rm = guard.recovery().residency(); rm != nullptr) {
+      svc.residency = std::make_unique<ResidencyService>(rm, exclusive);
+      svc.residency->Start();
+    }
+  };
+  // Stops g's services. A checkpoint that stood down (abandoned by its hook,
+  // or woken kCrashed in the swap barrier's drain) exits cleanly only when g
+  // is going down; any other error is a failure.
+  auto stop_services = [&](std::uint32_t g) -> Status {
+    GuardianServices& svc = services[g];
+    svc.residency.reset();
+    Status err = Status::Ok();
+    if (svc.checkpoint != nullptr) {
+      svc.checkpoint->Stop();
+      err = svc.checkpoint->last_error();
+      svc.checkpoint.reset();
+    }
+    const bool stood_down = svc.stood_down.exchange(false, std::memory_order_relaxed) ||
+                            err.code() == ErrorCode::kCrashed;
+    const bool going_down = svc.going_down.exchange(false, std::memory_order_relaxed);
+    if (err.ok() || (stood_down && going_down)) {
+      return Status::Ok();
+    }
+    return Status(err.code(), "checkpoint service of guardian " + std::to_string(g) +
+                                  (stood_down ? " stood down while the guardian stayed up: "
+                                              : ": ") +
+                                  err.message());
   };
 
-  std::unique_ptr<CrashController> controller;
-
-  // A mid-flight checkpoint must abandon itself at its next boundary once a
-  // crash is pending — except past the swap, where backing out would lose the
-  // pending-pair rewrite; those last steps are quick and touch no worker.
-  auto install_crash_hook = [&](std::uint32_t g) {
-    CrashController* c = controller.get();
-    std::shared_ptr<std::atomic<bool>> abandoned = services[g].abandoned;
-    world_->guardian(g).recovery().SetSwapCrashHook(
-        [c, abandoned](const char* step, std::uint64_t) {
-          if (!c->crash_pending()) {
-            return true;
-          }
-          if (std::strcmp(step, "swapped") == 0 || std::strcmp(step, "rewritten") == 0) {
-            return true;
-          }
-          abandoned->store(true, std::memory_order_relaxed);
-          return false;
-        });
+  // Run by the requesting worker before it parks: marks the guardians the
+  // event takes down and fails their force queues, so threads blocked in
+  // WaitDurable on a victim wake kCrashed and park instead of waiting for a
+  // flush that will never come. A survivor's waiters complete normally (a
+  // waiter elected flush leader flushes synchronously) and park at their
+  // next Poll.
+  auto mark_going_down = [&](const std::vector<std::uint32_t>& victims) {
+    for (std::uint32_t v : victims) {
+      services[v].going_down.store(true, std::memory_order_release);
+      world_->guardian(v).recovery().CrashCoordinators();
+    }
   };
-  auto start_service = [&](std::uint32_t g) {
-    auto exclusive = [&guardian_mutexes, g](const std::function<void()>& fn) {
+
+  // Sets `plan` on every replica but the highest-index one of each guardian's
+  // replicated media. The last replica stays intact, so the quorum careful
+  // read + fallback + re-duplexing deterministically succeed at any N (the
+  // N=2 shape is the historical "disk A decays, B stays healthy"). Holds the
+  // staging mutex: a checkpoint service started by bring-up swaps the log
+  // under it.
+  auto set_recovery_faults = [&](const std::vector<std::uint32_t>& guardians,
+                                 const DiskFaultPlan& plan) {
+    for (std::uint32_t g : guardians) {
       std::lock_guard<std::mutex> l(guardian_mutexes[g]);
-      fn();
-    };
-    services[g].service =
-        std::make_unique<CheckpointService>(&world_->guardian(g).recovery(),
-                                            world_->guardian(g).maintenance(), exclusive,
-                                            config_.checkpoint_mode);
-    services[g].service->Start();
-  };
-  // Stops a service and classifies its terminal error: standing down for a
-  // coherent crash (a drain that woke kCrashed on the crashed coordinator, or
-  // a hook-abandoned checkpoint) is a clean exit, anything else is a real
-  // failure.
-  auto absorb_service = [&](std::uint32_t g) -> Status {
-    ServiceSlot& slot = services[g];
-    if (slot.service == nullptr) {
-      return Status::Ok();
+      RecoverySystem& rs = world_->guardian(g).recovery();
+      for (std::uint32_t sh = 0; sh < rs.shard_count(); ++sh) {
+        auto* medium = dynamic_cast<ReplicatedStableMedium*>(&rs.shard_log(sh).medium());
+        ARGUS_CHECK(medium != nullptr);  // validated before the storm
+        ReplicatedStore& store = medium->store();
+        for (std::uint32_t r = 0; r + 1 < store.replica_count(); ++r) {
+          store.SetReplicaFaultPlan(r, plan);
+        }
+      }
     }
-    slot.service->Stop();
-    Status err = slot.service->last_error();
-    slot.service.reset();
-    bool stood_down = slot.abandoned->exchange(false, std::memory_order_relaxed);
-    if (!err.ok() && (err.code() == ErrorCode::kCrashed || stood_down)) {
-      return Status::Ok();
-    }
-    return err;
   };
 
-  // The coherent world crash, run by the controller's elected executor while
-  // every worker thread is parked — single-threaded ownership of the world.
-  auto crash_world = [&]() -> Status {
-    // 0. Capture the flight recorders first, while every worker is parked at
-    //    the rendezvous and before any crash/recovery event overwrites the
-    //    ring windows — this dump is the forensic record of what each thread
-    //    was doing when the world died (staged-but-undurable commits show as
-    //    commit.stage events with no matching commit.durable).
-    last_crash_dump_ = obs::DumpFlightRecorders();
-    // 1. Checkpoint and residency services first: their RecoverySystem /
-    //    ResidencyManager pointers are about to dangle. A service
-    //    mid-checkpoint stands down at its next boundary (hook) or wakes
-    //    kCrashed from the swap barrier's drain.
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      stop_residency(g);
-      if (!services.empty()) {
-        Status s = absorb_service(g);
-        if (!s.ok()) {
-          return Status(s.code(),
-                        "checkpoint service, guardian " + std::to_string(g) + ": " + s.message());
-        }
-      }
-    }
-    // 2. Arm recovery-time media faults on every replica except the last
-    //    (the highest-index replica stays intact, so the quorum careful read
-    //    + fallback + re-duplexing deterministically succeed at any N —
-    //    the N=2 shape of this is the historical "disk A decays, B stays
-    //    healthy"). Guardians already down in a partial outage have no live
-    //    recovery system to reach the medium through; their recovery reads
-    //    simply run unfaulted.
-    if (config_.recovery_faults.has_value()) {
-      for (std::uint32_t g = 0; g < guardian_count; ++g) {
-        if (world_->guardian(g).crashed()) {
-          continue;
-        }
-        RecoverySystem& rs = world_->guardian(g).recovery();
-        for (std::uint32_t sh = 0; sh < rs.shard_count(); ++sh) {
-          auto* medium = dynamic_cast<ReplicatedStableMedium*>(&rs.shard_log(sh).medium());
-          ARGUS_CHECK(medium != nullptr);  // validated before the storm
-          ReplicatedStore& store = medium->store();
-          for (std::uint32_t r = 0; r + 1 < store.replica_count(); ++r) {
-            store.SetReplicaFaultPlan(r, *config_.recovery_faults);
-          }
-        }
-      }
-    }
-    // 3. The crash: every guardian's volatile state dies at one instant; the
-    //    staged log tails die with it. A full crash landing mid-outage
-    //    subsumes the partial one: the victims are already down and their
-    //    outage ends with everyone else's restart below.
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (!world_->guardian(g).crashed()) {
-        world_->guardian(g).Crash();
-      }
-    }
-    // 4. Full recovery, reading through the armed faults.
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      Result<RecoveryInfo> info = world_->guardian(g).Restart();
-      if (!info.ok()) {
-        return Status(info.status().code(), "recovery of guardian " + std::to_string(g) + ": " +
-                                                info.status().message());
-      }
-    }
-    if (config_.recovery_faults.has_value()) {
-      for (std::uint32_t g = 0; g < guardian_count; ++g) {
-        RecoverySystem& rs = world_->guardian(g).recovery();
-        for (std::uint32_t sh = 0; sh < rs.shard_count(); ++sh) {
-          auto* medium = dynamic_cast<ReplicatedStableMedium*>(&rs.shard_log(sh).medium());
-          ARGUS_CHECK(medium != nullptr);
-          ReplicatedStore& store = medium->store();
-          for (std::uint32_t r = 0; r < store.replica_count(); ++r) {
-            store.SetReplicaFaultPlan(r, DiskFaultPlan{});
-          }
-        }
-      }
-    }
-    // The full restart ended any partial outage in flight.
-    if (outage_active_.load(std::memory_order_relaxed)) {
-      for (std::uint32_t v : outage_victims_) {
-        if (config_.partition_during_outage) {
-          world_->network().Heal(GuardianId{v});
-        }
-        live_crashed_[v].store(false, std::memory_order_relaxed);
-      }
-      outage_victims_.clear();
-      outage_active_.store(false, std::memory_order_release);
-    }
-    // 5. Settle in-doubt prepared actions: Restart re-queried their (local)
-    //    coordinators; presumed abort resolves anything undecided.
-    world_->Pump();
-    // 6. Reconcile every per-thread oracle with the durable prefix.
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      Status s = ReconcileOneGuardian(g);
+  // The one take-down path. Services stop first (their pointers are about to
+  // dangle), `faults` (if any) are armed for the recovery reads, and then the
+  // victims crash at one instant: volatile state and staged log tails die
+  // together.
+  auto take_down = [&](const std::vector<std::uint32_t>& victims,
+                       const std::optional<DiskFaultPlan>& faults) -> Status {
+    for (std::uint32_t v : victims) {
+      Status s = stop_services(v);
       if (!s.ok()) {
         return s;
       }
     }
-    // 7. Resume maintenance against the fresh incarnations (Restart re-armed
-    //    each guardian's policy).
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (!services.empty()) {
-        install_crash_hook(g);
-        start_service(g);
+    if (faults.has_value()) {
+      set_recovery_faults(victims, *faults);
+    }
+    for (std::uint32_t v : victims) {
+      world_->guardian(v).Crash();
+      live_[v].crashed.store(true, std::memory_order_relaxed);
+      live_[v].resident_bytes.store(0, std::memory_order_relaxed);
+      if (config_.partition_during_outage) {
+        world_->network().Partition(GuardianId{v});
       }
-      start_residency(g);
     }
     return Status::Ok();
   };
 
-  // Wakes every thread blocked inside WaitDurable: their guardian is now
-  // (logically) dead, so they unblock with kCrashed and park like everyone
-  // else instead of deadlocking against a flush that will never come.
-  auto on_crash_requested = [&] {
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (world_->guardian(g).crashed()) {
-        continue;  // already down in a partial outage: no coordinator to wake
+  // The one bring-up path: heal, restart every victim through full recovery,
+  // pump once so presumed abort settles (and unlocks) what the restarts found
+  // in doubt, reconcile each victim against its journal's durable prefix,
+  // mark it up and, with `start`, restart its services. Ends any outage.
+  auto bring_up = [&](std::vector<std::uint32_t> victims, bool start) -> Status {
+    for (std::uint32_t v : victims) {
+      if (config_.partition_during_outage) {
+        world_->network().Heal(GuardianId{v});
       }
-      // Sharded guardians have one force queue per shard; fail them all.
-      world_->guardian(g).recovery().CrashCoordinators();
+      Result<RecoveryInfo> info = world_->guardian(v).Restart();
+      if (!info.ok()) {
+        return Status(info.status().code(), "recovery of guardian " + std::to_string(v) + ": " +
+                                                info.status().message());
+      }
     }
+    world_->Pump();
+    for (std::uint32_t v : victims) {
+      Status s = ReconcileOneGuardian(v);
+      if (!s.ok()) {
+        return s;
+      }
+      live_[v].crashed.store(false, std::memory_order_relaxed);
+      if (start) {
+        start_services(v);
+      }
+    }
+    outage_victims_.clear();
+    outage_active_.store(false, std::memory_order_release);
+    return Status::Ok();
   };
 
-  // Partial-world crash: kills only `victims`, run by the elected executor
-  // while every worker is parked. Survivors' volatile state, journals, and
-  // flush coordinators are untouched — their traffic resumes the moment the
-  // barrier releases, which is exactly what the liveness assertion measures.
-  auto partial_crash_event = [&](const std::vector<std::uint32_t>& victims) -> Status {
+  // The events, each run by the controller's elected executor while every
+  // worker is parked — single-threaded ownership of the world.
+  std::vector<std::uint32_t> everyone(guardian_count);
+  std::iota(everyone.begin(), everyone.end(), 0u);
+
+  // Full crash. One landing mid-outage subsumes the partial one: its victims
+  // are already down and come back up with everyone else.
+  auto crash_world = [&]() -> Status {
+    // Capture the flight recorders first, while every worker is parked and
+    // before any crash/recovery event overwrites the ring windows: staged-
+    // but-undurable commits show as commit.stage events with no matching
+    // commit.durable.
+    last_crash_dump_ = obs::DumpFlightRecorders();
+    Status s = take_down(LiveGuardians(), config_.recovery_faults);
+    if (s.ok()) {
+      s = bring_up(everyone, /*start=*/true);
+    }
+    if (!s.ok()) {
+      return s;
+    }
+    if (config_.recovery_faults.has_value()) {
+      set_recovery_faults(everyone, DiskFaultPlan{});
+    }
+    ++stats_.crashes;
+    return Status::Ok();
+  };
+
+  // Partial crash: only `victims` die. The survivors' state, journals and
+  // services are untouched, and their traffic resumes the moment the barrier
+  // releases, which is exactly what the liveness floor measures.
+  auto partial_crash = [&](const std::vector<std::uint32_t>& victims) -> Status {
     ARGUS_CHECK(!outage_active_.load(std::memory_order_relaxed));
+    Status s = take_down(victims, std::nullopt);
+    if (!s.ok()) {
+      return s;
+    }
     for (std::uint32_t v : victims) {
-      stop_residency(v);
-      if (!services.empty()) {
-        Status s = absorb_service(v);
-        if (!s.ok()) {
-          return Status(s.code(), "checkpoint service, guardian " + std::to_string(v) +
-                                      ": " + s.message());
-        }
-      }
-      world_->guardian(v).Crash();
-      live_crashed_[v].store(true, std::memory_order_relaxed);
-      live_resident_bytes_[v].store(0, std::memory_order_relaxed);
-      if (config_.partition_during_outage) {
-        world_->network().Partition(GuardianId{v});
-      }
       obs::Emit("workload.partial_crash", v, victims.size(),
                 live_total_committed_.load(std::memory_order_relaxed));
     }
@@ -714,7 +678,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     // subset died. A commit staged on a victim but never durability-confirmed
     // shows as a commit.stage (c = victim guardian) with no matching
     // commit.durable, and the workload.partial_crash markers just emitted
-    // name the victims — taken after the crash loop so the dump is
+    // name the victims — taken after the take-down so the dump is
     // self-describing (only the executor's own ring gains those few events).
     last_crash_dump_ = obs::DumpFlightRecorders();
     outage_victims_ = victims;
@@ -726,20 +690,11 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     return Status::Ok();
   };
 
-  // Wakes only the victims' durability waiters; survivors' waiters complete
-  // naturally (a waiter elected flush leader flushes synchronously), then
-  // park at their next Poll — the barrier completes either way.
-  auto on_partial_requested = [&](const std::vector<std::uint32_t>& victims) {
-    for (std::uint32_t v : victims) {
-      world_->guardian(v).recovery().CrashCoordinators();
-    }
-  };
-
-  // Recovers the dead subset: heal the partition, restart each victim through
-  // full recovery, reconcile it against its journal's durable prefix, and
-  // hold every survivor to a FULL-replay reconcile (nothing it committed may
-  // have vanished — it never crashed). Asserts the liveness floor.
-  auto partial_recover_event = [&]() -> Status {
+  // Partial recovery, gated by the liveness floor: bring the victims up, then
+  // hold every survivor to a full-replay reconcile (nothing it committed may
+  // have vanished — it never crashed). A survivor's services keep running, so
+  // its reconcile holds its staging mutex.
+  auto partial_recover = [&]() -> Status {
     ARGUS_CHECK(outage_active_.load(std::memory_order_relaxed));
     const std::uint64_t growth = live_total_committed_.load(std::memory_order_relaxed) -
                                  outage_baseline_.load(std::memory_order_relaxed);
@@ -749,51 +704,22 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
           " commits during the outage, floor is " +
           std::to_string(config_.min_survivor_commits));
     }
-    // Survivors get a full-replay reconcile below, which reads committed base
-    // versions without the staging mutex — their eviction threads must be
-    // quiet first (every service restarts once the event is done).
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      stop_residency(g);
+    const std::vector<std::uint32_t> victims = outage_victims_;
+    const std::vector<std::uint32_t> survivors = LiveGuardians();
+    Status s = bring_up(victims, /*start=*/true);
+    if (!s.ok()) {
+      return s;
     }
-    for (std::uint32_t v : outage_victims_) {
-      if (config_.partition_during_outage) {
-        world_->network().Heal(GuardianId{v});
-      }
-      Result<RecoveryInfo> info = world_->guardian(v).Restart();
-      if (!info.ok()) {
-        return Status(info.status().code(), "partial recovery of guardian " +
-                                                std::to_string(v) + ": " +
-                                                info.status().message());
-      }
-      Status s = ReconcileOneGuardian(v);
-      if (!s.ok()) {
-        return s;
-      }
-      live_crashed_[v].store(false, std::memory_order_relaxed);
-      obs::Emit("workload.partial_recover", v, info.value().in_doubt_actions, growth);
-    }
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (std::find(outage_victims_.begin(), outage_victims_.end(), g) !=
-          outage_victims_.end()) {
-        continue;
-      }
-      Status s = ReconcileOneGuardian(g, /*require_full_replay=*/true);
+    for (std::uint32_t g : survivors) {
+      std::lock_guard<std::mutex> l(guardian_mutexes[g]);
+      s = ReconcileOneGuardian(g, /*require_full_replay=*/true);
       if (!s.ok()) {
         return Status(s.code(), "survivor " + std::to_string(g) + ": " + s.message());
       }
     }
-    // Resume maintenance on the fresh victim incarnations.
-    for (std::uint32_t v : outage_victims_) {
-      if (!services.empty()) {
-        install_crash_hook(v);
-        start_service(v);
-      }
+    for (std::uint32_t v : victims) {
+      obs::Emit("workload.partial_recover", v, victims.size(), growth);
     }
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      start_residency(g);  // everyone is alive again
-    }
-    outage_victims_.clear();
-    outage_active_.store(false, std::memory_order_release);
     ++stats_.partial_recoveries;
     stats_.min_outage_survivor_commits =
         std::min(stats_.min_outage_survivor_commits, growth);
@@ -811,6 +737,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     }
   }
 
+  std::unique_ptr<CrashController> controller;
   if (crashes_enabled) {
     journal_.clear();
     journal_.resize(guardian_count);
@@ -823,17 +750,11 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
         }
       }
     }
-    controller = std::make_unique<CrashController>(config_.threads, crash_world,
-                                                   on_crash_requested);
+    controller = std::make_unique<CrashController>(config_.threads);
   }
 
-  if (!services.empty()) {
-    for (std::uint32_t g = 0; g < guardian_count; ++g) {
-      if (controller != nullptr) {
-        install_crash_hook(g);
-      }
-      start_service(g);
-    }
+  for (std::uint32_t g = 0; g < guardian_count; ++g) {
+    start_services(g);
   }
 
   stats_.per_thread_failures.assign(config_.threads, 0);
@@ -842,21 +763,22 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   for (std::size_t t = 0; t < config_.threads; ++t) {
     std::size_t quota = actions / config_.threads + (t < actions % config_.threads ? 1 : 0);
     workers.emplace_back([this, t, quota, &guardian_mutexes, &merge_mu, &first_error,
-                          &controller, &partial_crash_event, &partial_recover_event,
-                          &on_partial_requested] {
+                          &controller, &mark_going_down, &crash_world, &partial_crash,
+                          &partial_recover] {
       Rng rng(config_.seed + 0x9e3779b97f4a7c15ull * (t + 1));
       WorkloadStats local;
       std::uint64_t failures = 0;
       Status status = Status::Ok();
       for (std::size_t i = 0; i < quota; ++i) {
         if (controller != nullptr) {
-          // Preemption point: park here if the world is crashing.
+          // Preemption point: park here if an event is pending.
           status = controller->Poll();
           if (!status.ok()) {
             break;
           }
           if (rng.NextBool(config_.crash_probability)) {
-            status = controller->RequestCrash();
+            status = controller->RequestEvent(
+                crash_world, [this, &mark_going_down] { mark_going_down(LiveGuardians()); });
             if (!status.ok()) {
               break;
             }
@@ -871,8 +793,8 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
                 rng.NextBool(config_.partial_crash_probability)) {
               std::vector<std::uint32_t> victims = PickVictims(rng);
               status = controller->RequestEvent(
-                  [&partial_crash_event, victims] { return partial_crash_event(victims); },
-                  [&on_partial_requested, &victims] { on_partial_requested(victims); });
+                  [&partial_crash, victims] { return partial_crash(victims); },
+                  [&mark_going_down, &victims] { mark_going_down(victims); });
               if (!status.ok()) {
                 break;
               }
@@ -881,7 +803,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
                                outage_baseline_.load(std::memory_order_relaxed) >=
                            config_.min_survivor_commits &&
                        rng.NextBool(config_.partial_recover_probability)) {
-              status = controller->RequestEvent(partial_recover_event);
+              status = controller->RequestEvent(partial_recover);
               if (!status.ok()) {
                 break;
               }
@@ -922,48 +844,33 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   for (std::thread& w : workers) {
     w.join();
   }
-  if (controller != nullptr) {
-    stats_.crashes += controller->crashes();
+  // A storm that ends mid-outage brings its victims back, so the checks below
+  // see a whole world. Not counted as a recovery: no worker requested it, and
+  // the liveness floor may legitimately not have been reached.
+  if (first_error.ok() && outage_active_.load(std::memory_order_relaxed)) {
+    first_error = bring_up(outage_victims_, /*start=*/false);
   }
-  // A storm that ends mid-outage: bring the dead subset back up and reconcile
-  // it so the post-run checks see a whole world. Not counted as a recovery —
-  // no worker requested it, and the liveness floor may legitimately not have
-  // been reached before the quotas ran out.
-  if (outage_active_.load(std::memory_order_relaxed)) {
-    for (std::uint32_t v : outage_victims_) {
-      if (config_.partition_during_outage) {
-        world_->network().Heal(GuardianId{v});
-      }
-      Result<RecoveryInfo> info = world_->guardian(v).Restart();
-      if (!info.ok()) {
-        if (first_error.ok()) {
-          first_error = Status(info.status().code(), "teardown recovery of guardian " +
-                                                         std::to_string(v) + ": " +
-                                                         info.status().message());
-        }
-        continue;
-      }
-      Status s = ReconcileOneGuardian(v);
-      if (!s.ok() && first_error.ok()) {
-        first_error = s;
-      }
-      live_crashed_[v].store(false, std::memory_order_relaxed);
-    }
-    outage_victims_.clear();
-    outage_active_.store(false, std::memory_order_relaxed);
-  }
+  // End-of-run checks on every live guardian: its checkpoint service never
+  // stood down (stop_services), and none of its slots is still write-locked —
+  // a lock that outlives the run belongs to an in-doubt action that presumed
+  // abort never settled.
   for (std::uint32_t g = 0; g < guardian_count; ++g) {
-    stop_residency(g);
-    if (!services.empty()) {
-      Status s = absorb_service(g);
-      if (first_error.ok() && !s.ok()) {
-        first_error = Status(s.code(), "checkpoint service, guardian " + std::to_string(g) +
-                                           ": " + s.message());
-      }
+    Status s = stop_services(g);
+    if (first_error.ok() && !s.ok()) {
+      first_error = s;
     }
-    if (controller != nullptr && !world_->guardian(g).crashed()) {
-      // The hook closes over the controller, which dies with this frame.
-      world_->guardian(g).recovery().SetSwapCrashHook(nullptr);
+    Guardian& guard = world_->guardian(g);
+    if (guard.crashed()) {
+      continue;
+    }
+    guard.recovery().SetSwapCrashHook(nullptr);  // it points into `services`
+    for (std::size_t slot = 0; slot < config_.objects_per_guardian && first_error.ok(); ++slot) {
+      RecoverableObject* obj = guard.CommittedStableVariable(SlotName(slot));
+      if (obj != nullptr && obj->write_locker().has_value()) {
+        first_error = Status::Corruption("guardian " + std::to_string(g) + " " + SlotName(slot) +
+                                         " is still write-locked by " +
+                                         to_string(*obj->write_locker()) + " after the run");
+      }
     }
   }
   return first_error;

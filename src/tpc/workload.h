@@ -226,6 +226,9 @@ class WorkloadDriver {
   // Picks 1..N-1 distinct victims for a partial-world crash.
   std::vector<std::uint32_t> PickVictims(Rng& rng) const;
 
+  // The guardians not down in a partial-world outage, in index order.
+  std::vector<std::uint32_t> LiveGuardians() const;
+
   SimWorld* world_;
   WorkloadConfig config_;
   Rng rng_;
@@ -245,18 +248,21 @@ class WorkloadDriver {
   // reconciler can identify which journal record produced a recovered slot
   // value.
   std::atomic<std::int64_t> next_unique_value_{1};
-  std::string last_crash_dump_;  // written only by the crash executor
+  std::string last_crash_dump_;  // written only by the event executor
 
-  // ---- Partial-world outage state ----
+  // ---- Per-guardian live state and the partial-world outage ----
   //
-  // The atomics are read by running workers and by SnapshotLiveStats callers;
-  // they are written either by workers (the counters) or by the elected event
-  // executor while every worker is parked (the outage state — the barrier
-  // mutex is the happens-before edge). outage_victims_ is executor/teardown
-  // only and needs no synchronization.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> live_committed_;  // per guardian
-  std::unique_ptr<std::atomic<bool>[]> live_crashed_;             // per guardian
-  std::unique_ptr<std::atomic<std::uint64_t>[]> live_resident_bytes_;  // per guardian
+  // The atomics are read by running workers and by SnapshotLiveStats callers.
+  // Workers write the counters and the residency samples; the elected event
+  // executor writes `crashed` and the outage state while every worker is
+  // parked (the barrier mutex is the happens-before edge). outage_victims_ is
+  // executor/teardown only and needs no synchronization.
+  struct LiveGuardian {
+    std::atomic<std::uint64_t> committed{0};
+    std::atomic<bool> crashed{false};
+    std::atomic<std::uint64_t> resident_bytes{0};
+  };
+  std::vector<LiveGuardian> live_;
   std::atomic<std::uint64_t> live_total_committed_{0};
   std::atomic<bool> outage_active_{false};
   std::atomic<std::uint64_t> outage_baseline_{0};  // total commits at outage start

@@ -3,7 +3,7 @@
 //
 // Three layers, bottom up:
 //   1. CrashController — the rendezvous barrier itself: every worker parked
-//      before the crash executor runs, exactly-once execution, sticky errors.
+//      before the event executor runs, exactly-once execution, sticky errors.
 //   2. FlushCoordinator::Crash — the wakeup that makes the barrier reachable
 //      from inside WaitDurable: blocked forces return kCrashed, but frames
 //      that were already durable still report Ok.
@@ -38,16 +38,14 @@ namespace {
 
 TEST(CrashController, SingleWorkerRunsCrashInline) {
   int crashes = 0;
-  CrashController controller(1, [&] {
+  CrashController controller(1);
+  auto crash = [&] {
     ++crashes;
     return Status::Ok();
-  });
+  };
   EXPECT_TRUE(controller.Poll().ok());
-  EXPECT_FALSE(controller.crash_pending());
-  ASSERT_TRUE(controller.RequestCrash().ok());
+  ASSERT_TRUE(controller.RequestEvent(crash).ok());
   EXPECT_EQ(crashes, 1);
-  EXPECT_EQ(controller.crashes(), 1u);
-  EXPECT_FALSE(controller.crash_pending());
   // The world is back; traffic resumes.
   EXPECT_TRUE(controller.Poll().ok());
   controller.Deregister();
@@ -58,9 +56,11 @@ TEST(CrashController, EveryWorkerParkedWhenCrashExecutes) {
   constexpr std::size_t kIterations = 200;
   std::atomic<int> in_action{0};
   std::atomic<bool> freeze_violated{false};
+  std::atomic<std::uint64_t> requested{0};
   std::atomic<std::uint64_t> crashes{0};
 
-  CrashController controller(kWorkers, [&] {
+  CrashController controller(kWorkers);
+  auto crash = [&] {
     // The whole point: the executor owns the world. Any worker still inside
     // its "action" here means the freeze failed.
     if (in_action.load() != 0) {
@@ -68,7 +68,7 @@ TEST(CrashController, EveryWorkerParkedWhenCrashExecutes) {
     }
     ++crashes;
     return Status::Ok();
-  });
+  };
 
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < kWorkers; ++t) {
@@ -78,7 +78,9 @@ TEST(CrashController, EveryWorkerParkedWhenCrashExecutes) {
         if (!controller.Poll().ok()) {
           break;
         }
-        if (rng.NextBool(0.02) && !controller.RequestCrash().ok()) {
+        // on_requested runs only for a request that was not dropped, so
+        // `requested` counts the events that must each run exactly once.
+        if (rng.NextBool(0.02) && !controller.RequestEvent(crash, [&] { ++requested; }).ok()) {
           break;
         }
         ++in_action;
@@ -92,16 +94,21 @@ TEST(CrashController, EveryWorkerParkedWhenCrashExecutes) {
     w.join();
   }
   EXPECT_FALSE(freeze_violated.load());
-  EXPECT_EQ(controller.crashes(), crashes.load());
-  EXPECT_GE(controller.crashes(), 1u);
+  EXPECT_EQ(crashes.load(), requested.load());
+  EXPECT_GE(crashes.load(), 1u);
 }
 
 TEST(CrashController, FailedCrashIsStickyForEveryone) {
-  CrashController controller(2, [] { return Status::IoError("recovery failed"); });
+  CrashController controller(2);
+  std::atomic<int> runs{0};
+  auto failing_crash = [&] {
+    ++runs;
+    return Status::IoError("recovery failed");
+  };
   std::atomic<bool> requester_done{false};
   Status requester_status;
   std::thread requester([&] {
-    requester_status = controller.RequestCrash();
+    requester_status = controller.RequestEvent(failing_crash);
     requester_done = true;
   });
   // The second worker parks via Poll (once the request is pending) and must
@@ -114,10 +121,11 @@ TEST(CrashController, FailedCrashIsStickyForEveryone) {
   ASSERT_TRUE(requester_done.load());
   EXPECT_EQ(requester_status.code(), ErrorCode::kIoError);
   EXPECT_EQ(poller_status.code(), ErrorCode::kIoError);
-  // And it stays sticky: no retry resurrects the world.
+  // And it stays sticky: no retry resurrects the world, and a retried event
+  // never runs.
   EXPECT_EQ(controller.Poll().code(), ErrorCode::kIoError);
-  EXPECT_EQ(controller.RequestCrash().code(), ErrorCode::kIoError);
-  EXPECT_EQ(controller.crashes(), 0u);
+  EXPECT_EQ(controller.RequestEvent(failing_crash).code(), ErrorCode::kIoError);
+  EXPECT_EQ(runs.load(), 1);
   controller.Deregister();
   controller.Deregister();
 }
@@ -127,11 +135,15 @@ TEST(CrashController, DeregisterUnblocksPendingCrash) {
   // the barrier must re-evaluate against the shrunken registration count, or
   // A waits forever for a rendezvous that can no longer happen.
   std::atomic<int> crashes{0};
-  CrashController controller(2, [&] {
-    ++crashes;
-    return Status::Ok();
+  CrashController controller(2);
+  std::thread requester([&] {
+    EXPECT_TRUE(controller
+                    .RequestEvent([&] {
+                      ++crashes;
+                      return Status::Ok();
+                    })
+                    .ok());
   });
-  std::thread requester([&] { EXPECT_TRUE(controller.RequestCrash().ok()); });
   controller.Deregister();
   requester.join();
   EXPECT_EQ(crashes.load(), 1);

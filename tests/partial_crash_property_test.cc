@@ -426,6 +426,60 @@ TEST(PartialCrashStorm, OutagesSurviveOnlineCheckpointsRacing) {
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
 }
 
+TEST(PartialCrashStorm, PartialRecoveryReleasesInDoubtLocks) {
+  // A restart re-adopts a prepared, undecided action with its write locks;
+  // only delivering its rejoin query lets presumed abort settle it (its
+  // coordinator, the victim itself, no longer knows the action). One worker,
+  // so the seed alone fixes the victim of the first partial crash: Run(2)
+  // takes one of the two guardians down, then recovers it.
+  constexpr std::uint64_t kSeed = 710;
+  WorkloadConfig config;
+  config.seed = kSeed;
+  config.threads = 1;
+  config.abort_probability = 0.0;
+  config.partial_crash_probability = 1.0;
+  config.partial_recover_probability = 1.0;
+  config.min_survivor_commits = 1;
+
+  // A twin world names the victim: Run(1)'s one action commits on the
+  // survivor while the victim is down.
+  std::uint32_t victim = 0;
+  {
+    SimWorld twin(StormWorld(2, kSeed));
+    WorkloadDriver driver(&twin, config);
+    ASSERT_TRUE(driver.Setup().ok());
+    ASSERT_TRUE(driver.Run(1).ok());
+    ASSERT_EQ(driver.stats().partial_crashes, 1u);
+    std::vector<WorkloadDriver::LiveGuardianStats> live = driver.SnapshotLiveStats();
+    ASSERT_EQ(live[0].committed + live[1].committed, 1u);
+    victim = live[0].committed == 0 ? 0 : 1;
+  }
+
+  SimWorld world(StormWorld(2, kSeed));
+  WorkloadDriver driver(&world, config);
+  ASSERT_TRUE(driver.Setup().ok());
+  {
+    // Force a prepare of slot0 on the victim and decide nothing: once the
+    // victim crashes, the action is in doubt.
+    Guardian& guard = world.guardian(victim);
+    const ActionId in_doubt{GuardianId{victim}, std::uint64_t{1} << 40};
+    ActionContext ctx(in_doubt);
+    ASSERT_TRUE(ctx.WriteObject(guard.CommittedStableVariable("slot0"), Value::Int(-1)).ok());
+    Result<StagedOutcome> prepared =
+        guard.recovery().StagePrepareSharded(in_doubt, ctx.TakeMos());
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    ASSERT_TRUE(guard.recovery().WaitDurable(prepared.value()).ok());
+  }
+  Status s = driver.Run(2);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(driver.stats().partial_crashes, 1u);
+  EXPECT_EQ(driver.stats().partial_recoveries, 1u);
+  RecoverableObject* slot0 = world.guardian(victim).CommittedStableVariable("slot0");
+  ASSERT_NE(slot0, nullptr);
+  EXPECT_FALSE(slot0->write_locker().has_value());
+  EXPECT_EQ(slot0->base_version(), Value::Int(0));
+}
+
 // ---------------------------------------------------------------------------
 // The flight recorder at a partial crash
 // ---------------------------------------------------------------------------

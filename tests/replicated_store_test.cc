@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/stable/duplexed_store.h"
 #include "src/stable/replicated_store.h"
 #include "tests/test_support.h"
 
@@ -391,7 +390,7 @@ TEST_P(DuplexedEquivalenceSweep, BitIdenticalToLegacyDuplexedStore) {
   const std::uint64_t seed = GetParam();
   constexpr std::size_t kPages = 16;
   LegacyDuplexedStore legacy(kPages, seed);
-  DuplexedStore current(kPages, seed);  // = ReplicatedStore(kPages, 2, seed)
+  ReplicatedStore current(kPages, /*replicas=*/2, seed);
 
   // One script, two stores: writes, reads, deterministic decay, torn writes,
   // probabilistic decay storms, and crash-time repairs, drawn from a seeded

@@ -6,8 +6,8 @@
 #include "src/common/codec.h"
 #include "src/stable/careful_disk.h"
 #include "src/stable/duplexed_medium.h"
-#include "src/stable/duplexed_store.h"
 #include "src/stable/file_medium.h"
+#include "src/stable/replicated_store.h"
 
 namespace argus {
 namespace {
@@ -87,7 +87,7 @@ TEST(CarefulDisk, ReportsGenuineCorruption) {
 }
 
 TEST(DuplexedStore, ReadsPreferIntactReplica) {
-  DuplexedStore store(4);
+  ReplicatedStore store(4, /*replicas=*/2);
   ASSERT_TRUE(store.AtomicWrite(1, AsSpan(Page(0x66))).ok());
   store.disk_a().CorruptPage(1);
   Result<std::vector<std::byte>> r = store.AtomicRead(1);
@@ -96,7 +96,7 @@ TEST(DuplexedStore, ReadsPreferIntactReplica) {
 }
 
 TEST(DuplexedStore, SurvivesTornWriteOnFirstReplica) {
-  DuplexedStore store(4);
+  ReplicatedStore store(4, /*replicas=*/2);
   ASSERT_TRUE(store.AtomicWrite(0, AsSpan(Page(0x01))).ok());
   // Crash during the write of replica A: B still holds the old value.
   DiskFaultPlan plan;
@@ -113,7 +113,7 @@ TEST(DuplexedStore, SurvivesTornWriteOnFirstReplica) {
 }
 
 TEST(DuplexedStore, SurvivesTornWriteOnSecondReplica) {
-  DuplexedStore store(4);
+  ReplicatedStore store(4, /*replicas=*/2);
   ASSERT_TRUE(store.AtomicWrite(0, AsSpan(Page(0x01))).ok());
   DiskFaultPlan plan;
   plan.tear_write_at = 0;
@@ -133,7 +133,7 @@ TEST(DuplexedStore, SurvivesTornWriteOnSecondReplica) {
 }
 
 TEST(DuplexedStore, RepairHealsDecay) {
-  DuplexedStore store(4);
+  ReplicatedStore store(4, /*replicas=*/2);
   ASSERT_TRUE(store.AtomicWrite(2, AsSpan(Page(0x77))).ok());
   store.disk_b().CorruptPage(2);
   Result<std::size_t> repaired = store.Repair();
@@ -143,7 +143,7 @@ TEST(DuplexedStore, RepairHealsDecay) {
 }
 
 TEST(DuplexedStore, DoubleFaultIsDetected) {
-  DuplexedStore store(4);
+  ReplicatedStore store(4, /*replicas=*/2);
   ASSERT_TRUE(store.AtomicWrite(0, AsSpan(Page(0x88))).ok());
   store.disk_a().CorruptPage(0);
   store.disk_b().CorruptPage(0);
