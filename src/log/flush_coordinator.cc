@@ -109,9 +109,10 @@ Status FlushCoordinator::ForceOffset(std::uint64_t offset, std::optional<std::ui
       }
       std::uint64_t batch = pending_requests_;
       obs::EmitBegin("log.force.batch", batch, offset);
-      // Other requesters can enqueue while the medium append runs. Stagers
-      // and cache reads still wait: StableLog::Force holds the log mutex
-      // across the append, and ReadCache::AppendThrough the cache mutex.
+      // Other requesters enqueue, and stagers stage the next batch, while
+      // the medium append runs: StableLog::Force releases the log mutex
+      // around it. Reads that fetch a durable frame from the medium still
+      // wait, on the cache mutex that ReadCache::AppendThrough holds.
       l.unlock();
       Status s = log_->Force();
       l.lock();

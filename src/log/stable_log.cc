@@ -60,7 +60,8 @@ StableLog::StableLog(std::unique_ptr<StableMedium> medium, obs::Scope scope)
       medium_(std::move(medium)),
       cache_(medium_.get(), scope_) {
   ARGUS_CHECK(medium_ != nullptr);
-  needs_scan_ = medium_->durable_size() > 0;
+  durable_size_ = medium_->durable_size();
+  needs_scan_ = durable_size_ > 0;
 }
 
 LogAddress StableLog::Write(const LogEntry& entry) {
@@ -70,7 +71,7 @@ LogAddress StableLog::Write(const LogEntry& entry) {
 
 LogAddress StableLog::WriteLocked(const LogEntry& entry) {
   std::vector<std::byte> payload = EncodeEntry(entry);
-  std::uint64_t offset = medium_->durable_size() + staged_.size();
+  std::uint64_t offset = durable_size_ + inflight_.size() + staged_.size();
 
   StoreU32(static_cast<std::uint32_t>(payload.size()), staged_);
   staged_.insert(staged_.end(), payload.begin(), payload.end());
@@ -85,9 +86,8 @@ LogAddress StableLog::WriteLocked(const LogEntry& entry) {
 }
 
 Result<LogAddress> StableLog::ForceWrite(const LogEntry& entry) {
-  std::lock_guard<std::mutex> l(mu_);
-  LogAddress addr = WriteLocked(entry);
-  Status s = ForceLocked();
+  LogAddress addr = Write(entry);
+  Status s = Force();
   if (!s.ok()) {
     return s;
   }
@@ -95,28 +95,49 @@ Result<LogAddress> StableLog::ForceWrite(const LogEntry& entry) {
 }
 
 Status StableLog::Force() {
+  std::lock_guard<std::mutex> force(force_mu_);
+  std::optional<LogAddress> batch_top;
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    if (needs_scan_) {
+      return Status::Unavailable("log opened over existing bytes: RecoverAfterCrash() first");
+    }
+    if (staged_.empty()) {
+      return Status::Ok();
+    }
+    inflight_.swap(staged_);  // the empty in-flight buffer lends staged_ its capacity
+    inflight_entry_count_ = std::exchange(staged_entry_count_, 0);
+    batch_top = last_staged_;
+  }
+  // The device write runs without mu_: stagers stage the next batch behind
+  // it, and readers copy frames out of either buffer.
+  Status s = cache_.AppendThrough(AsSpan(inflight_));
   std::lock_guard<std::mutex> l(mu_);
-  return ForceLocked();
-}
-
-Status StableLog::ForceLocked() {
-  if (needs_scan_) {
-    return Status::Unavailable("log opened over existing bytes: RecoverAfterCrash() first");
-  }
-  if (staged_.empty()) {
-    return Status::Ok();
-  }
-  Status s = cache_.AppendThrough(AsSpan(staged_));
   if (!s.ok()) {
+    // Nothing became durable: the batch goes back in front of whatever was
+    // staged meanwhile, every frame at the address it was given.
+    inflight_.insert(inflight_.end(), staged_.begin(), staged_.end());
+    inflight_.swap(staged_);
+    inflight_.clear();
+    staged_entry_count_ += std::exchange(inflight_entry_count_, 0);
     return s;
   }
+  durable_size_ += inflight_.size();
+  last_forced_ = batch_top;
   metrics_.forces->Increment();
-  metrics_.bytes_forced->Add(staged_.size());
-  metrics_.batch_entries->Record(staged_entry_count_);
-  staged_.clear();
-  staged_entry_count_ = 0;
-  last_forced_ = last_staged_;
+  metrics_.bytes_forced->Add(inflight_.size());
+  metrics_.batch_entries->Record(std::exchange(inflight_entry_count_, 0));
+  inflight_.clear();
   return Status::Ok();
+}
+
+std::pair<std::span<const std::byte>, std::uint64_t> StableLog::VolatileBytesLocked(
+    std::uint64_t offset) const {
+  const std::uint64_t at = offset - durable_size_;
+  if (at < inflight_.size()) {
+    return {AsSpan(inflight_), at};
+  }
+  return {AsSpan(staged_), at - inflight_.size()};
 }
 
 Result<LogEntry> StableLog::Read(LogAddress address) const {
@@ -136,16 +157,17 @@ Result<StableLog::FrameView> StableLog::ReadFrameView(LogAddress address,
   std::uint64_t durable = 0;
   {
     std::lock_guard<std::mutex> l(mu_);
-    durable = medium_->durable_size();
+    durable = durable_size_;
     if (address.offset >= durable) {
-      // A staged frame: copy it out before a force can move the boundary.
-      const std::uint64_t at = address.offset - durable;
-      if (at + kFrameOverhead > staged_.size()) {
+      // An in-flight or staged frame: copy it out before a force can move
+      // the boundary.
+      const auto [bytes, at] = VolatileBytesLocked(address.offset);
+      if (at + kFrameOverhead > bytes.size()) {
         return Status::NotFound("log address beyond end");
       }
-      std::span<const std::byte> frame = AsSpan(staged_).subspan(at);
+      std::span<const std::byte> frame = bytes.subspan(at);
       const std::uint32_t len = LoadU32(frame);
-      if (at + kFrameOverhead + len > staged_.size()) {
+      if (at + kFrameOverhead + len > bytes.size()) {
         return Status::Corruption("frame length exceeds log extent");
       }
       if (Status s = CheckFrame(frame.first(kFrameOverhead + len)); !s.ok()) {
@@ -218,14 +240,18 @@ Result<std::optional<std::uint64_t>> StableLog::PreviousFrameOffset(std::uint64_
   std::uint32_t prev_len = 0;
   {
     std::lock_guard<std::mutex> l(mu_);
-    durable = medium_->durable_size();
+    durable = durable_size_;
     if (offset > durable) {
-      // The previous frame ends past the boundary, so it is staged too.
-      const std::uint64_t at = offset - durable;
-      if (at < 4 || at > staged_.size()) {
+      // The previous frame ends past the boundary, so it is in flight or
+      // staged too, and whole in one buffer.
+      if (offset - durable < 4) {
         return Status::Corruption("previous frame trailer out of range");
       }
-      prev_len = LoadU32(AsSpan(staged_).subspan(at - 4, 4));
+      const auto [bytes, at] = VolatileBytesLocked(offset - 4);
+      if (at + 4 > bytes.size()) {
+        return Status::Corruption("previous frame trailer out of range");
+      }
+      prev_len = LoadU32(bytes.subspan(at, 4));
     }
   }
   if (offset <= durable) {
@@ -264,17 +290,17 @@ std::optional<LogAddress> StableLog::GetTop() const {
 
 std::uint64_t StableLog::end_offset() const {
   std::lock_guard<std::mutex> l(mu_);
-  return medium_->durable_size() + staged_.size();
+  return durable_size_ + inflight_.size() + staged_.size();
 }
 
 std::uint64_t StableLog::staged_bytes() const {
   std::lock_guard<std::mutex> l(mu_);
-  return staged_.size();
+  return inflight_.size() + staged_.size();
 }
 
 std::uint64_t StableLog::staged_entries() const {
   std::lock_guard<std::mutex> l(mu_);
-  return staged_entry_count_;
+  return inflight_entry_count_ + staged_entry_count_;
 }
 
 bool StableLog::empty() const {
@@ -284,7 +310,7 @@ bool StableLog::empty() const {
 
 std::uint64_t StableLog::durable_size() const {
   std::lock_guard<std::mutex> l(mu_);
-  return medium_->durable_size();
+  return durable_size_;
 }
 
 std::uint64_t StableLog::entries_written() const {
@@ -330,6 +356,9 @@ Result<std::optional<std::pair<LogAddress, LogEntry>>> StableLog::ForwardCursor:
 }
 
 Status StableLog::RecoverAfterCrash() {
+  // A restart waits for an append in flight, and then finds the in-flight
+  // buffer empty.
+  std::lock_guard<std::mutex> force(force_mu_);
   std::lock_guard<std::mutex> l(mu_);
   staged_.clear();
   staged_entry_count_ = 0;
@@ -338,6 +367,7 @@ Status StableLog::RecoverAfterCrash() {
   needs_scan_ = true;
 
   Status s = medium_->RecoverAfterCrash();
+  durable_size_ = medium_->durable_size();
   if (!s.ok()) {
     return s;
   }
@@ -348,7 +378,7 @@ Status StableLog::RecoverAfterCrash() {
 
   // Scan frames forward to find the last whole frame. The ascending frame
   // reads make the cache prefetch ahead of the scan.
-  const std::uint64_t durable = medium_->durable_size();
+  const std::uint64_t durable = durable_size_;
   std::uint64_t offset = 0;
   std::optional<LogAddress> top;
   while (offset + kFrameOverhead <= durable) {
@@ -379,6 +409,7 @@ Status StableLog::RecoverAfterCrash() {
     // Only a medium whose appends can tear cuts the bytes off; the default
     // reports them as damage.
     s = medium_->TruncateTornTail(offset);
+    durable_size_ = medium_->durable_size();
     if (!s.ok()) {
       return s;
     }

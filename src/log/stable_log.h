@@ -28,24 +28,34 @@
 // (StableMedium::TruncateTornTail). Every other bad frame is damage: the scan
 // returns Corruption and changes no byte.
 //
-// Thread-safety: every public operation is internally synchronized by one
-// coarse mutex, so N actions may stage and read concurrently. Force() holds
-// the mutex across the medium append — concurrent writers briefly block
-// during a physical flush, which is what makes "force one entry ⇒ every
-// older staged entry is durable" trivially true under concurrency. Callers
-// who want their forces *coalesced* (one physical append serving many
-// concurrent force_writes) go through the FlushCoordinator in
-// src/log/flush_coordinator.h rather than calling Force() from every thread.
-// RecoverAfterCrash() and the accessors returning references still assume a
-// quiescent log (recovery and housekeeping are single-threaded phases).
+// Thread-safety: every public operation is internally synchronized, so N
+// actions may stage and read concurrently. A force is pipelined: under the
+// log mutex it moves the whole staged tail into an in-flight buffer, appends
+// that buffer with the log mutex released, and takes the mutex again to
+// publish the new durable size and top. Stagers therefore keep staging into
+// the next batch while the device writes this one. A force mutex, taken
+// before the log mutex, lets one append run at a time, in staging order, so
+// "force one entry ⇒ every older staged entry is durable" still holds, and a
+// Force() that finds nothing staged still waits for an append in flight. The
+// log owns its durable size: it asks the medium only when it is built and in
+// RecoverAfterCrash(), because the medium's count moves during an append that
+// runs outside the log mutex. Callers who want their forces *coalesced* (one
+// physical append serving many concurrent force_writes) go through the
+// FlushCoordinator in src/log/flush_coordinator.h rather than calling Force()
+// from every thread. RecoverAfterCrash() waits for an append in flight; it
+// and the accessors returning references still assume no concurrent stager
+// or reader (recovery and housekeeping are single-threaded phases).
 //
 // Every frame read — Read, ReadFrameView, ReadMany, both cursors and the
-// recovery scan — goes through one reader. A staged frame is copied out of
-// the staged tail under the same mutex acquisition that reads the
-// durable/staged boundary. A durable frame is read through a block ReadCache
-// (src/stable/read_cache) whose mutex is the single funnel for all medium
-// access, without holding the log mutex for the medium fetch, CRC check, or
-// decode, and its framing is checked once per cache residence.
+// recovery scan — goes through one reader. A frame past the durable size is
+// copied out of the in-flight or the staged buffer under the same mutex
+// acquisition that reads the boundary; a force appends whole frames, so no
+// frame straddles the two buffers. A durable frame is read through a block
+// ReadCache (src/stable/read_cache) whose mutex is the single funnel for all
+// medium access, without holding the log mutex for the medium fetch, CRC
+// check, or decode, and its framing is checked once per cache residence. The
+// append runs under that cache mutex too, so a read that must fetch a durable
+// frame from the medium still waits out an append.
 
 #ifndef SRC_LOG_STABLE_LOG_H_
 #define SRC_LOG_STABLE_LOG_H_
@@ -53,6 +63,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #include "src/log/entry_codec.h"
 #include "src/log/log_entry.h"
@@ -76,11 +87,15 @@ class StableLog {
   // durable at the next Force()/ForceWrite().
   LogAddress Write(const LogEntry& entry);
 
-  // Stages `entry` then durably flushes the whole staged tail.
+  // Stages `entry` then durably flushes the whole staged tail (Write then
+  // Force; the force may carry entries other threads staged in between).
   Result<LogAddress> ForceWrite(const LogEntry& entry);
 
-  // Durably flushes the staged tail (group commit). Unavailable on a log
-  // opened over a non-empty medium until RecoverAfterCrash() has run.
+  // Durably flushes everything staged before the call (group commit). Waits
+  // for an append in flight, then appends the whole staged tail. On failure
+  // every frame stays staged at its address, so a retry appends all of them.
+  // Unavailable on a log opened over a non-empty medium until
+  // RecoverAfterCrash() has run.
   Status Force();
 
   // Reads the entry at `address`. Staged (not yet forced) entries are
@@ -167,7 +182,7 @@ class StableLog {
   // End offset of everything written so far (forced or staged).
   std::uint64_t end_offset() const;
 
-  // Bytes / entries staged but not yet forced.
+  // Bytes / entries staged but not yet durable (in-flight ones included).
   std::uint64_t staged_bytes() const;
   std::uint64_t staged_entries() const;
 
@@ -205,7 +220,12 @@ class StableLog {
   static constexpr std::uint64_t kFrameProbeLen = 256;
 
   LogAddress WriteLocked(const LogEntry& entry);
-  Status ForceLocked();
+
+  // The buffer that holds the not-yet-durable byte at `offset` (at or past
+  // durable_size_) — the in-flight batch or the staged tail — and the byte's
+  // position in it. Requires mu_.
+  std::pair<std::span<const std::byte>, std::uint64_t> VolatileBytesLocked(
+      std::uint64_t offset) const;
 
   // Reads the durable frame at `offset` against a snapshot `durable` of the
   // durable extent, without mu_ (a caller may hold it: mu_ -> cache mutex is
@@ -229,10 +249,19 @@ class StableLog {
 
   const obs::Scope scope_;
   const Metrics metrics_;
+  // Lock order: force_mu_ -> mu_ -> the cache's mutex. mu_ is never held
+  // across an append.
+  std::mutex force_mu_;  // one append at a time, in staging order
   mutable std::mutex mu_;
   std::unique_ptr<StableMedium> medium_;
   mutable ReadCache cache_;                // all durable reads + appends funnel here
-  std::vector<std::byte> staged_;          // encoded frames not yet forced
+  std::uint64_t durable_size_ = 0;         // the log's own count of durable bytes
+  // The batch a force is appending with mu_ released: written only under
+  // force_mu_ and mu_ together, so the appending force reads it under
+  // force_mu_ alone. Empty whenever force_mu_ is free.
+  std::vector<std::byte> inflight_;
+  std::uint64_t inflight_entry_count_ = 0;
+  std::vector<std::byte> staged_;          // encoded frames behind the in-flight batch
   std::uint64_t staged_entry_count_ = 0;
   std::optional<LogAddress> last_forced_;  // top
   std::optional<LogAddress> last_staged_;  // last written (forced or not)

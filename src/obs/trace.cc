@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <deque>
 #include <memory>
 #include <mutex>
 
@@ -27,7 +28,6 @@ struct Ring {
   std::uint32_t tid = 0;
   std::uint64_t next_seq = 0;  // owner-thread only
   std::atomic<std::uint64_t> head{0};
-  std::atomic<bool> retired{false};  // owner thread exited
   Slot slots[kFlightRecorderCapacity];
 
   void Append(const char* name, EventKind kind, std::uint64_t a, std::uint64_t b,
@@ -73,7 +73,8 @@ struct Ring {
 
 struct RingRegistry {
   std::mutex mu;
-  std::vector<std::shared_ptr<Ring>> rings;  // kept past thread exit for dumps
+  std::vector<std::shared_ptr<Ring>> live;    // rings of running threads
+  std::deque<std::shared_ptr<Ring>> retired;  // exited threads' rings, oldest first
   std::uint32_t next_tid = 0;
 };
 
@@ -87,13 +88,20 @@ void CheckFailureDump() {
   std::fflush(stderr);
 }
 
-// Marks the ring retired when its thread exits (the registry keeps the ring
-// itself alive for post-mortem dumps).
+// Retires the ring when its thread exits: the registry keeps it for
+// post-mortem dumps, and drops the oldest retired ring past the cap.
 struct ThreadRingHandle {
   std::shared_ptr<Ring> ring;
   ~ThreadRingHandle() {
-    if (ring) {
-      ring->retired.store(true, std::memory_order_release);
+    if (!ring) {
+      return;
+    }
+    RingRegistry& reg = Rings();
+    std::lock_guard<std::mutex> l(reg.mu);
+    std::erase(reg.live, ring);
+    reg.retired.push_back(std::move(ring));
+    if (reg.retired.size() > kMaxRetiredFlightRecorders) {
+      reg.retired.pop_front();
     }
   }
 };
@@ -106,7 +114,7 @@ Ring* ThisThreadRing() {
     {
       std::lock_guard<std::mutex> l(reg.mu);
       ring->tid = reg.next_tid++;
-      reg.rings.push_back(ring);
+      reg.live.push_back(ring);
     }
     // Fatal errors anywhere in the process should come with event history;
     // install once, as soon as any thread traces.
@@ -129,6 +137,20 @@ SinkState& Sink() {
 }
 
 std::atomic<bool> g_sink_active{false};
+
+// Every kept ring, live and retired, in tid order.
+std::vector<std::shared_ptr<Ring>> KeptRings() {
+  std::vector<std::shared_ptr<Ring>> rings;
+  {
+    RingRegistry& reg = Rings();
+    std::lock_guard<std::mutex> l(reg.mu);
+    rings = reg.live;
+    rings.insert(rings.end(), reg.retired.begin(), reg.retired.end());
+  }
+  std::sort(rings.begin(), rings.end(),
+            [](const auto& x, const auto& y) { return x->tid < y->tid; });
+  return rings;
+}
 
 void EmitImpl(const char* name, EventKind kind, std::uint64_t a, std::uint64_t b,
               std::uint64_t c) {
@@ -172,30 +194,20 @@ void EmitEnd(const char* name, std::uint64_t a, std::uint64_t b, std::uint64_t c
 }
 
 std::vector<TraceEvent> SnapshotFlightRecorders() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    RingRegistry& reg = Rings();
-    std::lock_guard<std::mutex> l(reg.mu);
-    rings = reg.rings;
-  }
-  std::sort(rings.begin(), rings.end(),
-            [](const auto& x, const auto& y) { return x->tid < y->tid; });
   std::vector<TraceEvent> out;
-  for (const auto& ring : rings) {
+  for (const auto& ring : KeptRings()) {
     ring->SnapshotInto(out);
   }
   return out;
 }
 
 std::string DumpFlightRecorders() {
-  std::vector<TraceEvent> events = SnapshotFlightRecorders();
-  std::uint32_t threads = 0;
-  {
-    RingRegistry& reg = Rings();
-    std::lock_guard<std::mutex> l(reg.mu);
-    threads = static_cast<std::uint32_t>(reg.rings.size());
+  const std::vector<std::shared_ptr<Ring>> rings = KeptRings();
+  std::vector<TraceEvent> events;
+  for (const auto& ring : rings) {
+    ring->SnapshotInto(events);
   }
-  std::string out = "=== flight recorder (" + std::to_string(threads) + " threads) ===\n";
+  std::string out = "=== flight recorder (" + std::to_string(rings.size()) + " threads) ===\n";
   std::uint32_t current_tid = 0;
   bool first = true;
   for (const TraceEvent& e : events) {
@@ -218,15 +230,14 @@ void DumpFlightRecordersTo(std::FILE* out) {
 void ResetTraceForTest() {
   RingRegistry& reg = Rings();
   std::lock_guard<std::mutex> l(reg.mu);
-  std::erase_if(reg.rings,
-                [](const auto& ring) { return ring->retired.load(std::memory_order_acquire); });
-  for (auto& ring : reg.rings) {
+  reg.retired.clear();
+  for (auto& ring : reg.live) {
     ring->Clear();
   }
   // Surviving rings keep their tids; fresh threads continue just past them so
   // a re-run hands out the same dense tids as the first run did.
   std::uint32_t max_tid = 0;
-  for (const auto& ring : reg.rings) {
+  for (const auto& ring : reg.live) {
     max_tid = std::max(max_tid, ring->tid + 1);
   }
   reg.next_tid = max_tid;

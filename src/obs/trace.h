@@ -88,8 +88,16 @@ class TraceSpan {
 // crashing batch.
 inline constexpr std::size_t kFlightRecorderCapacity = 512;
 
-// Snapshot of every registered ring, oldest event first within each thread,
-// threads in tid order. Exact when owners are quiescent (see header comment).
+// Rings of exited threads that dumps keep: a thread that exits past this
+// many drops the oldest retired ring. Live rings always stay, so a dump still
+// shows every parked worker and the last run's exited threads. Without the
+// cap, a process that restarts its service threads at every crash formats
+// hundreds of dead rings in each crash dump.
+inline constexpr std::size_t kMaxRetiredFlightRecorders = 64;
+
+// Snapshot of every kept ring (live, and the newest retired ones), oldest
+// event first within each thread, threads in tid order. Exact when owners are
+// quiescent (see header comment).
 std::vector<TraceEvent> SnapshotFlightRecorders();
 
 // The standard dump: FormatEvent per line, one block per thread, prefixed

@@ -1,11 +1,16 @@
 // Group commit under real concurrency: N threads force-writing through one
-// FlushCoordinator, and parallel Prepare/Commit/Abort on shared guardians via
-// the concurrent workload driver. Run under -DARGUS_SANITIZE=thread to check
-// the locking discipline, not just the results.
+// FlushCoordinator, stagers and readers working while a force's append is
+// parked, and parallel Prepare/Commit/Abort on shared guardians via the
+// concurrent workload driver. Run under -DARGUS_SANITIZE=thread to check the
+// locking discipline, not just the results.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -23,6 +28,169 @@ DataEntry MakeData(std::uint64_t tag) {
   e.aid = Aid(tag);
   e.value = std::vector<std::byte>(16, std::byte{static_cast<std::uint8_t>(tag & 0xff)});
   return e;
+}
+
+// An in-memory medium whose next Append, once armed, announces that it has
+// entered and parks until Release(); it then appends, or fails with IoError
+// when armed to fail.
+class ParkingMedium final : public StableMedium {
+ public:
+  void Arm(bool fail) {
+    std::lock_guard<std::mutex> l(mu_);
+    armed_ = true;
+    fail_ = fail;
+    entered_ = false;
+    released_ = false;
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> l(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Status Append(std::span<const std::byte> data) override {
+    {
+      std::unique_lock<std::mutex> l(mu_);
+      if (armed_) {
+        armed_ = false;
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(l, [this] { return released_; });
+        if (fail_) {
+          return Status::IoError("injected append failure");
+        }
+      }
+    }
+    return inner_.Append(data);
+  }
+  Result<std::vector<std::byte>> Read(std::uint64_t offset, std::uint64_t len) override {
+    return inner_.Read(offset, len);
+  }
+  std::uint64_t durable_size() const override { return inner_.durable_size(); }
+  std::uint64_t physical_bytes_written() const override {
+    return inner_.physical_bytes_written();
+  }
+
+ private:
+  InMemoryStableMedium inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool fail_ = false;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// The tag MakeData gave the data entry at `address`, or nullopt.
+std::optional<std::uint64_t> TagAt(const StableLog& log, LogAddress address) {
+  Result<LogEntry> entry = log.Read(address);
+  if (!entry.ok() || !std::holds_alternative<DataEntry>(entry.value())) {
+    return std::nullopt;
+  }
+  return std::get<DataEntry>(entry.value()).aid.sequence;
+}
+
+// Addresses a backward walk from the top finds, newest first.
+std::vector<LogAddress> WalkBackFromTop(const StableLog& log) {
+  std::vector<LogAddress> found;
+  StableLog::BackwardCursor cursor = log.ReadBackwardFromTop();
+  for (;;) {
+    auto next = cursor.Next();
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok() || !next.value().has_value()) {
+      return found;
+    }
+    found.push_back(next.value()->first);
+  }
+}
+
+// What a third thread saw while a force of the staged entry A was parked in
+// its append: it staged B, read A and B back, and read the log's end.
+struct ParkedForce {
+  Status force = Status::Ok();
+  bool stager_returned = false;  // within the bounded wait
+  LogAddress b;
+  std::optional<std::uint64_t> tag_a;
+  std::optional<std::uint64_t> tag_b;
+  std::uint64_t end_offset = 0;
+};
+
+ParkedForce StageWhileAForceIsParked(StableLog& log, ParkingMedium& medium, LogAddress a,
+                                     bool fail) {
+  medium.Arm(fail);
+  std::future<Status> force = std::async(std::launch::async, [&log] { return log.Force(); });
+  medium.WaitEntered();
+  std::future<ParkedForce> stager = std::async(std::launch::async, [&log, a] {
+    ParkedForce seen;
+    seen.b = log.Write(LogEntry(MakeData(2)));
+    seen.tag_a = TagAt(log, a);
+    seen.tag_b = TagAt(log, seen.b);
+    seen.end_offset = log.end_offset();
+    return seen;
+  });
+  // Bounded, so that a log which makes the stager wait out the append fails
+  // here instead of hanging: the latch opens whatever happened.
+  const bool returned = stager.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  medium.Release();
+  ParkedForce seen = stager.get();
+  seen.stager_returned = returned;
+  seen.force = force.get();
+  return seen;
+}
+
+TEST(PipelinedForce, StagingAndReadsProceedWhileAnAppendIsParked) {
+  auto owned = std::make_unique<ParkingMedium>();
+  ParkingMedium& medium = *owned;
+  StableLog log(std::move(owned));
+  const LogAddress a = log.Write(LogEntry(MakeData(1)));
+
+  ParkedForce seen = StageWhileAForceIsParked(log, medium, a, /*fail=*/false);
+  ASSERT_TRUE(seen.force.ok()) << seen.force.ToString();
+  EXPECT_TRUE(seen.stager_returned) << "staging waited for the parked append";
+  EXPECT_EQ(seen.tag_a, 1u) << "A, in flight, did not read back";
+  EXPECT_EQ(seen.tag_b, 2u) << "B, staged, did not read back";
+  // B was staged behind the in-flight batch: the force made A durable and
+  // left B at the durable size it reached.
+  EXPECT_EQ(seen.b.offset, log.durable_size());
+  EXPECT_EQ(seen.end_offset, log.end_offset());
+  EXPECT_EQ(log.GetTop(), a);
+  EXPECT_EQ(log.staged_entries(), 1u);
+
+  ASSERT_TRUE(log.Force().ok());
+  EXPECT_EQ(log.durable_size(), seen.end_offset);
+  EXPECT_EQ(log.GetTop(), seen.b);
+  EXPECT_EQ(WalkBackFromTop(log), (std::vector<LogAddress>{seen.b, a}));
+}
+
+TEST(PipelinedForce, FailedParkedAppendKeepsStagingOrder) {
+  auto owned = std::make_unique<ParkingMedium>();
+  ParkingMedium& medium = *owned;
+  StableLog log(std::move(owned));
+  const LogAddress a = log.Write(LogEntry(MakeData(1)));
+
+  ParkedForce seen = StageWhileAForceIsParked(log, medium, a, /*fail=*/true);
+  EXPECT_EQ(seen.force.code(), ErrorCode::kIoError) << seen.force.ToString();
+  EXPECT_TRUE(seen.stager_returned) << "staging waited for the parked append";
+  // Nothing is durable, and both entries stay staged where they were put:
+  // A first, B right behind it.
+  EXPECT_EQ(log.durable_size(), 0u);
+  EXPECT_FALSE(log.GetTop().has_value());
+  EXPECT_EQ(log.staged_entries(), 2u);
+  EXPECT_GT(seen.b.offset, a.offset);
+  EXPECT_EQ(TagAt(log, a), 1u);
+  EXPECT_EQ(TagAt(log, seen.b), 2u);
+  EXPECT_EQ(log.end_offset(), seen.end_offset);
+
+  // A retry appends both.
+  ASSERT_TRUE(log.Force().ok());
+  EXPECT_EQ(log.durable_size(), seen.end_offset);
+  EXPECT_EQ(log.staged_entries(), 0u);
+  EXPECT_EQ(log.GetTop(), seen.b);
+  EXPECT_EQ(WalkBackFromTop(log), (std::vector<LogAddress>{seen.b, a}));
 }
 
 TEST(FlushCoordinator, ConcurrentForceWritesAllDurableAndCoalesced) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -180,6 +181,30 @@ TEST(ObsTrace, RingKeepsOnlyTheLastCapacityEvents) {
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
   }
+}
+
+// The thread count in a dump's "=== flight recorder (N threads) ===" header.
+std::size_t DumpedThreads(const std::string& dump) {
+  const std::string header = "=== flight recorder (";
+  EXPECT_EQ(dump.rfind(header, 0), 0u) << dump.substr(0, 80);
+  return std::stoul(dump.substr(header.size()));
+}
+
+TEST(ObsTrace, DumpKeepsOnlyTheNewestRetiredRings) {
+  obs::ResetTraceForTest();
+  obs::Emit("test.retire.main");  // registers this thread's ring
+  // After the reset only live rings remain: in a fresh process, this thread's.
+  const std::size_t live = DumpedThreads(obs::DumpFlightRecorders());
+  constexpr std::size_t kExited = obs::kMaxRetiredFlightRecorders + 8;
+  for (std::size_t i = 0; i < kExited; ++i) {
+    std::thread([i] { obs::Emit("test.retire.ev", i); }).join();
+  }
+  const std::string dump = obs::DumpFlightRecorders();
+  EXPECT_LE(DumpedThreads(dump), obs::kMaxRetiredFlightRecorders + live);
+  EXPECT_NE(dump.find("test.retire.ev a=" + std::to_string(kExited - 1) + " "),
+            std::string::npos);
+  EXPECT_EQ(dump.find("test.retire.ev a=0 "), std::string::npos);
+  EXPECT_NE(dump.find("test.retire.main"), std::string::npos);
 }
 
 TEST(ObsTrace, DisabledEmitsNothing) {
