@@ -118,9 +118,10 @@ std::unique_ptr<StableLog> BuildDemoLog() {
     Result<ModifiedObjectsSet> leftover = rs->WriteEntry(t3, ctx.TakeMos());
     ARGUS_CHECK(leftover.ok());
     ARGUS_CHECK(rs->Prepare(t3, {}).ok());
-    ARGUS_CHECK(rs->Committing(t3, {GuardianId{0}}).ok());
+    ARGUS_CHECK(rs->WaitDurable(rs->StageCommitting(t3, {GuardianId{0}})).ok());
     ARGUS_CHECK(rs->Commit(t3).ok());
-    ARGUS_CHECK(rs->Done(t3).ok());
+    // Done is only staged; force it so the inspected log shows it.
+    ARGUS_CHECK(rs->WaitDurable(rs->StageDone(t3)).ok());
     ctx.CommitVolatile(*heap);
   }
   return rs->TakeLog();

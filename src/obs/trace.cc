@@ -193,24 +193,23 @@ void EmitEnd(const char* name, std::uint64_t a, std::uint64_t b, std::uint64_t c
   EmitImpl(name, EventKind::kEnd, a, b, c);
 }
 
-std::vector<TraceEvent> SnapshotFlightRecorders() {
-  std::vector<TraceEvent> out;
-  for (const auto& ring : KeptRings()) {
-    ring->SnapshotInto(out);
+std::vector<TraceEvent> SnapshotFlightRecorders() { return CaptureFlightRecorders().events; }
+
+FlightRecorderCapture CaptureFlightRecorders() {
+  const std::vector<std::shared_ptr<Ring>> rings = KeptRings();
+  FlightRecorderCapture capture;
+  capture.threads = rings.size();
+  for (const auto& ring : rings) {
+    ring->SnapshotInto(capture.events);
   }
-  return out;
+  return capture;
 }
 
-std::string DumpFlightRecorders() {
-  const std::vector<std::shared_ptr<Ring>> rings = KeptRings();
-  std::vector<TraceEvent> events;
-  for (const auto& ring : rings) {
-    ring->SnapshotInto(events);
-  }
-  std::string out = "=== flight recorder (" + std::to_string(rings.size()) + " threads) ===\n";
+std::string FormatFlightRecorders(const FlightRecorderCapture& capture) {
+  std::string out = "=== flight recorder (" + std::to_string(capture.threads) + " threads) ===\n";
   std::uint32_t current_tid = 0;
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (const TraceEvent& e : capture.events) {
     if (first || e.tid != current_tid) {
       out += "--- thread " + std::to_string(e.tid) + " ---\n";
       current_tid = e.tid;
@@ -221,6 +220,8 @@ std::string DumpFlightRecorders() {
   }
   return out;
 }
+
+std::string DumpFlightRecorders() { return FormatFlightRecorders(CaptureFlightRecorders()); }
 
 void DumpFlightRecordersTo(std::FILE* out) {
   std::fputs(DumpFlightRecorders().c_str(), out);

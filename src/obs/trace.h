@@ -100,8 +100,19 @@ inline constexpr std::size_t kMaxRetiredFlightRecorders = 64;
 // quiescent (see header comment).
 std::vector<TraceEvent> SnapshotFlightRecorders();
 
+// The same snapshot plus the number of rings it read: everything a dump
+// shows, before any formatting. A caller that may never read its dump keeps
+// this and formats it only when asked.
+struct FlightRecorderCapture {
+  std::size_t threads = 0;
+  std::vector<TraceEvent> events;
+};
+FlightRecorderCapture CaptureFlightRecorders();
+
 // The standard dump: FormatEvent per line, one block per thread, prefixed
-// with "=== flight recorder (N threads) ===".
+// with "=== flight recorder (N threads) ===". DumpFlightRecorders() formats
+// a fresh capture.
+std::string FormatFlightRecorders(const FlightRecorderCapture& capture);
 std::string DumpFlightRecorders();
 void DumpFlightRecordersTo(std::FILE* out);
 

@@ -430,30 +430,26 @@ Status LogWriter::Abort(ActionId aid) {
   return WaitDurable(staged.value());
 }
 
-Status LogWriter::Committing(ActionId aid, std::vector<GuardianId> participants) {
-  StagedOutcome staged;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    const std::uint32_t home = HomeShardOf(aid);
-    LogAddress addr = WriteOutcome(LogEntry(CommittingEntry{aid, participants}), home);
-    obs::Emit("log.stage.committing", aid.sequence, addr.offset, participants.size());
-    open_coordinators_[aid] = std::move(participants);
-    staged.marks.push_back(StagedMark{home, addr, EpochOf(home)});
-  }
-  return WaitDurable(staged);
+StagedOutcome LogWriter::StageCommitting(ActionId aid, std::vector<GuardianId> participants) {
+  std::lock_guard<std::mutex> l(mu_);
+  const std::uint32_t home = HomeShardOf(aid);
+  LogAddress addr = WriteOutcome(LogEntry(CommittingEntry{aid, participants}), home);
+  obs::Emit("log.stage.committing", aid.sequence, addr.offset, participants.size());
+  open_coordinators_[aid] = std::move(participants);
+  StagedOutcome out;
+  out.marks.push_back(StagedMark{home, addr, EpochOf(home)});
+  return out;
 }
 
-Status LogWriter::Done(ActionId aid) {
-  StagedOutcome staged;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    const std::uint32_t home = HomeShardOf(aid);
-    LogAddress addr = WriteOutcome(LogEntry(DoneEntry{aid}), home);
-    obs::Emit("log.stage.done", aid.sequence, addr.offset);
-    open_coordinators_.erase(aid);
-    staged.marks.push_back(StagedMark{home, addr, EpochOf(home)});
-  }
-  return WaitDurable(staged);
+StagedOutcome LogWriter::StageDone(ActionId aid) {
+  std::lock_guard<std::mutex> l(mu_);
+  const std::uint32_t home = HomeShardOf(aid);
+  LogAddress addr = WriteOutcome(LogEntry(DoneEntry{aid}), home);
+  obs::Emit("log.stage.done", aid.sequence, addr.offset);
+  open_coordinators_.erase(aid);
+  StagedOutcome out;
+  out.marks.push_back(StagedMark{home, addr, EpochOf(home)});
+  return out;
 }
 
 Status LogWriter::WaitDurable(const StagedOutcome& staged) {

@@ -118,10 +118,14 @@ class LogWriter {
   Status Commit(ActionId aid);
   Status Abort(ActionId aid);
 
-  // committing(aid, gids)/done(aid): force the coordinator outcome entries
-  // on the action's home shard.
-  Status Committing(ActionId aid, std::vector<GuardianId> participants);
-  Status Done(ActionId aid);
+  // committing(aid, gids)/done(aid): stage the coordinator outcome entries on
+  // the action's home shard, and force neither. The caller makes its commit
+  // point durable with WaitDurable on the returned mark, or on a later mark
+  // of the same shard, which covers it (§3.1). Done rides whatever force
+  // comes next: a crash that loses it only makes the restarted coordinator
+  // re-send its verdict, which participants re-ack idempotently.
+  StagedOutcome StageCommitting(ActionId aid, std::vector<GuardianId> participants);
+  StagedOutcome StageDone(ActionId aid);
 
   // ---- Stage/force split (group commit) ----
   //

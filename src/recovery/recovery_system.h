@@ -5,7 +5,9 @@
 // are exactly those of §2.3:
 //   prepare(aid, MOS) · commit(aid) · abort(aid) · committing(aid, gids) ·
 //   done(aid) · recovery() · housekeeping()
-// plus write_entry(aid, MOS), the early-prepare operation of §4.4.
+// plus write_entry(aid, MOS), the early-prepare operation of §4.4. The
+// coordinator's committing and done records are staged, not forced: the
+// guardian forces its commit point itself and never forces done.
 //
 // Accounting: the instance counts into the metrics registry under its
 // guardian's id. Each shard's log, read cache, flush coordinator and repair
@@ -132,10 +134,11 @@ class RecoverySystem {
   }
   Status Commit(ActionId aid) { return writer_->Commit(aid); }
   Status Abort(ActionId aid) { return writer_->Abort(aid); }
-  Status Committing(ActionId aid, std::vector<GuardianId> participants) {
-    return writer_->Committing(aid, std::move(participants));
+  // Staged only; see LogWriter::StageCommitting.
+  StagedOutcome StageCommitting(ActionId aid, std::vector<GuardianId> participants) {
+    return writer_->StageCommitting(aid, std::move(participants));
   }
-  Status Done(ActionId aid) { return writer_->Done(aid); }
+  StagedOutcome StageDone(ActionId aid) { return writer_->StageDone(aid); }
 
   // ---- Stage/force split (group commit, see LogWriter) ----
   //

@@ -10,7 +10,8 @@ namespace argus {
 namespace {
 
 struct GuardianObs {
-  obs::Counter* commit_points;  // committing records written (the 2PC commit point)
+  obs::Counter* commit_points;  // committing records forced (the 2PC commit
+                                // point; a one-phase commit writes none)
   obs::Counter* aborts;         // coordinator-side abort verdicts
   obs::Counter* crashes;
   obs::Counter* restarts;
@@ -120,6 +121,16 @@ void Guardian::Send(GuardianId to, MessageType type, ActionId aid, bool positive
 Status Guardian::RequestCommit(ActionId aid) {
   ARGUS_CHECK(!crashed_);
   ARGUS_CHECK_MSG(aid.coordinator == gid_, "RequestCommit at a non-coordinator");
+  if (auto it = jobs_.find(aid); it != jobs_.end()) {
+    // A retry (a prepare or its ack may have been lost): ask again whoever has
+    // not answered. A decided action keeps its verdict.
+    if (it->second.phase == CoordinatorJob::Phase::kPreparing) {
+      for (GuardianId p : it->second.awaiting) {
+        Send(p, MessageType::kPrepare, aid);
+      }
+    }
+    return Status::Ok();
+  }
   std::set<GuardianId> participants = enlisted_[aid];
   if (HasContext(aid)) {
     participants.insert(gid_);  // the coordinator is also a participant
@@ -127,7 +138,6 @@ Status Guardian::RequestCommit(ActionId aid) {
 
   CoordinatorJob job;
   job.participants.assign(participants.begin(), participants.end());
-  job.awaiting = participants;
 
   if (participants.empty()) {
     // Nothing was modified anywhere; the action commits vacuously with no
@@ -138,39 +148,95 @@ Status Guardian::RequestCommit(ActionId aid) {
     return Status::Ok();
   }
 
+  // The coordinator's own share is prepared here, not by a message to itself.
+  const bool own_share = participants.erase(gid_) > 0;
+  job.awaiting = participants;
   job.started_at = clock_;
   jobs_[aid] = std::move(job);
-  obs::EmitBegin("tpc.2pc", aid.sequence, participants.size(), gid_.value);
+  obs::EmitBegin("tpc.2pc", aid.sequence, jobs_[aid].participants.size(), gid_.value);
+  if (own_share && !PrepareOwnShare(aid)) {
+    AbortOnNoVote(aid);
+    return Status::Ok();
+  }
+  if (participants.empty()) {
+    // One-phase commit (R*): the coordinator is the only participant, so its
+    // committed record is the decision. It follows the prepared entry in the
+    // home log, and one force makes both durable (§3.1). No committing or
+    // done record and no message: a crash before the force leaves at most a
+    // prepared entry, which the restart presumes aborted (§2.2.3).
+    Status s = recovery_->Commit(aid);
+    ARGUS_CHECK_MSG(s.ok(), "commit log write failed");
+    CommitOwnShare(aid);
+    jobs_[aid].phase = CoordinatorJob::Phase::kDone;
+    obs::EmitEnd("tpc.2pc", aid.sequence, 1, gid_.value);
+    return Status::Ok();
+  }
   for (GuardianId p : participants) {
     Send(p, MessageType::kPrepare, aid);
   }
   return Status::Ok();
 }
 
+bool Guardian::PrepareOwnShare(ActionId aid) {
+  auto it = contexts_.find(aid);
+  if (it == contexts_.end()) {
+    return false;  // unknown here: the coordinator votes abort (§2.2.2)
+  }
+  Result<StagedOutcome> staged = recovery_->StagePrepareSharded(aid, it->second.TakeMos());
+  if (!staged.ok()) {
+    return false;
+  }
+  // Marks on the home shard precede the commit point's records in that log,
+  // so the commit-point force makes them durable (§3.1). Only the marks off
+  // it must be durable first (the cross-shard rule, see LogWriter); at one
+  // shard nothing is forced here.
+  StagedOutcome off_home;
+  const std::uint32_t home = recovery_->writer().HomeShardOf(aid);
+  for (const StagedMark& mark : staged.value().marks) {
+    if (mark.shard != home) {
+      off_home.marks.push_back(mark);
+    }
+  }
+  return recovery_->WaitDurable(off_home).ok();
+}
+
+void Guardian::CommitOwnShare(ActionId aid) {
+  auto it = contexts_.find(aid);
+  if (it != contexts_.end()) {
+    it->second.CommitVolatile(*heap_);
+    contexts_.erase(it);
+  }
+  local_outcomes_[aid] = ParticipantState::kCommitted;
+  prepared_at_.erase(aid);
+}
+
+void Guardian::AbortOnNoVote(ActionId aid) {
+  GuardianObs::Get().aborts->Increment();
+  obs::EmitEnd("tpc.2pc", aid.sequence, 0, gid_.value);
+  AbortTopAction(aid);
+}
+
 void Guardian::AbortTopAction(ActionId aid) {
   ARGUS_CHECK(!crashed_);
   auto it = jobs_.find(aid);
-  if (it != jobs_.end() && (it->second.phase == CoordinatorJob::Phase::kCommitting ||
-                            it->second.phase == CoordinatorJob::Phase::kDone)) {
+  auto outcome = local_outcomes_.find(aid);
+  if ((it != jobs_.end() && (it->second.phase == CoordinatorJob::Phase::kCommitting ||
+                             it->second.phase == CoordinatorJob::Phase::kDone)) ||
+      (outcome != local_outcomes_.end() && outcome->second == ParticipantState::kCommitted)) {
     return;  // past the commit point; the verdict is commit
   }
   // The coordinator writes nothing for an abort: after a crash the absence of
   // a committing record IS the abort (§2.2.3).
-  std::set<GuardianId> targets = enlisted_[aid];
-  if (HasContext(aid)) {
-    targets.insert(gid_);
-  }
-  if (it != jobs_.end()) {
-    it->second.phase = CoordinatorJob::Phase::kAborted;
-  } else {
-    CoordinatorJob job;
-    job.phase = CoordinatorJob::Phase::kAborted;
-    jobs_[aid] = std::move(job);
-  }
+  jobs_[aid].phase = CoordinatorJob::Phase::kAborted;
   local_outcomes_[aid] = ParticipantState::kAborted;
-  for (GuardianId p : targets) {
-    Send(p, MessageType::kAbort, aid);
+  for (GuardianId p : enlisted_[aid]) {
+    if (p != gid_) {
+      Send(p, MessageType::kAbort, aid);
+    }
   }
+  // The coordinator's own share aborts in place: this logs an aborted record
+  // only if it prepared, and releases its locks.
+  OnAbortDecision(aid);
 }
 
 void Guardian::RequeryOutstanding() {
@@ -310,13 +376,7 @@ void Guardian::OnCommitDecision(ActionId aid, GuardianId coordinator) {
                   "commit received for an action this participant aborted");
   Status s = recovery_->Commit(aid);
   ARGUS_CHECK_MSG(s.ok(), "commit log write failed");
-  auto it = contexts_.find(aid);
-  if (it != contexts_.end()) {
-    it->second.CommitVolatile(*heap_);
-    contexts_.erase(it);
-  }
-  local_outcomes_[aid] = ParticipantState::kCommitted;
-  prepared_at_.erase(aid);
+  CommitOwnShare(aid);
   Send(coordinator, MessageType::kCommitAck, aid);
 }
 
@@ -329,8 +389,8 @@ void Guardian::OnAbortDecision(ActionId aid) {
                   "abort received for an action this participant committed");
   // Idempotent by construction: Abort only logs for still-prepared actions,
   // and the context cleanup runs whether or not the outcome was already
-  // recorded (AbortTopAction records the outcome before the self-addressed
-  // abort message arrives — the locks must still be released here).
+  // recorded (AbortTopAction records the outcome before it aborts the
+  // coordinator's own share here — the locks must still be released).
   Status s = recovery_->Abort(aid);
   ARGUS_CHECK_MSG(s.ok(), "abort log write failed");
   auto it = contexts_.find(aid);
@@ -354,27 +414,42 @@ void Guardian::OnPrepareAck(const Message& m) {
     return;
   }
   if (!m.positive) {
-    job.phase = CoordinatorJob::Phase::kAborted;
-    local_outcomes_[m.aid] = ParticipantState::kAborted;
-    GuardianObs::Get().aborts->Increment();
-    obs::EmitEnd("tpc.2pc", m.aid.sequence, 0, gid_.value);
-    for (GuardianId p : job.participants) {
-      Send(p, MessageType::kAbort, m.aid);
-    }
+    AbortOnNoVote(m.aid);
     return;
   }
   job.awaiting.erase(m.from);
   if (!job.awaiting.empty()) {
     return;
   }
-  // Everyone prepared: write the committing record — the commit point.
-  Status s = recovery_->Committing(m.aid, job.participants);
+  // Everyone prepared: the commit point. When the coordinator did work too,
+  // its own committed record is staged after the committing record on the
+  // same home shard, and one force covers both, so a durable committed record
+  // always has its committing record before it (§3.1). A force torn between
+  // the two leaves committing without committed: the restart re-sends commit
+  // and its own in-doubt query resolves the share.
+  StagedOutcome decision = recovery_->StageCommitting(m.aid, job.participants);
+  std::vector<GuardianId> remote;
+  for (GuardianId p : job.participants) {
+    if (p != gid_) {
+      remote.push_back(p);
+    }
+  }
+  const bool own_share = remote.size() < job.participants.size();
+  if (own_share) {
+    Result<StagedOutcome> committed = recovery_->StageCommitSharded(m.aid);
+    ARGUS_CHECK_MSG(committed.ok(), "commit log write failed");
+    decision = std::move(committed.value());
+  }
+  Status s = recovery_->WaitDurable(decision);
   ARGUS_CHECK_MSG(s.ok(), "committing log write failed");
   GuardianObs::Get().commit_points->Increment();
   obs::Emit("tpc.commit_point", m.aid.sequence, job.participants.size(), gid_.value);
+  if (own_share) {
+    CommitOwnShare(m.aid);
+  }
   job.phase = CoordinatorJob::Phase::kCommitting;
-  job.awaiting.insert(job.participants.begin(), job.participants.end());
-  for (GuardianId p : job.participants) {
+  job.awaiting.insert(remote.begin(), remote.end());
+  for (GuardianId p : remote) {
     Send(p, MessageType::kCommit, m.aid);
   }
 }
@@ -392,8 +467,9 @@ void Guardian::OnCommitAck(const Message& m) {
   if (!job.awaiting.empty()) {
     return;
   }
-  Status s = recovery_->Done(m.aid);
-  ARGUS_CHECK_MSG(s.ok(), "done log write failed");
+  // Staged, not forced: a crash that loses it makes the restarted coordinator
+  // re-send commit, and participants re-ack idempotently.
+  recovery_->StageDone(m.aid);
   job.phase = CoordinatorJob::Phase::kDone;
   obs::EmitEnd("tpc.2pc", m.aid.sequence, 1, gid_.value);
 }

@@ -78,6 +78,11 @@ class Guardian {
   void EnlistParticipant(ActionId aid, GuardianId participant);
 
   // Coordinator: start two-phase commit for `aid`. Drive with SimWorld pumps.
+  // The coordinator prepares its own share in place, forcing only the marks
+  // off the action's home shard. When it is the only participant the action
+  // commits here, with one force and no message (one-phase commit); otherwise
+  // its own committed record rides the force of its commit point. Calling it
+  // again while preparing re-sends the prepare to whoever has not answered.
   Status RequestCommit(ActionId aid);
 
   // Coordinator: unilateral abort (e.g. a participant is unreachable,
@@ -107,7 +112,8 @@ class Guardian {
 
   enum class ActionFate { kUnknown, kInProgress, kCommitted, kAborted };
   ActionFate FateOf(ActionId aid) const;
-  // True once the coordinator has written its done record.
+  // True once the coordinator has staged its done record (or committed in
+  // one phase, which writes none).
   bool TwoPhaseDone(ActionId aid) const;
 
   // ---- Crash / restart ----
@@ -149,6 +155,15 @@ class Guardian {
   };
 
   void Send(GuardianId to, MessageType type, ActionId aid, bool positive = false);
+
+  // The coordinator's own share, handled in place rather than by messages
+  // to itself. PrepareOwnShare stages the prepared entry and forces its
+  // off-home-shard marks; false is a no vote. CommitOwnShare runs after the
+  // share's committed record is durable.
+  bool PrepareOwnShare(ActionId aid);
+  void CommitOwnShare(ActionId aid);
+  // A participant (or the coordinator's own share) voted no.
+  void AbortOnNoVote(ActionId aid);
 
   // Participant-side handlers.
   void OnPrepare(const Message& m);

@@ -62,6 +62,11 @@ std::vector<WorkloadDriver::LiveGuardianStats> WorkloadDriver::SnapshotLiveStats
   return out;
 }
 
+std::string WorkloadDriver::last_crash_dump() const {
+  return last_crash_capture_.has_value() ? obs::FormatFlightRecorders(*last_crash_capture_)
+                                         : std::string();
+}
+
 std::vector<std::uint32_t> WorkloadDriver::LiveGuardians() const {
   std::vector<std::uint32_t> up;
   up.reserve(live_.size());
@@ -646,7 +651,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     // before any crash/recovery event overwrites the ring windows: staged-
     // but-undurable commits show as commit.stage events with no matching
     // commit.durable.
-    last_crash_dump_ = obs::DumpFlightRecorders();
+    last_crash_capture_ = obs::CaptureFlightRecorders();
     Status s = take_down(LiveGuardians(), config_.recovery_faults);
     if (s.ok()) {
       s = bring_up(everyone, /*start=*/true);
@@ -680,7 +685,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
     // commit.durable, and the workload.partial_crash markers just emitted
     // name the victims — taken after the take-down so the dump is
     // self-describing (only the executor's own ring gains those few events).
-    last_crash_dump_ = obs::DumpFlightRecorders();
+    last_crash_capture_ = obs::CaptureFlightRecorders();
     outage_victims_ = victims;
     outage_baseline_.store(live_total_committed_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);

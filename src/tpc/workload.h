@@ -22,8 +22,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/recovery/checkpoint_policy.h"
 #include "src/recovery/online_checkpoint.h"
 #include "src/tpc/crash_controller.h"
@@ -172,10 +174,11 @@ class WorkloadDriver {
   }
 
   // Flight-recorder dump captured by the crash executor at the most recent
-  // coherent crash, while every worker was parked at the rendezvous — the
-  // per-thread event windows as of the instant the world died. Empty when no
-  // crash has fired (or obs is disabled).
-  const std::string& last_crash_dump() const { return last_crash_dump_; }
+  // full or partial crash, while every worker was parked at the rendezvous —
+  // the per-thread event windows as of the instant the world died. The
+  // executor keeps the raw capture; this formats it. Empty when no crash has
+  // fired.
+  std::string last_crash_dump() const;
 
  private:
   std::string SlotName(std::size_t i) const { return "slot" + std::to_string(i); }
@@ -248,7 +251,8 @@ class WorkloadDriver {
   // reconciler can identify which journal record produced a recovered slot
   // value.
   std::atomic<std::int64_t> next_unique_value_{1};
-  std::string last_crash_dump_;  // written only by the event executor
+  // Written only by the event executor.
+  std::optional<obs::FlightRecorderCapture> last_crash_capture_;
 
   // ---- Per-guardian live state and the partial-world outage ----
   //

@@ -194,9 +194,9 @@ class HistoryBuilder {
     StorageHarness& h = *harness_;
     ActionId aid = Aid(next_seq_++);
     std::vector<GuardianId> participants{GuardianId{1}, GuardianId{2}};
-    EXPECT_TRUE(h.rs().Committing(aid, participants).ok());
+    EXPECT_TRUE(h.rs().WaitDurable(h.rs().StageCommitting(aid, participants)).ok());
     if (rng.NextBool(0.5)) {
-      EXPECT_TRUE(h.rs().Done(aid).ok());
+      h.rs().StageDone(aid);  // durable with the next force, lost by a crash before it
     }
   }
 

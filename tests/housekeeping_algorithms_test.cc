@@ -220,7 +220,7 @@ TEST_P(HousekeepingTest, CoordinatorCommittingEntrySurvives) {
   StorageHarness h(LogMode::kHybrid);
   Seed(h);
   ActionId tc = Aid(500);
-  ASSERT_TRUE(h.rs().Committing(tc, {GuardianId{1}, GuardianId{2}}).ok());
+  ASSERT_TRUE(h.rs().WaitDurable(h.rs().StageCommitting(tc, {GuardianId{1}, GuardianId{2}})).ok());
   ASSERT_TRUE(h.rs().Housekeep(GetParam().method).ok());
   Result<RecoveryInfo> info = h.CrashAndRecover();
   ASSERT_TRUE(info.ok());
@@ -233,8 +233,10 @@ TEST_P(HousekeepingTest, DoneCoordinatorEntryIsDropped) {
   StorageHarness h(LogMode::kHybrid);
   Seed(h);
   ActionId tc = Aid(500);
-  ASSERT_TRUE(h.rs().Committing(tc, {GuardianId{1}}).ok());
-  ASSERT_TRUE(h.rs().Done(tc).ok());
+  ASSERT_TRUE(h.rs().WaitDurable(h.rs().StageCommitting(tc, {GuardianId{1}})).ok());
+  // Done is only staged; the checkpoint reads it from the old log's staged
+  // tail, and the swap forces the new log.
+  h.rs().StageDone(tc);
   ASSERT_TRUE(h.rs().Housekeep(GetParam().method).ok());
   Result<RecoveryInfo> info = h.CrashAndRecover();
   ASSERT_TRUE(info.ok());

@@ -286,8 +286,9 @@ TEST(LogWriterHybrid, OutcomeEntriesFormBackwardChain) {
 TEST(LogWriterHybrid, CoordinatorEntriesJoinChain) {
   WriterFixture f(LogMode::kHybrid);
   ActionId t1 = Aid(1);
-  ASSERT_TRUE(f.writer.Committing(t1, {GuardianId{1}, GuardianId{2}}).ok());
-  ASSERT_TRUE(f.writer.Done(t1).ok());
+  ASSERT_TRUE(f.writer.WaitDurable(f.writer.StageCommitting(t1, {GuardianId{1}, GuardianId{2}}))
+                  .ok());
+  f.writer.StageDone(t1);  // staged only; the chain reads it all the same
   LogAddress addr = f.writer.last_outcome_address();
   Result<LogEntry> done = f.log->Read(addr);
   ASSERT_TRUE(done.ok());

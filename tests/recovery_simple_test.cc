@@ -219,17 +219,32 @@ TEST(SimpleRecovery, AccessibilitySetRebuiltFromTraversal) {
 }
 
 TEST(SimpleRecovery, CoordinatorTablesRestored) {
+  // The coordinator forces its committing record (the commit point) and only
+  // stages done: done survives a crash once a later force carries it.
   StorageHarness h(LogMode::kSimple);
   ActionId t1 = Aid(1);
-  ASSERT_TRUE(h.rs().Committing(t1, {GuardianId{1}, GuardianId{2}}).ok());
+  ASSERT_TRUE(h.rs().WaitDurable(h.rs().StageCommitting(t1, {GuardianId{1}, GuardianId{2}})).ok());
   ActionId t2 = Aid(2);
-  ASSERT_TRUE(h.rs().Committing(t2, {GuardianId{3}}).ok());
-  ASSERT_TRUE(h.rs().Done(t2).ok());
+  ASSERT_TRUE(h.rs().WaitDurable(h.rs().StageCommitting(t2, {GuardianId{3}})).ok());
+  h.rs().StageDone(t2);
 
+  // Crashed before any force, t2's done is lost and t2 recovers as committing
+  // (its coordinator re-sends commit).
   Result<RecoveryInfo> info = h.CrashAndRecover();
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().ct.at(t1).phase, CoordinatorPhase::kCommitting);
   ASSERT_EQ(info.value().ct.at(t1).participants.size(), 2u);
+  EXPECT_EQ(info.value().ct.at(t2).phase, CoordinatorPhase::kCommitting);
+
+  // Staged again, t2's done survives once a later action's commit forces the log.
+  h.rs().StageDone(t2);
+  ActionId t3 = Aid(3);
+  RecoverableObject* a = h.ctx(t3).CreateAtomic(h.heap(), Value::Int(3));
+  ASSERT_TRUE(h.BindStable(t3, "a", a).ok());
+  ASSERT_TRUE(h.PrepareAndCommit(t3).ok());
+  info = h.CrashAndRecover();
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().ct.at(t1).phase, CoordinatorPhase::kCommitting);
   EXPECT_EQ(info.value().ct.at(t2).phase, CoordinatorPhase::kDone);
 }
 

@@ -170,9 +170,10 @@ class ShardedHistoryBuilder {
   void CoordinatorActivity(Rng& rng) {
     StorageHarness& h = *harness_;
     ActionId aid = Aid(next_seq_++);
-    EXPECT_TRUE(h.rs().Committing(aid, {GuardianId{1}, GuardianId{2}}).ok());
+    EXPECT_TRUE(
+        h.rs().WaitDurable(h.rs().StageCommitting(aid, {GuardianId{1}, GuardianId{2}})).ok());
     if (rng.NextBool(0.5)) {
-      EXPECT_TRUE(h.rs().Done(aid).ok());
+      h.rs().StageDone(aid);  // durable with the next force, lost by a crash before it
     }
   }
 

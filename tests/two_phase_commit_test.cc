@@ -221,11 +221,11 @@ TEST(TwoPhase, ReadOnlyActionCommitsVacuously) {
       });
   ASSERT_TRUE(fate.ok());
   EXPECT_EQ(fate.value(), Guardian::ActionFate::kCommitted);
-  // A read-only participant still runs 2PC here but writes no data entries:
-  // the single guardian is both participant (prepared + committed) and
-  // coordinator (committing + done), so exactly 4 small forces.
+  // A read-only participant still votes and writes no data entries. The lone
+  // guardian commits in one phase: an empty prepared entry and the committed
+  // record, made durable by one small force.
   std::uint64_t forces_after = CounterValue("log.forces", guardian0);
-  EXPECT_LE(forces_after - forces_before, 4u);
+  EXPECT_EQ(forces_after - forces_before, 1u);
 }
 
 TEST(TwoPhase, SequentialActionsAccumulate) {
@@ -251,8 +251,9 @@ TEST(TwoPhase, SequentialActionsAccumulate) {
 }
 
 TEST(TwoPhase, ParticipantForcesTwicePerCommittedAction) {
-  // §2.2/§3.3: participant = prepared + committed forces; coordinator =
-  // committing + done forces.
+  // §2.2/§3.3: a participant forces prepared and committed. The coordinator,
+  // which did no work here, forces only its committing record (the commit
+  // point); its done record is staged and rides a later force.
   SimWorld world(Config(2));
   SeedVar(world, GuardianId{1}, "x", 0);
   // Each guardian's one log counts under {guardian=g, shard=0}.
@@ -273,7 +274,91 @@ TEST(TwoPhase, ParticipantForcesTwicePerCommittedAction) {
   ASSERT_TRUE(fate.ok());
   ASSERT_EQ(fate.value(), Guardian::ActionFate::kCommitted);
   EXPECT_EQ(CounterValue("log.forces", participant) - p_before, 2u);
-  EXPECT_EQ(CounterValue("log.forces", coordinator) - c_before, 2u);
+  EXPECT_EQ(CounterValue("log.forces", coordinator) - c_before, 1u);
+}
+
+// Increments "x" at each guardian in `where`, coordinated by G0; `*action`
+// names the action.
+Result<Guardian::ActionFate> IncrementAt(SimWorld& world, const std::vector<std::uint32_t>& where,
+                                         ActionId* action) {
+  return world.RunTopAction(GuardianId{0}, [&](SimWorld& w, ActionId aid) -> Status {
+    *action = aid;
+    for (std::uint32_t g : where) {
+      Status s = w.RunAt(aid, GuardianId{g}, [&](Guardian& guard, ActionContext& ctx) -> Status {
+        Result<RecoverableObject*> v = guard.GetStableVariable(aid, "x");
+        if (!v.ok()) {
+          return v.status();
+        }
+        return ctx.UpdateObject(v.value(), [](Value& b) { b = Value::Int(b.as_int() + 1); });
+      });
+      if (!s.ok()) {
+        return s;
+      }
+    }
+    return Status::Ok();
+  });
+}
+
+TEST(TwoPhase, OneGuardianActionCostsOneForceAndNoMessage) {
+  // One-phase commit: the coordinator is the only participant, so it stages
+  // prepared and committed and forces once; no committing or done record is
+  // written and no message is sent.
+  SimWorld world(Config(2));
+  SeedVar(world, GuardianId{0}, "x", 0);
+  const obs::Scope coordinator{.guardian = 0, .shard = 0};
+  const std::uint64_t forces_before = CounterValue("log.forces", coordinator);
+  const std::uint64_t messages_before = CounterValue("tpc.net.sent");
+  ActionId aid;
+  Result<Guardian::ActionFate> fate = IncrementAt(world, {0}, &aid);
+  ASSERT_TRUE(fate.ok());
+  ASSERT_EQ(fate.value(), Guardian::ActionFate::kCommitted);
+  EXPECT_EQ(CounterValue("log.forces", coordinator) - forces_before, 1u);
+  EXPECT_EQ(CounterValue("tpc.net.sent") - messages_before, 0u);
+  EXPECT_TRUE(world.guardian(0).TwoPhaseDone(aid));
+  EXPECT_EQ(ReadVar(world, GuardianId{0}, "x"), 1);
+
+  // A crash right after the ack: the one committed record is the verdict.
+  world.guardian(0).Crash();
+  ASSERT_TRUE(world.guardian(0).Restart().ok());
+  world.Pump();
+  EXPECT_EQ(ReadVar(world, GuardianId{0}, "x"), 1);
+  EXPECT_FALSE(world.guardian(0).CommittedStableVariable("x")->locked());
+}
+
+TEST(TwoPhase, TwoGuardianActionWhoseCoordinatorWritesForcesOnceThere) {
+  // The coordinator's own prepared entry is staged, and its committing and
+  // committed records ride one force (the commit point); done is staged. The
+  // participant forces prepared and committed. Messages: prepare, its ack,
+  // commit, its ack, with the participant only.
+  SimWorld world(Config(2));
+  SeedVar(world, GuardianId{0}, "x", 0);
+  SeedVar(world, GuardianId{1}, "x", 0);
+  const obs::Scope coordinator{.guardian = 0, .shard = 0};
+  const obs::Scope participant{.guardian = 1, .shard = 0};
+  const std::uint64_t c_before = CounterValue("log.forces", coordinator);
+  const std::uint64_t p_before = CounterValue("log.forces", participant);
+  const std::uint64_t messages_before = CounterValue("tpc.net.sent");
+  ActionId aid;
+  Result<Guardian::ActionFate> fate = IncrementAt(world, {0, 1}, &aid);
+  ASSERT_TRUE(fate.ok());
+  ASSERT_EQ(fate.value(), Guardian::ActionFate::kCommitted);
+  EXPECT_EQ(CounterValue("log.forces", coordinator) - c_before, 1u);
+  EXPECT_EQ(CounterValue("log.forces", participant) - p_before, 2u);
+  EXPECT_EQ(CounterValue("tpc.net.sent") - messages_before, 4u);
+  EXPECT_EQ(ReadVar(world, GuardianId{0}, "x"), 1);
+  EXPECT_EQ(ReadVar(world, GuardianId{1}, "x"), 1);
+
+  // Crashed before anything forced its done record, the coordinator restarts
+  // committing, re-sends commit, and the participant re-acks.
+  world.guardian(0).Crash();
+  Result<RecoveryInfo> info = world.guardian(0).Restart();
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(info.value().ct.contains(aid));
+  EXPECT_EQ(info.value().ct.at(aid).phase, CoordinatorPhase::kCommitting);
+  world.Pump();
+  EXPECT_TRUE(world.guardian(0).TwoPhaseDone(aid));
+  EXPECT_EQ(ReadVar(world, GuardianId{0}, "x"), 1);
+  EXPECT_EQ(ReadVar(world, GuardianId{1}, "x"), 1);
 }
 
 TEST(TwoPhase, WorksOnSimpleLogToo) {
