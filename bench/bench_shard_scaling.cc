@@ -15,6 +15,9 @@
 //
 // ARGUS_BENCH_LARGE=1 selects the large configuration the E14 acceptance
 // criterion is measured on (N=4 must recover ≥2x faster than N=1).
+//
+// BM_ShardedLocalCommit prices the write side's dependency rule (DESIGN.md
+// D10) on the concurrent workload driver.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +31,7 @@
 #include "src/recovery/recovery_algorithms.h"
 #include "src/stable/duplexed_medium.h"
 #include "src/stable/latency_medium.h"
+#include "src/tpc/workload.h"
 
 namespace argus {
 namespace {
@@ -144,6 +148,45 @@ BENCHMARK(BM_ShardedRecovery)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.4);
+
+// What the dependency rule costs (DESIGN.md D10): one guardian's concurrent
+// local commits through the workload driver, with group commit and no linger
+// on duplexed media, at 1 and 4 shards. At 4 shards a commit that touched an
+// object whose last writer's commit record is still unforced on another
+// shard waits for it first; waited_share is the share of commits that did.
+// At 1 shard nothing waits.
+void BM_ShardedLocalCommit(benchmark::State& state) {
+  constexpr std::size_t kActions = 256;
+  SimWorldConfig world_config;
+  world_config.mode = LogMode::kHybrid;
+  world_config.medium = MediumKind::kDuplexed;
+  world_config.seed = 0xe14;
+  world_config.group_commit = FlushCoordinatorConfig{};
+  world_config.log_shards = static_cast<std::uint32_t>(state.range(0));
+  SimWorld world(world_config);
+  WorkloadConfig config;
+  config.seed = 0xe14;
+  config.abort_probability = 0.0;
+  config.threads = static_cast<std::size_t>(state.range(1));
+  config.objects_per_guardian = static_cast<std::size_t>(state.range(2));
+  WorkloadDriver driver(&world, config);
+  ARGUS_CHECK(driver.Setup().ok());
+  const obs::Scope scope{.guardian = 0};
+  const std::uint64_t waits_before = CounterValue("tpc.local.dependency_waits", scope);
+  for (auto _ : state) {
+    ARGUS_CHECK(driver.Run(kActions).ok());
+  }
+  const double committed = static_cast<double>(driver.stats().committed);
+  const double waits =
+      static_cast<double>(CounterValue("tpc.local.dependency_waits", scope) - waits_before);
+  state.counters["commits"] = benchmark::Counter(committed, benchmark::Counter::kIsRate);
+  state.counters["waited_share"] = benchmark::Counter(committed == 0 ? 0.0 : waits / committed);
+}
+BENCHMARK(BM_ShardedLocalCommit)
+    ->ArgNames({"shards", "threads", "objects"})
+    ->ArgsProduct({{1, 4}, {3, 4}, {8, 64}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace argus

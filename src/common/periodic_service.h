@@ -20,7 +20,7 @@ namespace argus {
 
 // Runs `fn` with a guardian's action path excluded: no thread may mutate the
 // heap or stage log entries while `fn` executes. The owner of that lock (the
-// workload driver's per-guardian mutex, a test's scheduler) supplies it.
+// guardian's own mutex, Guardian::mutex, or a test's scheduler) supplies it.
 using ExclusiveSection = std::function<void(const std::function<void()>&)>;
 
 class PeriodicService {

@@ -55,6 +55,9 @@ class ActionContext {
   // prepare, §4.4).
   void AddToMos(const ModifiedObjectsSet& uids) { mos_.insert(uids.begin(), uids.end()); }
 
+  // Everything this action locked or created so far.
+  const std::set<Uid>& touched() const { return touched_; }
+
   // Subaction-abort support: retracts a write that was rolled back.
   void RemoveFromMos(Uid uid) { mos_.erase(uid); }
   bool InMos(Uid uid) const { return mos_.find(uid) != mos_.end(); }

@@ -3,30 +3,11 @@
 #include <algorithm>
 
 #include "src/object/flatten.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/residency/residency_manager.h"
 
 namespace argus {
 namespace {
-
-// Steady-state MT dereferences (all writers aggregated). The hit counter
-// tracks reads served from an already-validated cache residence — the frames
-// §5.2's mutex discipline keeps re-reading.
-struct WriterObs {
-  obs::Counter* mt_reads;
-  obs::Counter* mt_read_hits;
-  obs::Gauge* mt_hit_rate;
-
-  static const WriterObs& Get() {
-    static const WriterObs m{
-        obs::GetCounter("recovery.mt_reads"),
-        obs::GetCounter("recovery.mt_read_hits"),
-        obs::GetGauge("recovery.mt_hit_rate"),
-    };
-    return m;
-  }
-};
 
 // Sets the backward-chain pointer on an outcome entry.
 void SetPrev(LogEntry& entry, LogAddress prev) {
@@ -373,7 +354,7 @@ Result<ModifiedObjectsSet> LogWriter::WriteEntry(ActionId aid, const ModifiedObj
   return WriteObjectsForAction(aid, mos);
 }
 
-Result<StagedOutcome> LogWriter::StageCommitSharded(ActionId aid) {
+StagedOutcome LogWriter::StageCommitSharded(ActionId aid) {
   std::lock_guard<std::mutex> l(mu_);
   // The commit record goes to the home shard only. Callers guarantee every
   // prepare mark is already durable (class comment), so a durable commit
@@ -389,13 +370,7 @@ Result<StagedOutcome> LogWriter::StageCommitSharded(ActionId aid) {
   return out;
 }
 
-Status LogWriter::Commit(ActionId aid) {
-  Result<StagedOutcome> staged = StageCommitSharded(aid);
-  if (!staged.ok()) {
-    return staged.status();
-  }
-  return WaitDurable(staged.value());
-}
+Status LogWriter::Commit(ActionId aid) { return WaitDurable(StageCommitSharded(aid)); }
 
 Result<StagedOutcome> LogWriter::StageAbortSharded(ActionId aid) {
   std::lock_guard<std::mutex> l(mu_);
@@ -535,40 +510,6 @@ Status LogWriter::RewritePendingAfterLogSwap() {
 LogAddress LogWriter::last_outcome_address() const {
   std::lock_guard<std::mutex> l(mu_);
   return shards_[0].last_outcome;
-}
-
-Result<LogEntry> LogWriter::ReadMutexVersion(Uid uid) const {
-  const StableLog* log = nullptr;
-  LogAddress addr = LogAddress::Null();
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    auto it = mt_.find(uid);
-    if (it == mt_.end()) {
-      return Status::NotFound("no prepared mutex version for " + to_string(uid));
-    }
-    addr = it->second;
-    log = shards_[router_.ShardOf(uid)].log;
-  }
-  // The frame read runs outside mu_ so concurrent stagers keep going; the
-  // cache's own mutex serializes the fetch. `validated` is the hit signal:
-  // true means the frame was served from a residence a prior read already
-  // CRC-checked — no medium access, no re-validation.
-  bool validated = false;
-  Result<StableLog::FrameView> view = log->ReadFrameView(addr, &validated);
-  const WriterObs& o = WriterObs::Get();
-  o.mt_reads->Increment();
-  if (validated) {
-    o.mt_read_hits->Increment();
-  }
-  std::uint64_t reads = o.mt_reads->Value();
-  if (reads != 0) {
-    o.mt_hit_rate->Set(static_cast<double>(o.mt_read_hits->Value()) /
-                       static_cast<double>(reads));
-  }
-  if (!view.ok()) {
-    return view.status();
-  }
-  return DecodeEntry(view.value().payload());
 }
 
 }  // namespace argus

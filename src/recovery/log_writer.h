@@ -25,8 +25,9 @@
 // shard need no wait: they precede the commit record in that log, so forcing
 // the commit forces them (§3.1). With one shard every mark is on the home
 // shard. The blocking Prepare/Commit pair satisfies the protocol by
-// construction. A commit record lost in a crash aborts the action by presumed
-// abort, exactly as with one log.
+// construction; Guardian::CommitLocal keeps it, and the same obligation
+// between actions (DESIGN.md D10). A commit record lost in a crash aborts
+// the action by presumed abort, exactly as with one log.
 //
 // Concurrency: multiple actions may run Prepare/Commit/Abort in parallel on
 // one guardian. Every operation splits into a *stage* step — serialized under
@@ -138,7 +139,7 @@ class LogWriter {
   // before calling StageCommitSharded (see the class comment).
 
   Result<StagedOutcome> StagePrepareSharded(ActionId aid, const ModifiedObjectsSet& mos);
-  Result<StagedOutcome> StageCommitSharded(ActionId aid);
+  StagedOutcome StageCommitSharded(ActionId aid);
   // Empty marks when nothing was staged (the action never prepared, §2.2.3).
   Result<StagedOutcome> StageAbortSharded(ActionId aid);
 
@@ -163,14 +164,6 @@ class LogWriter {
   const AccessibilitySet& accessibility_set() const { return as_; }
   const PreparedActionsTable& prepared_actions() const { return pat_; }
   const MutexTable& mutex_table() const { return mt_; }
-
-  // Steady-state MT dereference (§5.2): reads back the latest prepared
-  // version of mutex object `uid` — the data entry the MT points at — through
-  // the owning shard's cached frame-view path, so repeated guardian lookups
-  // of the same version never re-fetch or re-CRC the frame once the recovery
-  // cache holds it. Safe under concurrent staging (the address is taken under
-  // mu_, the read runs outside it). NotFound when no prepared version exists.
-  Result<LogEntry> ReadMutexVersion(Uid uid) const;
 
   // Coordinators between their committing and done records. The snapshot
   // housekeeper re-emits these (the compactor finds them on the old chain).

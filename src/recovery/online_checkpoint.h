@@ -12,8 +12,8 @@
 // (phase 3), whose cost is bounded by the activity since the capture.
 //
 // The caller supplies the exclusion as a callback (ExclusiveSection) because
-// the guardian's action path owns the lock — the per-guardian mutex in the
-// workload driver, a test's scheduler, or the Argus runtime's action lock.
+// the guardian's action path owns the lock — Guardian::mutex, which the
+// workload driver's local commits take, or a test's scheduler.
 //
 // CheckpointService runs an OnlineCheckpointer on a PeriodicService that
 // polls a CheckpointPolicy, turning housekeeping into a maintenance activity

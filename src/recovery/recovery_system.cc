@@ -220,11 +220,7 @@ Result<LogAddress> RecoverySystem::StagePrepare(ActionId aid, const ModifiedObje
 
 Result<LogAddress> RecoverySystem::StageCommit(ActionId aid) {
   ARGUS_CHECK(logs_.size() == 1);
-  Result<StagedOutcome> staged = writer_->StageCommitSharded(aid);
-  if (!staged.ok()) {
-    return staged.status();
-  }
-  return staged.value().marks.front().address;
+  return writer_->StageCommitSharded(aid).marks.front().address;
 }
 
 Result<std::optional<LogAddress>> RecoverySystem::StageAbort(ActionId aid) {

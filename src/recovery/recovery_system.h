@@ -145,13 +145,11 @@ class RecoverySystem {
   // A prepare stages marks on every touched shard; the caller must
   // WaitDurable the marks off the action's home shard BEFORE
   // StageCommitSharded (the cross-shard commit atomicity protocol — see
-  // LogWriter).
+  // LogWriter). Guardian::CommitLocal is the caller that does.
   Result<StagedOutcome> StagePrepareSharded(ActionId aid, const ModifiedObjectsSet& mos) {
     return writer_->StagePrepareSharded(aid, mos);
   }
-  Result<StagedOutcome> StageCommitSharded(ActionId aid) {
-    return writer_->StageCommitSharded(aid);
-  }
+  StagedOutcome StageCommitSharded(ActionId aid) { return writer_->StageCommitSharded(aid); }
   Status WaitDurable(const StagedOutcome& staged) { return writer_->WaitDurable(staged); }
 
   // One-log forms of the calls above: the address names a frame of the one

@@ -40,6 +40,7 @@ struct GuardianObs {
 Guardian::Guardian(GuardianId gid, RecoverySystemConfig config, SimNetwork* network)
     : gid_(gid), config_(std::move(config)), network_(network) {
   ARGUS_CHECK(network_ != nullptr);
+  dependency_waits_ = obs::Scope{.guardian = gid.value}.GetCounter("tpc.local.dependency_waits");
   heap_ = std::make_unique<VolatileHeap>();
   recovery_ = std::make_unique<RecoverySystem>(config_, heap_.get(), gid_);
 }
@@ -98,9 +99,8 @@ RecoverableObject* Guardian::CommittedStableVariable(const std::string& name) co
   return it->second.as_ref();
 }
 
-Status Guardian::EarlyPrepare(ActionId aid) {
-  ActionContext& ctx = ContextFor(aid);
-  Result<ModifiedObjectsSet> leftover = recovery_->WriteEntry(aid, ctx.TakeMos());
+Status Guardian::EarlyPrepare(ActionContext& ctx) {
+  Result<ModifiedObjectsSet> leftover = recovery_->WriteEntry(ctx.aid(), ctx.TakeMos());
   if (!leftover.ok()) {
     return leftover.status();
   }
@@ -154,21 +154,28 @@ Status Guardian::RequestCommit(ActionId aid) {
   job.started_at = clock_;
   jobs_[aid] = std::move(job);
   obs::EmitBegin("tpc.2pc", aid.sequence, jobs_[aid].participants.size(), gid_.value);
-  if (own_share && !PrepareOwnShare(aid)) {
-    AbortOnNoVote(aid);
-    return Status::Ok();
-  }
-  if (participants.empty()) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (own_share && participants.empty()) {
     // One-phase commit (R*): the coordinator is the only participant, so its
     // committed record is the decision. It follows the prepared entry in the
     // home log, and one force makes both durable (§3.1). No committing or
     // done record and no message: a crash before the force leaves at most a
     // prepared entry, which the restart presumes aborted (§2.2.3).
-    Status s = recovery_->Commit(aid);
+    Result<StagedOutcome> committed = CommitLocal(ContextFor(aid), lock);
+    if (!committed.ok()) {
+      AbortOnNoVote(aid);
+      return Status::Ok();
+    }
+    lock.unlock();
+    Status s = recovery_->WaitDurable(committed.value());
     ARGUS_CHECK_MSG(s.ok(), "commit log write failed");
     CommitOwnShare(aid);
     jobs_[aid].phase = CoordinatorJob::Phase::kDone;
     obs::EmitEnd("tpc.2pc", aid.sequence, 1, gid_.value);
+    return Status::Ok();
+  }
+  if (own_share && !PrepareLocal(ContextFor(aid), lock).ok()) {
+    AbortOnNoVote(aid);
     return Status::Ok();
   }
   for (GuardianId p : participants) {
@@ -177,33 +184,60 @@ Status Guardian::RequestCommit(ActionId aid) {
   return Status::Ok();
 }
 
-bool Guardian::PrepareOwnShare(ActionId aid) {
-  auto it = contexts_.find(aid);
-  if (it == contexts_.end()) {
-    return false;  // unknown here: the coordinator votes abort (§2.2.2)
+Status Guardian::PrepareLocal(ActionContext& ctx, std::unique_lock<std::mutex>& lock) {
+  Result<StagedOutcome> prepared = recovery_->StagePrepareSharded(ctx.aid(), ctx.TakeMos());
+  if (!prepared.ok()) {
+    return prepared.status();
   }
-  Result<StagedOutcome> staged = recovery_->StagePrepareSharded(aid, it->second.TakeMos());
-  if (!staged.ok()) {
-    return false;
-  }
-  // Marks on the home shard precede the commit point's records in that log,
-  // so the commit-point force makes them durable (§3.1). Only the marks off
-  // it must be durable first (the cross-shard rule, see LogWriter); at one
-  // shard nothing is forced here.
-  StagedOutcome off_home;
-  const std::uint32_t home = recovery_->writer().HomeShardOf(aid);
-  for (const StagedMark& mark : staged.value().marks) {
-    if (mark.shard != home) {
-      off_home.marks.push_back(mark);
+  const std::uint32_t home = recovery_->writer().HomeShardOf(ctx.aid());
+  StagedOutcome off_home = std::move(prepared).value();
+  std::erase_if(off_home.marks, [home](const StagedMark& m) { return m.shard == home; });
+  const std::size_t own_marks = off_home.marks.size();
+  for (Uid uid : ctx.touched()) {
+    auto it = commit_marks_.find(uid);
+    if (it != commit_marks_.end() && it->second.shard != home &&
+        recovery_->shard_log(it->second.shard).durable_size() <= it->second.address.offset) {
+      off_home.marks.push_back(it->second);
     }
   }
-  return recovery_->WaitDurable(off_home).ok();
+  if (off_home.empty()) {
+    return Status::Ok();
+  }
+  if (off_home.marks.size() > own_marks) {
+    dependency_waits_->Increment();
+  }
+  // Outside the exclusion, so concurrent actions coalesce their per-shard
+  // forces. A kCrashed wake leaves the action prepared but undecided.
+  lock.unlock();
+  Status s = recovery_->WaitDurable(off_home);
+  lock.lock();
+  return s;
+}
+
+Result<StagedOutcome> Guardian::CommitLocal(ActionContext& ctx,
+                                            std::unique_lock<std::mutex>& lock) {
+  ARGUS_CHECK(!crashed_ && lock.mutex() == &mu_ && lock.owns_lock());
+  Status prepared = PrepareLocal(ctx, lock);
+  if (!prepared.ok()) {
+    return prepared;
+  }
+  StagedOutcome committed = recovery_->StageCommitSharded(ctx.aid());
+  // The locks go with the volatile commit, before the commit record is
+  // durable: whoever next touches what the action wrote finds its mark.
+  for (Uid uid : ctx.touched()) {
+    RecoverableObject* obj = heap_->Get(uid);
+    if (obj != nullptr && obj->HoldsWriteLock(ctx.aid())) {
+      commit_marks_[uid] = committed.marks.front();
+    }
+  }
+  ctx.CommitVolatile(*heap_);
+  return committed;
 }
 
 void Guardian::CommitOwnShare(ActionId aid) {
   auto it = contexts_.find(aid);
   if (it != contexts_.end()) {
-    it->second.CommitVolatile(*heap_);
+    it->second.CommitVolatile(*heap_);  // a no-op after CommitLocal
     contexts_.erase(it);
   }
   local_outcomes_[aid] = ParticipantState::kCommitted;
@@ -436,9 +470,7 @@ void Guardian::OnPrepareAck(const Message& m) {
   }
   const bool own_share = remote.size() < job.participants.size();
   if (own_share) {
-    Result<StagedOutcome> committed = recovery_->StageCommitSharded(m.aid);
-    ARGUS_CHECK_MSG(committed.ok(), "commit log write failed");
-    decision = std::move(committed.value());
+    decision = recovery_->StageCommitSharded(m.aid);
   }
   Status s = recovery_->WaitDurable(decision);
   ARGUS_CHECK_MSG(s.ok(), "committing log write failed");
@@ -557,6 +589,7 @@ void Guardian::Crash() {
   recovery_.reset();
   heap_.reset();
   contexts_.clear();
+  commit_marks_.clear();
   jobs_.clear();
   enlisted_.clear();
   local_outcomes_.clear();

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 
@@ -68,7 +69,22 @@ class Guardian {
 
   // Early prepare (§4.4): pushes the action's current MOS to the log ahead of
   // the prepare message; the inaccessible remainder returns to the MOS.
-  Status EarlyPrepare(ActionId aid);
+  Status EarlyPrepare(ActionId aid) { return EarlyPrepare(ContextFor(aid)); }
+  Status EarlyPrepare(ActionContext& ctx);
+
+  // The one exclusion over volatile state and log staging, taken by local
+  // actions, the checkpoint and residency services and the crash executor.
+  std::mutex& mutex() { return mu_; }
+
+  // Commits a one-guardian action; `lock` holds mutex(). Stages the prepare
+  // and, with `lock` released, waits for the marks off the action's home
+  // shard that its commit depends on: its own prepare fragments (see
+  // LogWriter) and the not yet durable commit marks that earlier local
+  // commits left on the objects it touched (DESIGN.md D10). Then stages the
+  // commit record, stamps the objects it wrote with that mark, commits
+  // volatile and returns the mark, which the caller awaits outside the lock.
+  // On error the action is at most prepared, which a restart presumes aborted.
+  Result<StagedOutcome> CommitLocal(ActionContext& ctx, std::unique_lock<std::mutex>& lock);
 
   // ---- Two-phase commit ----
 
@@ -78,11 +94,12 @@ class Guardian {
   void EnlistParticipant(ActionId aid, GuardianId participant);
 
   // Coordinator: start two-phase commit for `aid`. Drive with SimWorld pumps.
-  // The coordinator prepares its own share in place, forcing only the marks
-  // off the action's home shard. When it is the only participant the action
-  // commits here, with one force and no message (one-phase commit); otherwise
-  // its own committed record rides the force of its commit point. Calling it
-  // again while preparing re-sends the prepare to whoever has not answered.
+  // The coordinator prepares its own share in place, waiting only for the
+  // marks off the action's home shard. When it is the only participant the
+  // action commits here through CommitLocal, with one force and no message
+  // (one-phase commit); otherwise its own committed record rides the force of
+  // its commit point. Calling it again while preparing re-sends the prepare
+  // to whoever has not answered.
   Status RequestCommit(ActionId aid);
 
   // Coordinator: unilateral abort (e.g. a participant is unreachable,
@@ -156,11 +173,11 @@ class Guardian {
 
   void Send(GuardianId to, MessageType type, ActionId aid, bool positive = false);
 
-  // The coordinator's own share, handled in place rather than by messages
-  // to itself. PrepareOwnShare stages the prepared entry and forces its
-  // off-home-shard marks; false is a no vote. CommitOwnShare runs after the
-  // share's committed record is durable.
-  bool PrepareOwnShare(ActionId aid);
+  // CommitLocal's prepare and wait, also the coordinator's own share's.
+  Status PrepareLocal(ActionContext& ctx, std::unique_lock<std::mutex>& lock);
+  // The coordinator's own share, handled in place rather than by messages to
+  // itself: it commits volatile and forgets its context once the share's
+  // committed record is durable.
   void CommitOwnShare(ActionId aid);
   // A participant (or the coordinator's own share) voted no.
   void AbortOnNoVote(ActionId aid);
@@ -179,12 +196,16 @@ class Guardian {
   RecoverySystemConfig config_;
   SimNetwork* network_;
   bool crashed_ = false;
+  std::mutex mu_;
+  obs::Counter* dependency_waits_;  // tpc.local.dependency_waits{guardian}
 
   std::unique_ptr<VolatileHeap> heap_;
   std::unique_ptr<RecoverySystem> recovery_;
   RecoverySystem::SurvivingState surviving_;  // held only while crashed
 
   std::map<ActionId, ActionContext> contexts_;
+  // Under mu_: the commit mark of the last local commit that wrote each object.
+  std::map<Uid, StagedMark> commit_marks_;
   std::map<ActionId, CoordinatorJob> jobs_;
   std::map<ActionId, std::set<GuardianId>> enlisted_;
   std::map<ActionId, ParticipantState> local_outcomes_;

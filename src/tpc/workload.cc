@@ -288,9 +288,7 @@ Status WorkloadDriver::Run(std::size_t actions) {
   return s;
 }
 
-Status WorkloadDriver::RunOneConcurrentAction(Rng& rng,
-                                              std::vector<std::mutex>& guardian_mutexes,
-                                              WorkloadStats& local, bool journal) {
+Status WorkloadDriver::RunOneConcurrentAction(Rng& rng, WorkloadStats& local, bool journal) {
   ++local.attempted;
   WorkloadObs::Get().attempted->Increment();
   // Pick among the guardians that are up: during a partial-world outage the
@@ -301,15 +299,15 @@ Status WorkloadDriver::RunOneConcurrentAction(Rng& rng,
     return Status::Ok();  // everyone is down right now; skip the slot
   }
   std::uint32_t g = alive[rng.NextBelow(alive.size())];
-  Status s = RunOnGuardian(rng, g, guardian_mutexes[g], local, journal);
+  Status s = RunOnGuardian(rng, g, local, journal);
   if (!s.ok()) {
     return Status(s.code(), "guardian " + std::to_string(g) + ": " + s.message());
   }
   return s;
 }
 
-Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guardian_mutex,
-                                     WorkloadStats& local, bool journal) {
+Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, WorkloadStats& local,
+                                     bool journal) {
   Guardian& guard = world_->guardian(g);
   ActionId aid{GuardianId{g},
                next_concurrent_sequence_.fetch_add(1, std::memory_order_relaxed)};
@@ -324,14 +322,17 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
   bool request_abort = rng.NextBool(config_.abort_probability);
   const auto action_start = std::chrono::steady_clock::now();
 
-  // The per-guardian mutex serializes volatile state (heap versions, locks,
-  // model) and log STAGING; durability is awaited outside, so concurrent
+  // The guardian's exclusion serializes volatile state (heap versions, locks,
+  // model) and log staging; durability is awaited outside it, so concurrent
   // actions on one guardian coalesce their forces.
-  std::unique_lock<std::mutex> l(guardian_mutex);
-  RecoverySystem& rs = guard.recovery();
-  std::vector<std::pair<std::size_t, std::int64_t>> staged;
+  std::unique_lock<std::mutex> l(guard.mutex());
+  std::vector<JournalWrite> staged;
   for (std::size_t w = 0; w < kConcurrentWritesPerAction; ++w) {
     std::size_t slot = rng.NextBelow(config_.objects_per_guardian);
+    if (std::any_of(staged.begin(), staged.end(),
+                    [slot](const JournalWrite& j) { return j.slot == slot; })) {
+      continue;  // each slot once: a second write would replace the action's own
+    }
     // Unique values: the reconciler names the journal record that produced a
     // recovered slot by the value the slot holds.
     std::int64_t value = next_unique_value_.fetch_add(1, std::memory_order_relaxed);
@@ -341,9 +342,11 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
     }
     Status s = ctx.WriteObject(obj, Value::Int(value));
     if (!s.ok()) {
-      continue;  // self-conflict on a duplicate slot; skip
+      continue;  // locked by an action that waits outside the exclusion; skip
     }
-    staged.emplace_back(slot, value);
+    // Under the write lock the base version is the committed value this
+    // write replaces: what the action read.
+    staged.push_back(JournalWrite{slot, value, obj->base_version().as_int()});
   }
   if (request_abort || staged.empty()) {
     // Never prepared: no log writes, the volatile rollback is the abort.
@@ -353,41 +356,14 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
     return Status::Ok();
   }
   if (rng.NextBool(config_.early_prepare_probability)) {
-    Result<ModifiedObjectsSet> leftover = rs.WriteEntry(aid, ctx.TakeMos());
-    if (!leftover.ok()) {
-      return leftover.status();
-    }
-    ctx.AddToMos(leftover.value());
-  }
-  Result<StagedOutcome> prepared = rs.StagePrepareSharded(aid, ctx.TakeMos());
-  if (!prepared.ok()) {
-    return prepared.status();
-  }
-  // The cross-shard atomicity protocol (see LogWriter): prepare marks off the
-  // home shard must be durable before the commit record is staged. Marks on
-  // the home shard precede the commit record in its log, so forcing the
-  // commit forces them (§3.1) — a one-shard guardian never leaves the
-  // critical section here.
-  StagedOutcome off_home;
-  const std::uint32_t home = rs.writer().HomeShardOf(aid);
-  for (const StagedMark& mark : prepared.value().marks) {
-    if (mark.shard != home) {
-      off_home.marks.push_back(mark);
+    Status ep = guard.EarlyPrepare(ctx);
+    if (!ep.ok()) {
+      return ep;
     }
   }
-  if (!off_home.empty()) {
-    // Outside the mutex, so concurrent actions coalesce their per-shard
-    // forces. A kCrashed wake leaves the action prepared-but-undecided —
-    // presumed abort resolves it at recovery; nothing was journaled or
-    // volatile-committed.
-    l.unlock();
-    Status prepare_durable = rs.WaitDurable(off_home);
-    if (!prepare_durable.ok()) {
-      return prepare_durable;
-    }
-    l.lock();
-  }
-  Result<StagedOutcome> committed = rs.StageCommitSharded(aid);
+  // A kCrashed wake inside leaves the action prepared but undecided: presumed
+  // abort resolves it at recovery; nothing was journaled or committed.
+  Result<StagedOutcome> committed = guard.CommitLocal(ctx, l);
   if (!committed.ok()) {
     return committed.status();
   }
@@ -400,11 +376,10 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
   // matching commit.durable, the commit entry is staged but not durable — a
   // coherent crash in that window makes the action in-doubt.
   obs::Emit("commit.stage", aid.sequence, commit_mark.address.offset, g);
-  // Volatile commit and model update stay under the guardian mutex, so the
-  // model's order equals the log's staging order.
-  ctx.CommitVolatile(guard.heap());
-  for (const auto& [slot, value] : staged) {
-    model_[g][slot] = value;
+  // The model update stays under the exclusion with the volatile commit, so
+  // the model's order equals the log's staging order.
+  for (const JournalWrite& w : staged) {
+    model_[g][w.slot] = w.value;
   }
   CommittedRecord* record = nullptr;
   if (journal) {
@@ -423,7 +398,7 @@ Status WorkloadDriver::RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guar
   l.unlock();
 
   // The coalescing point: many actions block here on one physical flush.
-  Status durable = rs.WaitDurable(committed.value());
+  Status durable = guard.recovery().WaitDurable(committed.value());
   if (durable.ok()) {
     obs::Emit("commit.durable", aid.sequence, commit_mark.address.offset, g);
     if (record != nullptr) {
@@ -443,7 +418,6 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   const std::size_t guardian_count = world_->guardian_count();
   const bool partials_enabled = config_.partial_crash_probability > 0.0;
   const bool crashes_enabled = config_.crash_probability > 0.0 || partials_enabled;
-  std::vector<std::mutex> guardian_mutexes(guardian_count);
   std::mutex merge_mu;
   Status first_error = Status::Ok();
 
@@ -473,7 +447,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
       if (world_->guardian(g).recovery().coordinator() == nullptr) {
         return Status::InvalidArgument(
             "concurrent checkpointing requires group commit: workers wait for "
-            "durability outside the staging mutex, and only the coordinator's "
+            "durability outside the guardian's exclusion, and only the coordinator's "
             "epoch check resolves waits that race a log swap");
       }
     }
@@ -481,7 +455,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
 
   // Each guardian's background services: a CheckpointService when a policy is
   // configured and a ResidencyService when it has a memory budget, both
-  // sharing the staging mutex the workers use as their exclusive section.
+  // taking the guardian's exclusion as their exclusive section.
   // They hold pointers into one incarnation, so take-down stops them and
   // bring-up starts them on the next.
   struct GuardianServices {
@@ -497,8 +471,8 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   auto start_services = [&](std::uint32_t g) {
     Guardian& guard = world_->guardian(g);
     GuardianServices& svc = services[g];
-    auto exclusive = [&guardian_mutexes, g](const std::function<void()>& fn) {
-      std::lock_guard<std::mutex> l(guardian_mutexes[g]);
+    auto exclusive = [&guard](const std::function<void()>& fn) {
+      std::lock_guard<std::mutex> l(guard.mutex());
       fn();
     };
     if (config_.checkpoint.has_value()) {
@@ -564,12 +538,12 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   // replicated media. The last replica stays intact, so the quorum careful
   // read + fallback + re-duplexing deterministically succeed at any N (the
   // N=2 shape is the historical "disk A decays, B stays healthy"). Holds the
-  // staging mutex: a checkpoint service started by bring-up swaps the log
-  // under it.
+  // guardian's exclusion: a checkpoint service started by bring-up swaps the
+  // log under it.
   auto set_recovery_faults = [&](const std::vector<std::uint32_t>& guardians,
                                  const DiskFaultPlan& plan) {
     for (std::uint32_t g : guardians) {
-      std::lock_guard<std::mutex> l(guardian_mutexes[g]);
+      std::lock_guard<std::mutex> l(world_->guardian(g).mutex());
       RecoverySystem& rs = world_->guardian(g).recovery();
       for (std::uint32_t sh = 0; sh < rs.shard_count(); ++sh) {
         auto* medium = dynamic_cast<ReplicatedStableMedium*>(&rs.shard_log(sh).medium());
@@ -698,7 +672,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   // Partial recovery, gated by the liveness floor: bring the victims up, then
   // hold every survivor to a full-replay reconcile (nothing it committed may
   // have vanished — it never crashed). A survivor's services keep running, so
-  // its reconcile holds its staging mutex.
+  // its reconcile holds its exclusion.
   auto partial_recover = [&]() -> Status {
     ARGUS_CHECK(outage_active_.load(std::memory_order_relaxed));
     const std::uint64_t growth = live_total_committed_.load(std::memory_order_relaxed) -
@@ -716,7 +690,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
       return s;
     }
     for (std::uint32_t g : survivors) {
-      std::lock_guard<std::mutex> l(guardian_mutexes[g]);
+      std::lock_guard<std::mutex> l(world_->guardian(g).mutex());
       s = ReconcileOneGuardian(g, /*require_full_replay=*/true);
       if (!s.ok()) {
         return Status(s.code(), "survivor " + std::to_string(g) + ": " + s.message());
@@ -767,9 +741,8 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
   workers.reserve(config_.threads);
   for (std::size_t t = 0; t < config_.threads; ++t) {
     std::size_t quota = actions / config_.threads + (t < actions % config_.threads ? 1 : 0);
-    workers.emplace_back([this, t, quota, &guardian_mutexes, &merge_mu, &first_error,
-                          &controller, &mark_going_down, &crash_world, &partial_crash,
-                          &partial_recover] {
+    workers.emplace_back([this, t, quota, &merge_mu, &first_error, &controller,
+                          &mark_going_down, &crash_world, &partial_crash, &partial_recover] {
       Rng rng(config_.seed + 0x9e3779b97f4a7c15ull * (t + 1));
       WorkloadStats local;
       std::uint64_t failures = 0;
@@ -815,7 +788,7 @@ Status WorkloadDriver::RunConcurrent(std::size_t actions) {
             }
           }
         }
-        status = RunOneConcurrentAction(rng, guardian_mutexes, local, controller != nullptr);
+        status = RunOneConcurrentAction(rng, local, controller != nullptr);
         if (!status.ok()) {
           ++failures;
           if (status.code() == ErrorCode::kCrashed) {
@@ -913,8 +886,8 @@ Status WorkloadDriver::ReconcileOneGuardian(std::uint32_t g, bool require_full_r
   std::map<std::uint32_t, std::size_t> survivors_end;  // home shard -> prefix end
   for (std::size_t p = 0; p < journal.size(); ++p) {
     bool survived = require_full_replay || journal[p].durable.load(std::memory_order_acquire);
-    for (const auto& [slot, value] : journal[p].writes) {
-      survived = survived || recovered[slot] == Value::Int(value);
+    for (const JournalWrite& w : journal[p].writes) {
+      survived = survived || recovered[w.slot] == Value::Int(w.value);
     }
     if (survived) {
       survivors_end[journal[p].home_shard] = p + 1;
@@ -923,15 +896,25 @@ Status WorkloadDriver::ReconcileOneGuardian(std::uint32_t g, bool require_full_r
 
   // Replaying the base plus the survivors in journal order must reproduce
   // the recovered state exactly: nothing lost, nothing partial, nothing
-  // invented.
+  // invented. Each survivor must also find in the replay the value it read
+  // (values are unique, so another value means its source was lost).
   std::vector<std::int64_t> state = crash_base_[g];
   std::size_t replayed = 0;
   for (std::size_t p = 0; p < journal.size(); ++p) {
-    if (p < survivors_end[journal[p].home_shard]) {
-      ++replayed;
-      for (const auto& [slot, value] : journal[p].writes) {
-        state[slot] = value;
+    if (p >= survivors_end[journal[p].home_shard]) {
+      continue;
+    }
+    ++replayed;
+    for (const JournalWrite& w : journal[p].writes) {
+      if (state[w.slot] != w.replaced) {
+        return Status::Corruption("guardian " + std::to_string(g) + " " + SlotName(w.slot) +
+                                  ": surviving commit #" + std::to_string(p) + " read " +
+                                  std::to_string(w.replaced) +
+                                  " from a commit the crash lost (the survivors before it "
+                                  "leave " +
+                                  std::to_string(state[w.slot]) + ")");
       }
+      state[w.slot] = w.value;
     }
   }
   for (std::size_t slot = 0; slot < state.size(); ++slot) {

@@ -7,11 +7,12 @@
 // workload benchmark; it also maintains a model of the committed state so
 // callers can verify the recovered world.
 //
-// The concurrent driver runs one action flow for every shard count: stage the
-// prepare, wait (outside the guardian mutex) only for the prepare marks off
-// the action's home shard, then stage, journal and await the commit. After a
-// crash one strict oracle reconciles each guardian against its journal (see
-// ReconcileOneGuardian).
+// The concurrent driver commits each action through Guardian::CommitLocal, the
+// one local-commit path, under one durability rule for every shard count: a
+// commit record may not become durable before the commit records, in other
+// shard logs, of the actions it read from (DESIGN.md D10). After a crash one
+// strict oracle reconciles each guardian against its journal: prefix closure
+// per home shard, plus read-from closure (see ReconcileOneGuardian).
 
 #ifndef SRC_TPC_WORKLOAD_H_
 #define SRC_TPC_WORKLOAD_H_
@@ -86,13 +87,13 @@ struct WorkloadConfig {
   std::uint64_t min_survivor_commits = 1;
   // 0 (default) runs the serial, network-driven driver. >= 1 switches Run()
   // to the concurrent driver: that many OS threads issue single-guardian
-  // actions in parallel, staging under a per-guardian mutex and waiting for
-  // durability outside it (the group-commit coalescing point). Concurrent
-  // mode ignores max_participants (every action stays on one guardian — the
-  // simulated network is single-threaded). Checkpointing IS supported
-  // concurrently, but requires group commit on every guardian: workers wait
-  // for durability outside the staging mutex, and only the coordinator's
-  // epoch check resolves waits that race a log swap.
+  // actions in parallel, staging under the guardian's exclusion
+  // (Guardian::mutex) and waiting for durability outside it (the group-commit
+  // coalescing point). Concurrent mode ignores max_participants (every action
+  // stays on one guardian — the simulated network is single-threaded).
+  // Checkpointing IS supported concurrently, but requires group commit on
+  // every guardian: workers wait for durability outside the exclusion, and
+  // only the coordinator's epoch check resolves waits that race a log swap.
   std::size_t threads = 0;
   // When set, called once per committed action in the concurrent driver with
   // the action's end-to-end latency (stage through durable) in nanoseconds.
@@ -102,7 +103,7 @@ struct WorkloadConfig {
   //
   // The memory budget is SimWorldConfig::mem_budget_bytes. For every guardian
   // whose recovery system has a ResidencyManager, the concurrent driver runs
-  // one ResidencyService (exclusive section = the guardian's staging mutex),
+  // one ResidencyService (exclusive section = the guardian's exclusion),
   // the serial driver runs an inline eviction pass between actions, and
   // SnapshotLiveStats reports its resident bytes.
 };
@@ -188,24 +189,30 @@ class WorkloadDriver {
 
   // Concurrent mode (config_.threads >= 1).
   Status RunConcurrent(std::size_t actions);
-  Status RunOneConcurrentAction(Rng& rng, std::vector<std::mutex>& guardian_mutexes,
-                                WorkloadStats& local, bool journal);
+  Status RunOneConcurrentAction(Rng& rng, WorkloadStats& local, bool journal);
   // The action body, once a guardian is picked (errors come back bare; the
   // caller attaches the guardian/thread/ordinal context).
-  Status RunOnGuardian(Rng& rng, std::uint32_t g, std::mutex& guardian_mutex,
-                       WorkloadStats& local, bool journal);
+  Status RunOnGuardian(Rng& rng, std::uint32_t g, WorkloadStats& local, bool journal);
 
   // ---- Crash-storm oracle (concurrent driver; see DESIGN.md) ----
 
+  // One write of a journaled commit: the slot, the unique value written, and
+  // the committed value it replaced, which is what the action read.
+  struct JournalWrite {
+    std::size_t slot = 0;
+    std::int64_t value = 0;
+    std::int64_t replaced = 0;
+  };
+
   // One volatile commit, journaled in the staging order of commit records.
-  // Workers keep a pointer to their record across releasing the staging
-  // mutex and set `durable` after WaitDurable returns Ok; the crash executor
+  // Workers keep a pointer to their record across releasing the guardian's
+  // exclusion and set `durable` after WaitDurable returns Ok; the crash executor
   // reads the journal only while every worker is parked at the controller's
   // barrier (which is also the happens-before edge that makes the plain-field
   // reads race-free — `durable` is atomic because it is written outside any
   // lock).
   struct CommittedRecord {
-    std::vector<std::pair<std::size_t, std::int64_t>> writes;  // slot → value
+    std::vector<JournalWrite> writes;
     std::uint32_t home_shard = 0;  // the shard its commit record went to
     std::atomic<bool> durable{false};
   };
@@ -217,9 +224,12 @@ class WorkloadDriver {
   // recovered slot holds one of its values, which are unique). The recovered
   // committed state must equal the replay of the base plus exactly those
   // records in journal order — zero lost committed work, no partial or
-  // invented action, and prefix closure per home shard. In-doubt records
-  // beyond a prefix vanished with the staged tail. On success, rebases
-  // crash_base_/model_ on the recovered state and clears the journal.
+  // invented action, and prefix closure per home shard. The replay also
+  // holds every survivor to read-from closure: each of its writes must
+  // replace exactly the value the survivors before it leave in that slot, so
+  // a surviving record that read from a commit the crash lost fails. In-doubt
+  // records beyond a prefix vanished with the staged tail. On success,
+  // rebases crash_base_/model_ on the recovered state and clears the journal.
   //
   // `require_full_replay` is the survivor variant: a guardian that did NOT
   // crash must match the replay of its ENTIRE journal — no record may have

@@ -9,14 +9,18 @@
 //      that were already durable still report Ok.
 //   3. The full storm — seeded sweeps of the concurrent driver with crashes
 //      landing mid-traffic and mid-checkpoint, plus media faults armed during
-//      post-crash recovery. The oracle is the durable-prefix reconciliation:
-//      zero lost-committed actions, zero partial actions, over every seed.
+//      post-crash recovery. The oracle is the durable-prefix reconciliation
+//      with read-from closure: zero lost-committed actions, zero partial
+//      actions, and no survivor that read from a lost commit, over every seed.
+//   4. Dependency marks — the rule behind read-from closure at more than one
+//      shard, on one guardian's local commits.
 //
 // The suite carries the `concurrency` ctest label, so CI runs it under TSan.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -318,7 +322,8 @@ TEST_P(CrashStormSeedSweep, DurablePrefixSurvivesTheStorm) {
 // prefix-closed across shards but is per home shard, so the reconciliation
 // runs the same strict journal oracle as the one-log sweep: on each home
 // shard the recovered actions must be exactly a journal prefix covering every
-// durably confirmed commit.
+// durably confirmed commit, and no survivor may have read from a commit the
+// crash lost (the dependency marks below keep that true across shards).
 class ShardedCrashStormSeedSweep : public testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedCrashStormSeedSweep,
@@ -365,6 +370,114 @@ TEST(CrashStorm, ShardedRunRejectsCheckpoints) {
   WorkloadDriver driver(&world, config);
   ASSERT_TRUE(driver.Setup().ok());
   EXPECT_EQ(driver.Run(10).code(), ErrorCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Dependency marks (DESIGN.md D10)
+// ---------------------------------------------------------------------------
+
+// A local commit releases its locks before its commit record is durable. A,
+// homed on shard 0, writes X (on shard 0) and is staged and committed
+// volatile, not forced. B, homed on the last shard, reads X, writes Y = X + 1
+// (or only reads X) and is acknowledged. B's acknowledgement must imply what
+// it read: at two shards B waits for A's commit mark before it stages its own
+// commit record; at one shard forcing B's commit record forces A's (§3.1),
+// and nothing is waited for. Without the wait, the restart at two shards
+// recovers X = 0 and Y = 101.
+struct DependencyCase {
+  const char* name;
+  std::uint32_t shards;
+  bool reader_writes;
+};
+
+void PrintTo(const DependencyCase& c, std::ostream* os) { *os << c.name; }
+
+class DependencyMarks : public testing::TestWithParam<DependencyCase> {};
+
+INSTANTIATE_TEST_SUITE_P(Inputs, DependencyMarks,
+                         testing::Values(DependencyCase{"TwoShards", 2, true},
+                                         DependencyCase{"TwoShardsReadOnly", 2, false},
+                                         DependencyCase{"OneShard", 1, true}),
+                         [](const testing::TestParamInfo<DependencyCase>& param_info) {
+                           return std::string(param_info.param.name);
+                         });
+
+TEST_P(DependencyMarks, AcknowledgedReaderKeepsWhatItRead) {
+  const DependencyCase& c = GetParam();
+  constexpr std::uint64_t kSalt = 7;
+  SimNetwork network(1);
+  RecoverySystemConfig config;
+  config.medium_factory = [] { return std::make_unique<InMemoryStableMedium>(); };
+  config.group_commit = FlushCoordinatorConfig{};
+  config.log_shards = c.shards;
+  config.shard_salt = kSalt;
+  Guardian guard(GuardianId{0}, config, &network);
+  const ShardRouter router(ShardMapRecord{.num_shards = c.shards, .salt = kSalt, .overrides = {}});
+  const std::uint32_t reader_home = c.shards - 1;
+
+  // X on shard 0 and Y on the reader's home shard, committed and forced.
+  ActionId setup = guard.BeginTopAction();
+  ActionContext& setup_ctx = guard.ContextFor(setup);
+  RecoverableObject* x = nullptr;
+  RecoverableObject* y = nullptr;
+  while (x == nullptr || y == nullptr) {
+    RecoverableObject* obj = setup_ctx.CreateAtomic(guard.heap(), Value::Int(0));
+    const std::uint32_t shard = router.ShardOf(obj->uid());
+    if (x == nullptr && shard == 0) {
+      x = obj;
+    } else if (y == nullptr && shard == reader_home) {
+      y = obj;
+    }
+  }
+  ASSERT_TRUE(guard.SetStableVariable(setup, "x", x).ok());
+  ASSERT_TRUE(guard.SetStableVariable(setup, "y", y).ok());
+  ASSERT_TRUE(guard.RequestCommit(setup).ok());
+  ASSERT_EQ(guard.FateOf(setup), Guardian::ActionFate::kCommitted);
+
+  std::uint64_t sequence = std::uint64_t{1} << 20;
+  auto homed_on = [&](std::uint32_t shard) {
+    while (router.HomeShardOf(ActionId{GuardianId{0}, sequence}) != shard) {
+      ++sequence;
+    }
+    const ActionId aid{GuardianId{0}, sequence++};
+    EXPECT_EQ(guard.recovery().writer().HomeShardOf(aid), shard);
+    return aid;
+  };
+  const obs::Scope scope{.guardian = 0};
+  const std::uint64_t waits_before = CounterValue("tpc.local.dependency_waits", scope);
+
+  std::unique_lock<std::mutex> lock(guard.mutex());
+  ActionContext a(homed_on(0));
+  ASSERT_TRUE(a.WriteObject(x, Value::Int(100)).ok());
+  Result<StagedOutcome> a_commit = guard.CommitLocal(a, lock);
+  ASSERT_TRUE(a_commit.ok()) << a_commit.status().ToString();
+  const StagedMark a_mark = a_commit.value().marks.front();
+  ASSERT_EQ(a_mark.shard, 0u);
+  ASSERT_LE(guard.recovery().shard_log(0).durable_size(), a_mark.address.offset);
+
+  ActionContext b(homed_on(reader_home));
+  Result<const Value*> read = b.ReadObject(x);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const std::int64_t seen = read.value()->as_int();
+  ASSERT_EQ(seen, 100);
+  if (c.reader_writes) {
+    ASSERT_TRUE(b.WriteObject(y, Value::Int(seen + 1)).ok());
+  }
+  Result<StagedOutcome> b_commit = guard.CommitLocal(b, lock);
+  ASSERT_TRUE(b_commit.ok()) << b_commit.status().ToString();
+  lock.unlock();
+  ASSERT_TRUE(guard.recovery().WaitDurable(b_commit.value()).ok());  // B is acknowledged
+  EXPECT_GT(guard.recovery().shard_log(0).durable_size(), a_mark.address.offset)
+      << "B was acknowledged before the commit it read from was durable";
+  EXPECT_EQ(CounterValue("tpc.local.dependency_waits", scope) - waits_before,
+            c.shards > 1 ? 1u : 0u);
+
+  guard.Crash();
+  Result<RecoveryInfo> info = guard.Restart();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(guard.CommittedStableVariable("x")->base_version().as_int(), 100);
+  EXPECT_EQ(guard.CommittedStableVariable("y")->base_version().as_int(),
+            c.reader_writes ? 101 : 0);
 }
 
 // Stop-the-world checkpoints under the same storm: the service holds the

@@ -2,10 +2,6 @@
 // histograms, JSON snapshot shape), trace events with logical timestamps,
 // the per-thread flight recorder, and the determinism contract — two runs of
 // the same seeded workload emit identical event sequences.
-//
-// Also covers the steady-state MT dereference path (LogWriter::
-// ReadMutexVersion) and its cache-hit accounting, which rides on the same
-// registry.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +11,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/recovery/log_writer.h"
 #include "src/tpc/workload.h"
 #include "tests/test_support.h"
 
@@ -257,55 +252,6 @@ TEST(ObsTraceDeterminism, SameSeedSameEventSequence) {
   // And a different seed takes a different path (the test is not vacuous).
   std::vector<std::string> other = SerialWorkloadTrace(2027);
   EXPECT_NE(first, other);
-}
-
-// ---------------------------------------------------------------------------
-// Steady-state MT dereference (LogWriter::ReadMutexVersion)
-// ---------------------------------------------------------------------------
-
-TEST(ObsMutexTableReads, ReadsLatestPreparedVersionThroughCache) {
-  auto log = MakeMemLog();
-  VolatileHeap heap;
-  LogWriter writer(LogMode::kSimple, log.get(), &heap);
-
-  ActionId t1 = Aid(1);
-  ActionContext ctx(t1);
-  RecoverableObject* m = ctx.CreateMutex(heap, Value::Int(42));
-  ASSERT_TRUE(ctx.UpdateObject(heap.root(), [&](Value& r) {
-    r.as_record()["m"] = Value::Ref(m);
-  }).ok());
-  ASSERT_TRUE(writer.Prepare(t1, ctx.TakeMos()).ok());
-  ASSERT_TRUE(writer.mutex_table().contains(m->uid()));
-
-  obs::Counter* reads = obs::GetCounter("recovery.mt_reads");
-  obs::Counter* hits = obs::GetCounter("recovery.mt_read_hits");
-  std::uint64_t reads0 = reads->Value();
-  std::uint64_t hits0 = hits->Value();
-
-  // First dereference: the frame enters (and validates in) the read cache.
-  Result<LogEntry> entry = writer.ReadMutexVersion(m->uid());
-  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-  const auto* data = std::get_if<DataEntry>(&entry.value());
-  ASSERT_NE(data, nullptr);
-  EXPECT_EQ(data->kind, ObjectKind::kMutex);
-  EXPECT_EQ(data->uid, m->uid());
-
-  // Second dereference of the same version: served from the validated
-  // residence — no medium read, no re-CRC — and counted as a hit.
-  Result<LogEntry> again = writer.ReadMutexVersion(m->uid());
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(reads->Value(), reads0 + 2);
-  EXPECT_GE(hits->Value(), hits0 + 1);
-  EXPECT_GT(obs::GetGauge("recovery.mt_hit_rate")->Value(), 0.0);
-}
-
-TEST(ObsMutexTableReads, UnknownUidIsNotFound) {
-  auto log = MakeMemLog();
-  VolatileHeap heap;
-  LogWriter writer(LogMode::kHybrid, log.get(), &heap);
-  Result<LogEntry> entry = writer.ReadMutexVersion(Uid{12345});
-  ASSERT_FALSE(entry.ok());
-  EXPECT_EQ(entry.status().code(), ErrorCode::kNotFound);
 }
 
 }  // namespace
